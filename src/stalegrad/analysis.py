@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     InsufficientTraceError,
@@ -270,6 +269,8 @@ def waiting_time_gof(waits, p: float, min_expected: float = 5.0) -> GofResult:
     )
     statistic = float(np.sum(np.square(observed - expected) / expected))
     dof = k  # cells − 1; no parameters estimated from the data
+    from scipy import stats  # imported lazily: it takes ~1 s, and only this p-value needs it
+
     return GofResult(statistic=statistic, dof=dof, pvalue=float(stats.chi2.sf(statistic, dof)))
 
 

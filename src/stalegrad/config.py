@@ -120,6 +120,11 @@ def parse_sim_config(doc: Mapping) -> SimConfig:
     run = dict(doc["run"])
     delay = dict(doc.get("delay") or {"slow_weight": 0.1})
     x_init = run.get("x_init")
+    if x_init is not None:
+        try:
+            x_init = tuple(float(v) for v in x_init)
+        except (TypeError, ValueError):
+            raise InvalidConfigError("must be a list of numbers", field="run.x_init") from None
     return SimConfig(
         objective=dict(doc["objective"]),
         optimizer=dict(doc["optimizer"]),
@@ -129,7 +134,7 @@ def parse_sim_config(doc: Mapping) -> SimConfig:
         seed=run.get("seed", 0),
         snapshot_stride=run.get("snapshot_stride"),
         record_gradients=bool(run.get("record_gradients", False)),
-        x_init=None if x_init is None else tuple(float(v) for v in x_init),
+        x_init=x_init,
     )
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import cached_property
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,12 @@ def _freeze(a: Array) -> Array:
     out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
     return out
+
+
+def _read_only(a: Array) -> Array:
+    """Mark ``a`` itself read-only (no copy, dtype kept)."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_dim(x: Array, dim: int) -> Array:
@@ -200,9 +207,9 @@ class Quadratic(_NoiseModel):
     def component_grad(self, x: Array, component: int) -> Array:
         return self.grad(x)
 
-    @property
+    @cached_property
     def minimizer(self) -> Array:
-        return np.linalg.solve(self.matrix, self.offset)
+        return _freeze(np.linalg.solve(self.matrix, self.offset))
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:
         x1 = np.zeros(self.dim) if x_init is None else _check_dim(x_init, self.dim)
@@ -384,6 +391,15 @@ class NonconvexQuadratic(_NoiseModel):
         )
 
 
+class _Group(NamedTuple):
+    """One sample group's rows, precomputed once per objective."""
+
+    rows: Array  # sample indices of the group
+    positions: Array  # 0..len(rows)-1
+    labels: Array  # labels[rows]
+    features: Array  # features[rows]
+
+
 @dataclass(frozen=True)
 class Logistic(_NoiseModel):
     """Multinomial cross-entropy over a fixed dataset split into two groups.
@@ -407,12 +423,8 @@ class Logistic(_NoiseModel):
 
     def __post_init__(self):
         object.__setattr__(self, "features", _freeze(np.atleast_2d(self.features)))
-        labels = np.asarray(self.labels, dtype=np.int64)
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        groups = np.asarray(self.group_of, dtype=np.int64)
-        groups.flags.writeable = False
-        object.__setattr__(self, "group_of", groups)
+        object.__setattr__(self, "labels", _read_only(np.asarray(self.labels, dtype=np.int64)))
+        object.__setattr__(self, "group_of", _read_only(np.asarray(self.group_of, dtype=np.int64)))
         object.__setattr__(self, "group_weights", tuple(float(w) for w in self.group_weights))
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.group_of.shape != (n,):
@@ -423,6 +435,19 @@ class Logistic(_NoiseModel):
             raise InvalidConfigError("group tags must be 0 (slow) or 1 (fast)")
         if abs(sum(self.group_weights) - 1.0) > 1e-12 or min(self.group_weights) <= 0:
             raise InvalidConfigError("group weights must be positive and sum to 1")
+        groups = []
+        for c in range(self.num_components):
+            rows = np.flatnonzero(self.group_of == c)
+            groups.append(
+                _Group(
+                    rows=_read_only(rows),
+                    positions=_read_only(np.arange(rows.shape[0])),
+                    labels=_read_only(self.labels[rows]),
+                    features=_read_only(self.features[rows]),
+                )
+            )
+        object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_memo", (b"", None, None))
 
     @property
     def feature_dim(self) -> int:
@@ -442,27 +467,38 @@ class Logistic(_NoiseModel):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def _group_rows(self, component: int) -> Array:
-        return np.flatnonzero(self.group_of == component)
+    def _softmax(self, x: Array) -> tuple[Array, Array]:
+        """Read-only (log-probabilities, probabilities) over all samples at x.
+
+        The last point evaluated is memoized, keyed on its exact bytes: a
+        step's monitoring re-evaluates the point the previous dispatch just
+        differentiated at, and ``grad`` needs both groups at one point.
+        """
+        key = x.tobytes()
+        memo = self._memo
+        if memo[0] != key:
+            log_probs = self._log_softmax(x)
+            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)))
+            object.__setattr__(self, "_memo", memo)
+        return memo[1], memo[2]
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        log_probs = self._log_softmax(x)
-        per_sample = -log_probs[np.arange(self.labels.shape[0]), self.labels]
+        log_probs, _ = self._softmax(x)
         return float(
             sum(
-                w * per_sample[self._group_rows(c)].mean()
-                for c, w in enumerate(self.group_weights)
+                w * (-log_probs[g.rows, g.labels]).mean()
+                for g, w in zip(self._groups, self.group_weights)
             )
         )
 
     def component_grad(self, x: Array, component: int) -> Array:
         x = _check_dim(x, self.dim)
-        rows = self._group_rows(component)
-        probs = np.exp(self._log_softmax(x))[rows]
-        residual = probs
-        residual[np.arange(rows.shape[0]), self.labels[rows]] -= 1.0
-        return (residual.T @ self.features[rows] / rows.shape[0]).ravel()
+        g = self._groups[component]
+        _, probs = self._softmax(x)
+        residual = probs[g.rows]
+        residual[g.positions, g.labels] -= 1.0
+        return (residual.T @ g.features / g.rows.shape[0]).ravel()
 
     def grad(self, x: Array) -> Array:
         out = np.zeros(self.dim)

@@ -75,7 +75,6 @@ class OrderedMomentumState:
     step_size: float
     momentum_param: float
     steps_done: int = 0
-    first_index_consumed: bool = False
 
     @classmethod
     def initial(cls, x1: Array, step_size: float, momentum_param: float) -> "OrderedMomentumState":
@@ -114,7 +113,6 @@ def step_ordered_momentum(
         step_size=state.step_size,
         momentum_param=beta,
         steps_done=t,
-        first_index_consumed=state.first_index_consumed or report.dispatch_iteration == 1,
     )
 
 

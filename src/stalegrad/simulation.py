@@ -143,6 +143,28 @@ class _Prepared:
     resolved: dict[str, Any]
 
 
+def _number(value: Any, field: str) -> float:
+    """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
+    if not math.isfinite(out):
+        raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
+    return out
+
+
+def _vector(value: Any, field: str) -> Array:
+    """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
+    if not np.all(np.isfinite(out)):
+        raise InvalidConfigError("entries must be finite", field=field)
+    return out
+
+
 def _resolve_theory(method: str, opt: Mapping[str, Any], constants, domain, T: int, M: int):
     """Derive method parameters from closed-form problem constants."""
     if method == "ordered_momentum":
@@ -171,7 +193,7 @@ def _resolve_theory(method: str, opt: Mapping[str, Any], constants, domain, T: i
             domain.diameter,
             T,
             M,
-            bound_constant=float(opt.get("bound_constant", 1.0)),
+            bound_constant=_number(opt.get("bound_constant", 1.0), "optimizer.bound_constant"),
         )
         return {"eta": window.eta_max, "eta_min": window.eta_min, "eta_max": window.eta_max}
     raise InvalidConfigError(
@@ -194,23 +216,27 @@ def _prepare(config: SimConfig) -> _Prepared:
         raise InvalidConfigError("snapshot stride must be positive", field="run.snapshot_stride")
 
     delay_spec = dict(config.delay)
-    slow_weight = delay_spec.get("slow_weight")
-    if slow_weight is None:
+    if delay_spec.get("slow_weight") is None:
         raise InvalidConfigError("missing", field="delay.slow_weight")
+    slow_weight = _number(delay_spec["slow_weight"], "delay.slow_weight")
     probs = delay_spec.get("arrival_probs")
     model = delays.DelayModel.build(
-        M, float(slow_weight), None if probs is None else np.asarray(probs, dtype=np.float64)
+        M, slow_weight, None if probs is None else _vector(probs, "delay.arrival_probs")
     )
 
-    objective = objectives.from_spec(config.objective, float(slow_weight))
-    domain = objectives.domain_from_spec(config.objective)
+    _number(config.objective.get("noise_sigma", 0.0), "objective.noise_sigma")  # check only
+    try:
+        objective = objectives.from_spec(config.objective, slow_weight)
+        domain = objectives.domain_from_spec(config.objective)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"malformed entry: {exc}", field="objective") from None
     if domain is not None and domain.dim != objective.dim:
         raise InvalidConfigError("domain and objective dimensions differ", field="objective.domain")
 
     if config.x_init is None:
         x1 = np.zeros(objective.dim)
     else:
-        x1 = np.asarray(config.x_init, dtype=np.float64)
+        x1 = _vector(config.x_init, "run.x_init")
         if x1.shape != (objective.dim,):
             raise InvalidConfigError(
                 f"x_init must have {objective.dim} entries", field="run.x_init"
@@ -227,7 +253,7 @@ def _prepare(config: SimConfig) -> _Prepared:
         resolved.update(_resolve_theory(method, opt, constants, domain, T, M))
     for name in ("eta", "beta", "gamma", "tau_filter"):
         if name in opt:
-            resolved[name] = float(opt[name])
+            resolved[name] = _number(opt[name], f"optimizer.{name}")
 
     def need(name: str) -> float:
         if name not in resolved:
@@ -271,7 +297,7 @@ def _prepare(config: SimConfig) -> _Prepared:
                         f"objective lacks closed-form {name}; supply it explicitly",
                         field=f"optimizer.{name}",
                     )
-                values[name] = float(value)
+                values[name] = _number(value, f"optimizer.{name}")
             adaptive = optimizers.AdaptiveConstants(
                 lipschitz=values["lipschitz"],
                 num_workers=M,

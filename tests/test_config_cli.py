@@ -1,7 +1,12 @@
 """Config documents, grid expansion, and the four CLI subcommands."""
 
+import copy
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -238,6 +243,39 @@ def test_single_point_sweep_matches_run(tmp_path):
         rows = list(csv.reader(fh))
     for row in rows[1:]:
         assert float(row[5]) == by_seed[int(row[1])]
+
+
+@pytest.mark.parametrize("value", ["fast", math.inf, math.nan], ids=["word", "inf", "nan"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "optimizer.eta",
+        "optimizer.beta",
+        "optimizer.gamma",
+        "optimizer.tau_filter",
+        "delay.slow_weight",
+        "objective.noise_sigma",
+        "run.x_init",
+    ],
+)
+def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, value):
+    doc = copy.deepcopy(BASE_DOC)
+    section, key = field.split(".")
+    doc[section][key] = [0.0, value] if key == "x_init" else value
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, stalegrad.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_sweep_without_grid_is_an_error(tmp_path, capsys):

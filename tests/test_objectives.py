@@ -1,6 +1,8 @@
 """Objective families: gradients, smoothness constants, noise, and the ball domain."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -312,6 +314,54 @@ def test_logistic_curvature_below_lipschitz():
             hess[i] = (LOGISTIC.grad(x + e) - LOGISTIC.grad(x - e)) / (2 * step)
         top = float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T))))
         assert top <= lips * (1 + 1e-6)
+
+
+def test_logistic_memo_follows_the_point_bytes():
+    """Evaluations interleaved across points, and at a point mutated in place,
+    equal those of a fresh objective; memoized arrays cannot be written."""
+    rng = np.random.default_rng(20)
+    x, y = rng.standard_normal((2, LOGISTIC.dim))
+    for point in (x, y, x):
+        fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+        assert LOGISTIC.loss(point) == fresh.loss(point)
+        assert np.array_equal(LOGISTIC.grad(point), fresh.grad(point))
+        assert np.array_equal(LOGISTIC.component_grad(point, 0), fresh.component_grad(point, 0))
+    x[0] += 1.0
+    fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+    assert np.array_equal(LOGISTIC.grad(x), fresh.grad(x))
+    log_probs, probs = LOGISTIC._softmax(x)
+    assert not log_probs.flags.writeable and not probs.flags.writeable
+
+
+def test_logistic_memo_is_safe_across_threads():
+    """Threads sharing one objective at different points never see another's softmax."""
+    objective = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+    points = np.random.default_rng(21).standard_normal((6, objective.dim))
+    expected = [objective.grad(p) for p in points]
+    mismatches = []
+
+    def worker(i):
+        for _ in range(200):
+            if not np.array_equal(objective.grad(points[i]), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(points))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_cached_minimizers_are_read_only():
+    assert not QUAD.minimizer.flags.writeable
+    assert NONCONVEX.minimizer is NONCONVEX.minimizer
 
 
 def test_logistic_predictions():

@@ -11,6 +11,7 @@ from stalegrad.errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
+from stalegrad.objectives import Logistic
 from stalegrad.optimizers import theorem1_params
 from stalegrad.simulation import SimConfig, config_hash, replay_check, replay_compare, run, validate_config
 
@@ -205,3 +206,24 @@ def test_filtered_runs_mark_skipped_updates():
     skipped = ~trace.applied
     assert skipped.any()
     assert np.all(trace.tau[skipped] > 1)
+
+
+def test_logistic_run_evaluates_each_point_once(monkeypatch):
+    """Monitoring re-uses the softmax the last dispatch computed: one per new point."""
+    calls = []
+    original = Logistic._log_softmax
+
+    def counting(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Logistic, "_log_softmax", counting)
+    T = 60
+    run(
+        momentum_config(
+            objective={"family": "logistic", "classes": 3, "feature_dim": 4, "noise_sigma": 0.1},
+            optimizer={"method": "vanilla", "eta": 0.05},
+            total_iterations=T,
+        )
+    )
+    assert 0 < len(calls) <= T + 1
