@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import itertools
 import os
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,10 +40,25 @@ _SWEEP_KEYS = {"grid", "seeds", "parallelism", "write_traces"}
 _TOP_KEYS = {"objective", "optimizer", "delay", "run", "sweep", "output", "report"}
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading, plus floats written without a dot (``1e-5``).
+
+    YAML 1.1 reads ``1e-5`` as a string, so the same step size given as
+    ``1e-5`` and as ``0.00001`` would hash differently.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise InvalidConfigError(str(exc)) from exc
     except yaml.YAMLError as exc:

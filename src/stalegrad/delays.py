@@ -59,7 +59,7 @@ def assign_component(ticket_wait: int, threshold: float) -> str:
     return SLOW if ticket_wait > threshold else FAST
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DispatchTicket:
     """One round trip: dispatched at ``dispatch_iteration``, due at ``return_clock``."""
 
@@ -88,6 +88,8 @@ class DelayModel:
         object.__setattr__(self, "thresholds", thresholds)
         if probs.shape != (self.num_workers,) or thresholds.shape != (self.num_workers,):
             raise InvalidConfigError("per-worker vectors must have one entry per worker")
+        # (p, threshold) per worker as Python floats, read once per ticket
+        object.__setattr__(self, "_per_worker", tuple(zip(probs.tolist(), thresholds.tolist())))
 
     @classmethod
     def build(
@@ -129,11 +131,8 @@ class DelayModel:
         self, worker_id: int, dispatch_iteration: int, clock: float, rng: np.random.Generator
     ) -> DispatchTicket:
         """Draw one ticket; the single draw fixes both schedule and component."""
-        wait = draw_waiting_time(float(self.arrival_probs[worker_id]), rng)
+        p, threshold = self._per_worker[worker_id]
+        wait = draw_waiting_time(p, rng)
         return DispatchTicket(
-            worker_id=worker_id,
-            dispatch_iteration=dispatch_iteration,
-            return_clock=clock + wait,
-            waiting_time=wait,
-            component=assign_component(wait, float(self.thresholds[worker_id])),
+            worker_id, dispatch_iteration, clock + wait, wait, assign_component(wait, threshold)
         )

@@ -43,15 +43,53 @@ def _freeze(a: Array) -> Array:
 
 def _read_only(a: Array) -> Array:
     """Mark ``a`` itself read-only (no copy, dtype kept)."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _check_dim(x: Array, dim: int) -> Array:
-    x = np.asarray(x, dtype=np.float64)
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=np.float64)
     if x.shape != (dim,):
         raise ContractViolationError(f"expected a vector of shape ({dim},), got {x.shape}")
     return x
+
+
+def euclidean_norm(v: Array) -> float:
+    """‖v‖₂ of a 1-D float vector, bitwise what ``np.linalg.norm`` returns.
+
+    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` for such a vector; this
+    skips its argument handling.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def finite_number(value: Any, field: str) -> float:
+    """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
+    if not math.isfinite(out):
+        raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
+    return out
+
+
+def whole_number(value: Any, field: str) -> int:
+    """``value`` as an int, or :class:`InvalidConfigError` naming ``field``.
+
+    Integral floats such as ``3.0`` are accepted; ``2.5`` is rejected
+    rather than truncated.
+    """
+    if isinstance(value, int):
+        return int(value)
+    out = finite_number(value, field)
+    if not out.is_integer():
+        raise InvalidConfigError(f"must be an integer, got {value!r}", field=field)
+    return int(out)
 
 
 @dataclass(frozen=True)
@@ -86,7 +124,7 @@ class BallDomain:
         if not self.radius > 0:
             raise InvalidConfigError("radius must be positive", field="objective.domain.radius")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.center.shape[0]
 
@@ -95,7 +133,7 @@ class BallDomain:
         return 2.0 * self.radius
 
     def contains(self, x: Array, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(np.asarray(x) - self.center)) <= self.radius + tol
+        return euclidean_norm((np.asarray(x) - self.center).ravel()) <= self.radius + tol
 
     def project(self, x: Array) -> Array:
         """Orthogonal projection: x itself inside the ball, else radial scaling.
@@ -110,16 +148,16 @@ class BallDomain:
         """
         out = _check_dim(x, self.dim)
         offset = out - self.center
-        dist = float(np.linalg.norm(offset))
+        dist = euclidean_norm(offset)
         if dist <= self.radius:
             return out
         scale = self.radius / dist
         candidate = self.center + scale * offset
-        dist = float(np.linalg.norm(candidate - self.center))
+        dist = euclidean_norm(candidate - self.center)
         while dist > self.radius:
             scale = min(scale * (self.radius / dist), math.nextafter(scale, 0.0))
             candidate = self.center + scale * offset
-            dist = float(np.linalg.norm(candidate - self.center))
+            dist = euclidean_norm(candidate - self.center)
         return candidate
 
 
@@ -176,7 +214,13 @@ def _as_matrix(curvature: Any, dim: int) -> Array:
 
 @dataclass(frozen=True)
 class Quadratic(_NoiseModel):
-    """f(x) = ½xᵀAx − bᵀx with symmetric positive definite A."""
+    """f(x) = ½xᵀAx − bᵀx with symmetric positive definite A.
+
+    ``grad`` memoizes its last two points, keyed on their exact bytes: a
+    step's monitoring re-evaluates the point the previous dispatch
+    differentiated at, and a paired dispatch differentiates at the previous
+    query point again.  The arrays it returns are read-only.
+    """
 
     matrix: Array
     offset: Array
@@ -187,8 +231,9 @@ class Quadratic(_NoiseModel):
         object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, self.offset.shape[0])))
         if self.noise_sigma < 0:
             raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+        object.__setattr__(self, "_memo", ((None, None), (None, None)))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.offset.shape[0]
 
@@ -202,6 +247,17 @@ class Quadratic(_NoiseModel):
 
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
+        key = x.tobytes()
+        newest, older = self._memo
+        if newest[0] == key:
+            return newest[1]
+        if older[0] == key:
+            return older[1]
+        g = _read_only(self._evaluate_grad(x))
+        object.__setattr__(self, "_memo", ((key, g), newest))
+        return g
+
+    def _evaluate_grad(self, x: Array) -> Array:
         return self.matrix @ x - self.offset
 
     def component_grad(self, x: Array, component: int) -> Array:
@@ -250,7 +306,7 @@ class Mixture(_NoiseModel):
         if self.noise_sigma < 0:
             raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.components[0].dim
 
@@ -354,7 +410,7 @@ class NonconvexQuadratic(_NoiseModel):
         if self.noise_sigma < 0:
             raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.base.dim
 
@@ -453,7 +509,7 @@ class Logistic(_NoiseModel):
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.num_classes * self.feature_dim
 
@@ -563,7 +619,9 @@ def make_logistic(
     )
 
 
-def _quadratic_from_spec(spec: Mapping[str, Any], noise_sigma: float) -> Quadratic:
+def _quadratic_from_spec(
+    spec: Mapping[str, Any], noise_sigma: float, path: str = "objective"
+) -> Quadratic:
     dim = spec.get("dim")
     if "offset" in spec:
         offset = np.asarray(spec["offset"], dtype=np.float64)
@@ -572,9 +630,9 @@ def _quadratic_from_spec(spec: Mapping[str, Any], noise_sigma: float) -> Quadrat
         matrix = _as_matrix(spec.get("curvature", spec.get("matrix", 1.0)), target.shape[0])
         return Quadratic(matrix=matrix, offset=matrix @ target, noise_sigma=noise_sigma)
     elif dim is not None:
-        offset = np.zeros(int(dim))
+        offset = np.zeros(whole_number(dim, f"{path}.dim"))
     else:
-        raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field="objective")
+        raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
     matrix = _as_matrix(spec.get("curvature", spec.get("matrix", 1.0)), offset.shape[0])
     return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
 
@@ -594,7 +652,9 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
         raw = spec.get("components")
         if not raw or len(raw) < 2:
             raise InvalidConfigError("mixture needs >= 2 components", field="objective.components")
-        components = tuple(_quadratic_from_spec(c, 0.0) for c in raw)
+        components = tuple(
+            _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(raw)
+        )
         weights = spec.get("weights")
         if weights is None:
             if len(components) != 2:
@@ -615,17 +675,17 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
         base = _quadratic_from_spec(spec, 0.0)
         return NonconvexQuadratic(
             base=base,
-            squash_scale=float(spec.get("squash_scale", 1.0)),
+            squash_scale=finite_number(spec.get("squash_scale", 1.0), "objective.squash_scale"),
             noise_sigma=noise_sigma,
         )
     if family == "logistic":
         return make_logistic(
-            num_classes=int(spec.get("classes", 3)),
-            feature_dim=int(spec.get("feature_dim", 4)),
-            num_samples=int(spec.get("samples", 200)),
+            num_classes=whole_number(spec.get("classes", 3), "objective.classes"),
+            feature_dim=whole_number(spec.get("feature_dim", 4), "objective.feature_dim"),
+            num_samples=whole_number(spec.get("samples", 200), "objective.samples"),
             slow_weight=slow_weight,
-            separation=float(spec.get("separation", 2.0)),
-            data_seed=int(spec.get("data_seed", 0)),
+            separation=finite_number(spec.get("separation", 2.0), "objective.separation"),
+            data_seed=whole_number(spec.get("data_seed", 0), "objective.data_seed"),
             noise_sigma=noise_sigma,
         )
     raise InvalidConfigError(f"unknown objective family {family!r}", field="objective.family")
@@ -646,5 +706,8 @@ def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
                 "domain needs an explicit center when the objective has no dim field",
                 field="objective.domain.center",
             )
-        center = np.zeros(int(dim))
-    return BallDomain(center=np.asarray(center, dtype=np.float64), radius=float(raw["radius"]))
+        center = np.zeros(whole_number(dim, "objective.dim"))
+    return BallDomain(
+        center=np.asarray(center, dtype=np.float64),
+        radius=finite_number(raw["radius"], "objective.domain.radius"),
+    )

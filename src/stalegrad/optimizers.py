@@ -7,6 +7,11 @@ treated as independent facts: the staleness discount uses the delay, the
 first-dispatch zero rule keys on the dispatch index, and neither is ever
 recomputed from the other.
 
+States stay immutable (frozen, slotted dataclasses), and each rule builds
+the next one directly with its constructor rather than through
+``dataclasses.replace``, which costs several times more on a path taken
+once per iteration.
+
 Rules
 -----
 * ``ordered_momentum`` — momentum where an arriving gradient enters with
@@ -25,7 +30,7 @@ Rules
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +50,7 @@ METHODS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelayedGradientReport:
     """What a worker hands back: a gradient plus its provenance.
 
@@ -68,7 +73,7 @@ def ordered_weight(beta: float, tau: int) -> float:
     return beta * (1.0 - beta) ** tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedMomentumState:
     iterate: Array
     momentum: Array
@@ -116,7 +121,7 @@ def step_ordered_momentum(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedMu2State:
     """State of the projected, averaged correction method.
 
@@ -200,7 +205,7 @@ class AdaptiveConstants:
             raise InvalidConfigError("worker and iteration counts must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineState:
     """One state type for the five baselines, tagged by ``method``.
 
@@ -294,43 +299,47 @@ def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:
     return min(candidates)
 
 
+def _advance(
+    state: BaselineState,
+    iterate: Array,
+    applied: bool,
+    momentum: Array | None = None,
+    descent_iterate: Array | None = None,
+    correction: Array | None = None,
+) -> BaselineState:
+    """The next baseline state; buffers the method does not carry stay ``None``."""
+    return BaselineState(
+        state.method,
+        iterate,
+        state.step_size,
+        momentum,
+        state.momentum_param,
+        state.query_momentum,
+        descent_iterate,
+        correction,
+        state.filter_threshold,
+        state.adaptive,
+        state.steps_done + 1,
+        state.applied_updates + applied,
+    )
+
+
 def step_baseline(state: BaselineState, report: DelayedGradientReport) -> BaselineState:
     """Advance whichever baseline the state is tagged with."""
-    t = state.steps_done + 1
-    if state.method == "vanilla":
-        return replace(
-            state,
-            iterate=state.iterate - state.step_size * report.gradient,
-            steps_done=t,
-            applied_updates=state.applied_updates + 1,
-        )
-    if state.method == "delay_adaptive":
+    method = state.method
+    if method == "vanilla":
+        return _advance(state, state.iterate - state.step_size * report.gradient, True)
+    if method == "delay_adaptive":
         eta = delay_adaptive_step_size(state.adaptive, report.delay)
-        return replace(
-            state,
-            iterate=state.iterate - eta * report.gradient,
-            steps_done=t,
-            applied_updates=state.applied_updates + 1,
-        )
-    if state.method == "delay_filtered":
+        return _advance(state, state.iterate - eta * report.gradient, True)
+    if method == "delay_filtered":
         if report.delay > state.filter_threshold:
-            return replace(state, steps_done=t)
-        return replace(
-            state,
-            iterate=state.iterate - state.step_size * report.gradient,
-            steps_done=t,
-            applied_updates=state.applied_updates + 1,
-        )
-    if state.method == "naive_momentum":
+            return _advance(state, state.iterate, False)
+        return _advance(state, state.iterate - state.step_size * report.gradient, True)
+    if method == "naive_momentum":
         momentum = state.momentum_param * report.gradient + (1.0 - state.momentum_param) * state.momentum
-        return replace(
-            state,
-            iterate=state.iterate - state.step_size * momentum,
-            momentum=momentum,
-            steps_done=t,
-            applied_updates=state.applied_updates + 1,
-        )
-    if state.method == "naive_mu2":
+        return _advance(state, state.iterate - state.step_size * momentum, True, momentum=momentum)
+    if method == "naive_mu2":
         if report.paired_gradient is None:
             raise ProtocolError(
                 "the update needs the same-sample gradient at the previous query point"
@@ -340,13 +349,12 @@ def step_baseline(state: BaselineState, report: DelayedGradientReport) -> Baseli
         )
         descent = state.descent_iterate - state.step_size * correction
         gamma = state.query_momentum
-        return replace(
+        return _advance(
             state,
-            iterate=gamma * descent + (1.0 - gamma) * state.iterate,
+            gamma * descent + (1.0 - gamma) * state.iterate,
+            True,
             descent_iterate=descent,
             correction=correction,
-            steps_done=t,
-            applied_updates=state.applied_updates + 1,
         )
     raise InvalidConfigError(f"unknown baseline {state.method!r}", field="optimizer.method")
 

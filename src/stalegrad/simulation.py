@@ -33,6 +33,8 @@ from .errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
+from .objectives import FAST, SLOW, euclidean_norm
+from .objectives import finite_number as _number
 
 logger = logging.getLogger(__name__)
 
@@ -141,17 +143,6 @@ class _Prepared:
     descent: Callable[[Any], Array | None]
     needs_pair: bool
     resolved: dict[str, Any]
-
-
-def _number(value: Any, field: str) -> float:
-    """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
-    if not math.isfinite(out):
-        raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
-    return out
 
 
 def _vector(value: Any, field: str) -> Array:
@@ -340,11 +331,15 @@ def validate_config(config: SimConfig) -> None:
     _prepare(config)
 
 
-@dataclass(frozen=True)
-class _InFlight:
-    ticket: delays.DispatchTicket
-    gradient: Array
-    paired_gradient: Array | None
+def _all_finite(v: Array) -> bool:
+    """True when every entry of ``v`` is finite.
+
+    Exact fast path: v·v sums nonnegative terms, so it is finite only when
+    every entry is.  When it is not (a non-finite entry, or squares that
+    overflow, which numpy reports with its usual overflow warning), the
+    entries are checked one by one.
+    """
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def run(config: SimConfig) -> RunTrace:
@@ -358,10 +353,8 @@ def run(config: SimConfig) -> RunTrace:
     stride = config.snapshot_stride or max(1, math.ceil(T / 1000))
     record = config.record_gradients
 
-    t_col = np.zeros(T, dtype=np.int64)
     worker_col = np.zeros(T, dtype=np.int64)
     dispatch_col = np.zeros(T, dtype=np.int64)
-    tau_col = np.zeros(T, dtype=np.int64)
     pending_col = np.zeros(T, dtype=np.int64)
     wait_col = np.zeros(T, dtype=np.int64)
     component_col: list[str] = []
@@ -378,16 +371,24 @@ def run(config: SimConfig) -> RunTrace:
     if record and prep.descent(prep.state) is not None:
         descent_rows = [np.array(prep.descent(prep.state))]
 
-    heap: list[tuple[float, int, _InFlight]] = []
+    # Entries are (return clock, worker, ticket, gradient, paired gradient).
+    # Each worker has one ticket in flight, so (clock, worker) is unique and
+    # comparisons never reach the ticket.
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    draw_ticket = model.draw_ticket
+    component_index = {tag: objective.component_for(tag) for tag in (SLOW, FAST)}
+    needs_pair = prep.needs_pair
+    oracle, oracle_pair = objective.stochastic_grad, objective.stochastic_grad_pair
 
     def dispatch(worker: int, index: int, x: Array, x_prev: Array, clock: float) -> None:
-        ticket = model.draw_ticket(worker, index, clock, rng)
-        comp = objective.component_for(ticket.component)
-        if prep.needs_pair:
-            g, g_prev = objective.stochastic_grad_pair(x, x_prev, comp, rng)
+        ticket = draw_ticket(worker, index, clock, rng)
+        comp = component_index[ticket.component]
+        if needs_pair:
+            g, g_prev = oracle_pair(x, x_prev, comp, rng)
         else:
-            g, g_prev = objective.stochastic_grad(x, comp, rng), None
-        heapq.heappush(heap, (ticket.return_clock, worker, _InFlight(ticket, g, g_prev)))
+            g, g_prev = oracle(x, comp, rng), None
+        push(heap, (ticket.return_clock, worker, ticket, g, g_prev))
 
     state = prep.state
     query = prep.query(state)
@@ -396,51 +397,45 @@ def run(config: SimConfig) -> RunTrace:
         dispatch(worker, 1, query, query_prev, 0.0)
     pending: set[int] = {1}
 
+    step, query_of, buffer_of = prep.step, prep.query, prep.buffer
+    make_report = optimizers.DelayedGradientReport
+    counts_applied = hasattr(state, "applied_updates")
     for t in range(1, T + 1):
-        clock, worker, inflight = heapq.heappop(heap)
-        ticket = inflight.ticket
+        row = t - 1
+        clock, worker, ticket, g, g_prev = pop(heap)
         k = ticket.dispatch_iteration
         tau = t - k
         pending.discard(k)
 
-        t_col[t - 1] = t
-        worker_col[t - 1] = worker
-        dispatch_col[t - 1] = k
-        tau_col[t - 1] = tau
-        pending_col[t - 1] = len(pending)
-        wait_col[t - 1] = ticket.waiting_time
+        worker_col[row] = worker
+        dispatch_col[row] = k
+        pending_col[row] = len(pending)
+        wait_col[row] = ticket.waiting_time
         component_col.append(ticket.component)
-        loss_col[t - 1] = objective.loss(query)
-        grad_norm_col[t - 1] = float(np.linalg.norm(objective.grad(query)))
+        loss_col[row] = objective.loss(query)
+        grad_norm_col[row] = euclidean_norm(objective.grad(query))
         if record:
-            gradients[t - 1] = inflight.gradient
-            pre_iterates[t - 1] = query
+            gradients[row] = g
+            pre_iterates[row] = query
             if paired is not None:
-                paired[t - 1] = inflight.paired_gradient
-        if (t - 1) % stride == 0 or t == T:
+                paired[row] = g_prev
+        if row % stride == 0 or t == T:
             snapshot_steps.append(t)
             snapshots.append(np.array(query))
 
-        report = optimizers.DelayedGradientReport(
-            gradient=inflight.gradient,
-            dispatch_iteration=k,
-            delay=tau,
-            paired_gradient=inflight.paired_gradient,
-        )
-        before_applied = getattr(state, "applied_updates", None)
-        state = prep.step(state, report)
-        if before_applied is not None:
-            applied_col[t - 1] = state.applied_updates > before_applied
+        if counts_applied:
+            applied_before = state.applied_updates
+        state = step(state, make_report(g, k, tau, g_prev))
+        if counts_applied and state.applied_updates == applied_before:
+            applied_col[row] = False
 
-        new_query = prep.query(state)
-        buf = prep.buffer(state)
-        if not np.all(np.isfinite(new_query)) or (
-            buf is not None and not np.all(np.isfinite(buf))
-        ):
+        new_query = query_of(state)
+        buf = buffer_of(state)
+        if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
             raise DivergedRunError(step=t, last_iterate=np.array(query))
         if record:
             if buffers is not None and buf is not None:
-                buffers[t - 1] = buf
+                buffers[row] = buf
             if descent_rows is not None:
                 descent_rows.append(np.array(prep.descent(state)))
 
@@ -449,11 +444,12 @@ def run(config: SimConfig) -> RunTrace:
         pending.add(t + 1)
         dispatch(worker, t + 1, query, query_prev, clock)
 
+    t_col = np.arange(1, T + 1, dtype=np.int64)
     return RunTrace(
         t=t_col,
         worker_id=worker_col,
         dispatch_iteration=dispatch_col,
-        tau=tau_col,
+        tau=t_col - dispatch_col,
         pending_size=pending_col,
         waiting_time=wait_col,
         component=tuple(component_col),

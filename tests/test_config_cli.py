@@ -23,6 +23,7 @@ from stalegrad.config import (
     parse_sim_config,
 )
 from stalegrad.errors import InvalidConfigError
+from stalegrad.simulation import config_hash
 
 BASE_DOC = {
     "objective": {
@@ -109,6 +110,26 @@ def test_apply_override_leaves_the_document_alone():
     assert out["optimizer"]["eta"] == 0.01
 
 
+@pytest.mark.parametrize("text", ["1e-5", "1E-5", "+1e-5", "1.0e-5", "10e-6", ".01e-3"])
+def test_exponent_floats_hash_like_decimals(tmp_path, text):
+    """YAML 1.1 reads ``1e-5`` as a string; the loader reads it as the float it spells."""
+    doc = copy.deepcopy(BASE_DOC)
+    doc["optimizer"]["eta"] = "ETA"
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc).replace("ETA", text))
+    config = parse_sim_config(load_document(path))
+    assert type(config.optimizer["eta"]) is float and config.optimizer["eta"] == 0.00001
+    doc["optimizer"]["eta"] = 0.00001
+    assert config_hash(config) == config_hash(parse_sim_config(doc))
+
+
+def test_loader_leaves_other_scalars_alone(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("run: {a: 1e, b: e5, c: 1e5x, d: 10, e: 0.5, f: 1:30}\n")
+    expected = {"a": "1e", "b": "e5", "c": "1e5x", "d": 10, "e": 0.5, "f": 90}
+    assert load_document(path)["run"] == expected
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -177,6 +198,39 @@ def test_run_is_byte_identical_across_executions(tmp_path):
     assert cli.main(["run", "configs/minimal.yaml", "--output-dir", str(out_b)]) == 0
     assert (out_a / "run_s0.csv").read_bytes() == (out_b / "run_s0.csv").read_bytes()
     assert (out_a / "run_summary.json").read_bytes() == (out_b / "run_summary.json").read_bytes()
+
+
+def _write_trace_csv_row_by_row(trace, path):
+    """The trace CSV written one row at a time, converting one cell at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cli.TRACE_COLUMNS)
+        for i in range(len(trace)):
+            writer.writerow(
+                [
+                    int(trace.t[i]),
+                    int(trace.worker_id[i]),
+                    int(trace.dispatch_iteration[i]),
+                    int(trace.tau[i]),
+                    trace.component[i],
+                    repr(float(trace.loss[i])),
+                    repr(float(trace.grad_norm[i])),
+                    int(trace.pending_size[i]),
+                ]
+            )
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_chunked_trace_csv_matches_a_row_by_row_writer(tmp_path, monkeypatch, extra):
+    chunk = 16
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    doc = copy.deepcopy(BASE_DOC)
+    doc["run"].update(workers=4, iterations=chunk + extra)
+    trace = cli.run_simulation(parse_sim_config(doc))
+    assert len(trace) == chunk + extra and set(trace.component) == {"slow", "fast"}
+    cli._write_trace_csv(trace, tmp_path / "chunked.csv")
+    _write_trace_csv_row_by_row(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_run_rejects_bad_slow_weight(tmp_path, capsys):
@@ -262,6 +316,23 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
     doc = copy.deepcopy(BASE_DOC)
     section, key = field.split(".")
     doc[section][key] = [0.0, value] if key == "x_init" else value
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "objective, field",
+    [
+        ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
+        ({"family": "logistic", "classes": 2.5}, "objective.classes"),
+    ],
+    ids=["inf-squash", "half-class"],
+)
+def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, objective, field):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["objective"] = objective
     path = write_doc(tmp_path, doc)
     assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")

@@ -18,6 +18,7 @@ from stalegrad.objectives import (
     NonconvexQuadratic,
     Quadratic,
     domain_from_spec,
+    euclidean_norm,
     from_spec,
     make_logistic,
     squash,
@@ -359,6 +360,67 @@ def test_logistic_memo_is_safe_across_threads():
     assert mismatches == []
 
 
+def _fresh(q: Quadratic) -> Quadratic:
+    """The same quadratic with an empty gradient memo."""
+    return Quadratic(matrix=q.matrix, offset=q.offset)
+
+
+def test_quadratic_memo_follows_the_point_bytes():
+    """Two points are memoized: three interleaved points and a point mutated in
+    place still get a fresh objective's gradient, and no gradient is writable."""
+    objective = Quadratic(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -3.0]))
+    points = np.random.default_rng(22).standard_normal((3, 2))
+    for i in (0, 1, 0, 2, 1, 0, 2, 2):
+        g = objective.grad(points[i])
+        assert np.array_equal(g, _fresh(objective).grad(points[i]))
+        assert not g.flags.writeable
+    x = points[0].copy()
+    before = objective.grad(x)
+    x[1] += 1.0
+    after = objective.grad(x)
+    assert np.array_equal(after, _fresh(objective).grad(x))
+    assert not np.array_equal(after, before)
+    with pytest.raises(ValueError):
+        after[0] = 0.0
+
+
+def test_quadratic_memo_serves_mixtures_and_the_nonconvex_base():
+    """Memoized component and base gradients change no full or component gradient."""
+    fresh_mixture = Mixture(
+        components=tuple(_fresh(c) for c in MIXTURE.components), weights=MIXTURE.weights
+    )
+    fresh_nonconvex = NonconvexQuadratic(base=_fresh(NONCONVEX.base), squash_scale=0.25)
+    points = np.random.default_rng(24).standard_normal((3, 2))
+    for objective, fresh in ((MIXTURE, fresh_mixture), (NONCONVEX, fresh_nonconvex)):
+        for i in (0, 1, 1, 2, 0):
+            assert np.array_equal(objective.grad(points[i]), fresh.grad(points[i]))
+            for c in range(objective.num_components):
+                expected = fresh.component_grad(points[i], c)
+                assert np.array_equal(objective.component_grad(points[i], c), expected)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        np.random.default_rng(23).standard_normal(7),
+        np.array([3.0, -4.0]),
+        np.array([1e-200, -3e-190, 2e-160]),
+        np.array([1e153, -2e153]),
+        np.array([1e200, 1.0]),
+        np.array([5e-324, 0.0]),
+        np.zeros(3),
+    ],
+    ids=["random", "small-int", "tiny", "huge", "overflow", "subnormal", "zero"],
+)
+def test_euclidean_norm_is_bitwise_numpys(v):
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.linalg.norm(v)
+        actual = euclidean_norm(v)
+    assert type(actual) is float
+    assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+    assert math.copysign(1.0, actual) == math.copysign(1.0, expected)
+
+
 def test_cached_minimizers_are_read_only():
     assert not QUAD.minimizer.flags.writeable
     assert NONCONVEX.minimizer is NONCONVEX.minimizer
@@ -467,3 +529,50 @@ def test_domain_from_spec():
     assert domain_from_spec({"family": "quadratic", "dim": 2}) is None
     with pytest.raises(InvalidConfigError):
         domain_from_spec({"family": "quadratic", "domain": {"center": [0.0]}})
+
+
+# ---------------------------------------------------------------- spec fields
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
+        ({"family": "nonconvex", "dim": 2, "squash_scale": math.nan}, "objective.squash_scale"),
+        ({"family": "logistic", "separation": math.inf}, "objective.separation"),
+        ({"family": "logistic", "separation": -math.inf}, "objective.separation"),
+        ({"family": "logistic", "separation": math.nan}, "objective.separation"),
+        ({"family": "logistic", "classes": 2.5}, "objective.classes"),
+        ({"family": "logistic", "feature_dim": 3.5}, "objective.feature_dim"),
+        ({"family": "logistic", "samples": 100.5}, "objective.samples"),
+        ({"family": "logistic", "data_seed": 0.5}, "objective.data_seed"),
+        ({"family": "logistic", "classes": math.inf}, "objective.classes"),
+        ({"family": "quadratic", "dim": 2.5}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"dim": 2}, {"dim": 1.5}]},
+            "objective.components.1.dim",
+        ),
+    ],
+)
+def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
+    with pytest.raises(InvalidConfigError) as err:
+        from_spec(spec, 0.1)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_domain_rejects_a_non_finite_radius(radius):
+    with pytest.raises(InvalidConfigError) as err:
+        domain_from_spec({"family": "quadratic", "dim": 2, "domain": {"radius": radius}})
+    assert err.value.field == "objective.domain.radius"
+
+
+def test_domain_rejects_a_non_integral_dim():
+    with pytest.raises(InvalidConfigError) as err:
+        domain_from_spec({"family": "quadratic", "dim": 2.5, "domain": {"radius": 1.0}})
+    assert err.value.field == "objective.dim"
+
+
+def test_integral_fields_accept_whole_floats():
+    assert from_spec({"family": "logistic", "classes": 3.0, "samples": 60}, 0.1).num_classes == 3
+    assert from_spec({"family": "quadratic", "dim": 3.0}, 0.1).dim == 3

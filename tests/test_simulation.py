@@ -1,6 +1,7 @@
 """Event loop: exactly-once arrivals, pending bookkeeping, replay, snapshots."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,17 @@ from stalegrad.errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from stalegrad.objectives import Logistic
+from stalegrad.objectives import Logistic, Quadratic
 from stalegrad.optimizers import theorem1_params
-from stalegrad.simulation import SimConfig, config_hash, replay_check, replay_compare, run, validate_config
+from stalegrad.simulation import (
+    SimConfig,
+    _all_finite,
+    config_hash,
+    replay_check,
+    replay_compare,
+    run,
+    validate_config,
+)
 
 QUAD_SPEC = {
     "family": "quadratic",
@@ -227,3 +236,45 @@ def test_logistic_run_evaluates_each_point_once(monkeypatch):
         )
     )
     assert 0 < len(calls) <= T + 1
+
+
+def test_quadratic_run_evaluates_each_point_once(monkeypatch):
+    """The paired method's monitor and x_prev gradients reuse the memo: T+1 in all."""
+    calls = []
+    original = Quadratic._evaluate_grad
+
+    def counting(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Quadratic, "_evaluate_grad", counting)
+    T = 80
+    run(
+        momentum_config(
+            objective=dict(QUAD_SPEC, domain={"center": [0.0, 0.0], "radius": 3.0}),
+            optimizer={"method": "ordered_mu2", "eta": 0.01},
+            total_iterations=T,
+        )
+    )
+    assert 0 < len(calls) <= T + 1
+
+
+@pytest.mark.parametrize(
+    "entries, finite",
+    [
+        ([0.5, -2.0], True),
+        ([], True),
+        ([1e200, -1e200], True),
+        ([1.7e308, 1.0], True),
+        ([1.0, math.nan], False),
+        ([math.inf, 0.0], False),
+        ([0.0, -math.inf], False),
+        ([1e200, math.nan], False),
+        ([math.inf, -math.inf], False),
+    ],
+)
+def test_finiteness_fast_path_is_exact(entries, finite):
+    v = np.array(entries, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _all_finite(v) is finite
+    assert finite == bool(np.isfinite(v).all())
