@@ -334,9 +334,8 @@ def test_logistic_memo_follows_the_point_bytes():
     assert not log_probs.flags.writeable and not probs.flags.writeable
 
 
-def test_logistic_memo_is_safe_across_threads():
-    """Threads sharing one objective at different points never see another's softmax."""
-    objective = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+def _assert_memo_is_safe_across_threads(objective):
+    """Threads sharing one objective at different points never see another's gradient."""
     points = np.random.default_rng(21).standard_normal((6, objective.dim))
     expected = [objective.grad(p) for p in points]
     mismatches = []
@@ -358,6 +357,12 @@ def test_logistic_memo_is_safe_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def test_logistic_memo_is_safe_across_threads():
+    _assert_memo_is_safe_across_threads(
+        make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+    )
 
 
 def _fresh(q: Quadratic) -> Quadratic:
@@ -382,6 +387,12 @@ def test_quadratic_memo_follows_the_point_bytes():
     assert not np.array_equal(after, before)
     with pytest.raises(ValueError):
         after[0] = 0.0
+
+
+def test_quadratic_memo_is_safe_across_threads():
+    _assert_memo_is_safe_across_threads(
+        Quadratic(matrix=np.diag([1.0, 2.0, 3.0]), offset=np.array([1.0, 0.0, -1.0]))
+    )
 
 
 def test_quadratic_memo_serves_mixtures_and_the_nonconvex_base():
