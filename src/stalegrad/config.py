@@ -92,6 +92,11 @@ def _expect_int(section, section_name: str, key: str, minimum: int, default=None
     return value
 
 
+def _expect_bool(section, section_name: str, key: str) -> None:
+    if key in section and not isinstance(section[key], bool):
+        raise InvalidConfigError("must be true or false", field=f"{section_name}.{key}")
+
+
 def check_document(doc: Mapping) -> None:
     """Shape-level schema check; value-level checks live with the consumers."""
     unknown = set(doc) - _TOP_KEYS
@@ -109,6 +114,7 @@ def check_document(doc: Mapping) -> None:
             f"unknown method {method!r}; choose one of {', '.join(METHODS)}",
             field="optimizer.method",
         )
+    _expect_bool(optimizer, "optimizer", "theory")
     _expect_mapping(doc, "delay", required=False)
     run = _expect_mapping(doc, "run", required=True)
     unknown = set(run) - _RUN_KEYS
@@ -116,11 +122,16 @@ def check_document(doc: Mapping) -> None:
         raise InvalidConfigError("unknown key", field=f"run.{sorted(unknown)[0]}")
     _expect_int(run, "run", "workers", minimum=1)
     _expect_int(run, "run", "iterations", minimum=1)
+    _expect_int(run, "run", "seed", minimum=0, default=0)
+    if run.get("snapshot_stride") is not None:
+        _expect_int(run, "run", "snapshot_stride", minimum=1)
+    _expect_bool(run, "run", "record_gradients")
     if "sweep" in doc:
         sweep = _expect_mapping(doc, "sweep", required=False)
         unknown = set(sweep) - _SWEEP_KEYS
         if unknown:
             raise InvalidConfigError("unknown key", field=f"sweep.{sorted(unknown)[0]}")
+        _expect_bool(sweep, "sweep", "write_traces")
         grid = sweep.get("grid", {})
         if not isinstance(grid, Mapping):
             raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
@@ -149,7 +160,7 @@ def parse_sim_config(doc: Mapping) -> SimConfig:
         delay=delay,
         seed=run.get("seed", 0),
         snapshot_stride=run.get("snapshot_stride"),
-        record_gradients=bool(run.get("record_gradients", False)),
+        record_gradients=run.get("record_gradients", False),
         x_init=x_init,
     )
 
@@ -217,7 +228,7 @@ class ExperimentConfig:
             seed_count=seed_count,
             output_dir=base_dir,
             parallelism=parallelism,
-            write_traces=bool(sweep.get("write_traces", False)),
+            write_traces=sweep.get("write_traces", False),
             report=dict(doc.get("report") or {}),
         )
 

@@ -25,29 +25,32 @@ Rules
 * baselines — vanilla SGD, delay-adaptive step sizes, delay filtering,
   naive momentum, and the naive (uncorrected-averaging) variant of the
   correction method.
+
+A method is one state class, one step rule and one row of
+:data:`METHOD_TABLE` (see :class:`Method`), which is all the simulation
+knows of it; the five baselines share :class:`BaselineState`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .errors import InvalidConfigError, ProtocolError
-from .objectives import BallDomain
+from .objectives import BallDomain, finite_number
 
 Array = np.ndarray
 
-METHODS = (
-    "ordered_momentum",
-    "ordered_mu2",
-    "vanilla",
-    "delay_adaptive",
-    "delay_filtered",
-    "naive_momentum",
-    "naive_mu2",
-)
+
+def require_in_range(value, field: str, upper: float = math.inf, closed: bool = True):
+    """``value`` if in (0, upper], or (0, upper) unless ``closed``; else InvalidConfigError on ``field``."""
+    if value is None or not (0.0 < value and (value <= upper if closed else value < upper)):
+        span = "positive" if upper == math.inf else f"in (0,{upper:g}{']' if closed else ')'}"
+        raise InvalidConfigError(f"must be {span}, got {value!r}", field=field)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +69,7 @@ class DelayedGradientReport:
 
 def ordered_weight(beta: float, tau: int) -> float:
     """β(1−β)^τ — the discount restoring a late gradient's original weight."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidConfigError("beta must lie in (0,1)", field="optimizer.beta")
+    require_in_range(beta, "optimizer.beta", 1.0, closed=False)
     if tau < 0:
         raise InvalidConfigError("delay must be nonnegative")
     return beta * (1.0 - beta) ** tau
@@ -83,17 +85,10 @@ class OrderedMomentumState:
 
     @classmethod
     def initial(cls, x1: Array, step_size: float, momentum_param: float) -> "OrderedMomentumState":
-        if not step_size > 0:
-            raise InvalidConfigError("step size must be positive", field="optimizer.eta")
-        if not 0.0 < momentum_param < 1.0:
-            raise InvalidConfigError("beta must lie in (0,1)", field="optimizer.beta")
+        require_in_range(step_size, "optimizer.eta")
+        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
         x1 = np.asarray(x1, dtype=np.float64)
-        return cls(
-            iterate=x1,
-            momentum=np.zeros_like(x1),
-            step_size=step_size,
-            momentum_param=momentum_param,
-        )
+        return cls(x1, np.zeros_like(x1), step_size, momentum_param)
 
 
 def step_ordered_momentum(
@@ -139,18 +134,11 @@ class OrderedMu2State:
 
     @classmethod
     def initial(cls, x1: Array, step_size: float, domain: BallDomain) -> "OrderedMu2State":
-        if not step_size > 0:
-            raise InvalidConfigError("step size must be positive", field="optimizer.eta")
+        require_in_range(step_size, "optimizer.eta")
         x1 = np.asarray(x1, dtype=np.float64)
         if not domain.contains(x1):
             raise InvalidConfigError("initial iterate must lie in the domain", field="run.x_init")
-        return cls(
-            descent_iterate=x1,
-            averaged_iterate=x1,
-            weighted_momentum=np.zeros_like(x1),
-            step_size=step_size,
-            domain=domain,
-        )
+        return cls(x1, x1, np.zeros_like(x1), step_size, domain)
 
 
 def step_ordered_mu2(state: OrderedMu2State, report: DelayedGradientReport) -> OrderedMu2State:
@@ -199,8 +187,7 @@ class AdaptiveConstants:
 
     def __post_init__(self):
         for name in ("lipschitz", "delta_gap", "sigma"):
-            if not getattr(self, name) > 0:
-                raise InvalidConfigError(f"{name} must be positive", field=f"optimizer.{name}")
+            require_in_range(getattr(self, name), f"optimizer.{name}")
         if self.num_workers < 1 or self.total_iterations < 1:
             raise InvalidConfigError("worker and iteration counts must be positive")
 
@@ -227,7 +214,7 @@ class BaselineState:
 
     @classmethod
     def vanilla(cls, x1: Array, step_size: float) -> "BaselineState":
-        _require_positive(step_size, "optimizer.eta")
+        require_in_range(step_size, "optimizer.eta")
         return cls(method="vanilla", iterate=np.asarray(x1, dtype=np.float64), step_size=step_size)
 
     @classmethod
@@ -238,8 +225,8 @@ class BaselineState:
 
     @classmethod
     def delay_filtered(cls, x1: Array, step_size: float, filter_threshold: float) -> "BaselineState":
-        _require_positive(step_size, "optimizer.eta")
-        _require_positive(filter_threshold, "optimizer.tau_filter")
+        require_in_range(step_size, "optimizer.eta")
+        require_in_range(filter_threshold, "optimizer.tau_filter")
         return cls(
             method="delay_filtered",
             iterate=np.asarray(x1, dtype=np.float64),
@@ -249,9 +236,8 @@ class BaselineState:
 
     @classmethod
     def naive_momentum(cls, x1: Array, step_size: float, momentum_param: float) -> "BaselineState":
-        _require_positive(step_size, "optimizer.eta")
-        if not 0.0 < momentum_param < 1.0:
-            raise InvalidConfigError("beta must lie in (0,1)", field="optimizer.beta")
+        require_in_range(step_size, "optimizer.eta")
+        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
         x1 = np.asarray(x1, dtype=np.float64)
         return cls(
             method="naive_momentum",
@@ -265,11 +251,9 @@ class BaselineState:
     def naive_mu2(
         cls, x1: Array, step_size: float, momentum_param: float, query_momentum: float
     ) -> "BaselineState":
-        _require_positive(step_size, "optimizer.eta")
-        if not 0.0 < momentum_param < 1.0:
-            raise InvalidConfigError("beta must lie in (0,1)", field="optimizer.beta")
-        if not 0.0 < query_momentum <= 1.0:
-            raise InvalidConfigError("gamma must lie in (0,1]", field="optimizer.gamma")
+        require_in_range(step_size, "optimizer.eta")
+        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
+        require_in_range(query_momentum, "optimizer.gamma", 1.0)
         x1 = np.asarray(x1, dtype=np.float64)
         return cls(
             method="naive_mu2",
@@ -280,11 +264,6 @@ class BaselineState:
             descent_iterate=x1,
             correction=np.zeros_like(x1),
         )
-
-
-def _require_positive(value: float, field: str) -> None:
-    if value is None or not value > 0:
-        raise InvalidConfigError("must be positive", field=field)
 
 
 def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:
@@ -429,9 +408,81 @@ def theorem2_step_window(
         raise InvalidConfigError("noise levels must be nonnegative")
     if total_iterations < 1 or num_workers < 1:
         raise InvalidConfigError("iteration and worker counts must be positive")
-    if not bound_constant > 0:
-        raise InvalidConfigError("bound_constant must be positive", field="optimizer.bound_constant")
+    require_in_range(bound_constant, "optimizer.bound_constant")
     eta_max = 1.0 / (4.0 * lipschitz * total_iterations)
     envelope = (sigma / diameter + sigma_l) * math.sqrt(total_iterations) + lipschitz * num_workers
     eta_min = 1.0 / (total_iterations * bound_constant * envelope)
     return StepWindow(eta_min=eta_min, eta_max=eta_max)
+
+
+def _resolve_theorem1(opt: Mapping[str, Any], constants, domain, T: int, M: int) -> dict:
+    """η and β from Theorem 1; needs closed-form σ and Δ."""
+    for name in ("sigma", "delta_gap"):
+        if getattr(constants, name) is None:
+            raise InvalidConfigError(
+                f"objective lacks closed-form {name}; give eta/beta explicitly",
+                field="optimizer.theory",
+            )
+    params = theorem1_params(constants.lipschitz, constants.delta_gap, constants.sigma, T, M)
+    return {"eta": params.eta, "beta": params.beta}
+
+
+def _resolve_theorem2(opt: Mapping[str, Any], constants, domain, T: int, M: int) -> dict:
+    """η at the top of Theorem 2's stable window; needs closed-form σ and σ_L."""
+    if constants.sigma is None or constants.sigma_l is None:
+        raise InvalidConfigError(
+            "objective lacks closed-form noise constants; give eta explicitly",
+            field="optimizer.theory",
+        )
+    bound = finite_number(opt.get("bound_constant", 1.0), "optimizer.bound_constant")
+    window = theorem2_step_window(
+        constants.lipschitz, constants.sigma, constants.sigma_l, domain.diameter, T, M, bound
+    )
+    return {"eta": window.eta_max, "eta_min": window.eta_min, "eta_max": window.eta_max}
+
+
+@dataclass(frozen=True)
+class Method:
+    """One row of :data:`METHOD_TABLE`.
+
+    ``build(x1, *values)`` makes the initial state from the values named in
+    ``takes`` (``eta``, ``beta``, ``gamma``, ``tau_filter``, ``domain``, or
+    ``adaptive`` for an :class:`AdaptiveConstants`).  ``step`` names the step
+    function, looked up in this module when a run is prepared.  ``query``,
+    ``applied``, ``buffer`` and ``descent`` name state attributes; the
+    defaults fit :class:`BaselineState`.  The ordered rules apply every
+    update, so ``steps_done`` is their applied count.
+    """
+
+    build: Callable[..., Any]
+    takes: tuple[str, ...]
+    step: str = "step_baseline"
+    query: str = "iterate"
+    applied: str = "applied_updates"
+    buffer: str | None = None
+    descent: str | None = None
+    paired: bool = False  # needs the same-sample gradient at the previous query
+    theory: Callable[..., dict] | None = None  # (opt, constants, domain, T, M) -> params
+
+
+METHOD_TABLE: dict[str, Method] = {
+    "ordered_momentum": Method(
+        OrderedMomentumState.initial, ("eta", "beta"), "step_ordered_momentum",
+        applied="steps_done", buffer="momentum", theory=_resolve_theorem1,
+    ),
+    "ordered_mu2": Method(
+        OrderedMu2State.initial, ("eta", "domain"), "step_ordered_mu2", query="averaged_iterate",
+        applied="steps_done", buffer="weighted_momentum", descent="descent_iterate",
+        paired=True, theory=_resolve_theorem2,
+    ),
+    "vanilla": Method(BaselineState.vanilla, ("eta",)),
+    "delay_adaptive": Method(BaselineState.delay_adaptive, ("adaptive",)),
+    "delay_filtered": Method(BaselineState.delay_filtered, ("eta", "tau_filter")),
+    "naive_momentum": Method(BaselineState.naive_momentum, ("eta", "beta"), buffer="momentum"),
+    "naive_mu2": Method(
+        BaselineState.naive_mu2, ("eta", "beta", "gamma"), buffer="correction",
+        descent="descent_iterate", paired=True,
+    ),
+}
+
+METHODS = tuple(METHOD_TABLE)

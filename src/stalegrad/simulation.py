@@ -21,7 +21,10 @@ import heapq
 import json
 import logging
 import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -77,7 +80,9 @@ def config_hash(config: SimConfig) -> str:
     The hash identifies the experiment; the seed identifies the realization
     and is recorded separately, so replaying a trace against the same
     experiment at a different seed is a comparable (unequal) outcome rather
-    than a precondition violation.
+    than a precondition violation.  ``snapshot_stride`` and ``record_gradients``
+    do not change the realized run but stay in the hash: dropping them would
+    re-key every existing output.
     """
     payload = {
         "objective": config.objective,
@@ -133,15 +138,10 @@ class RunTrace:
 @dataclass
 class _Prepared:
     objective: Any
-    domain: objectives.BallDomain | None
     model: delays.DelayModel
-    x1: Array
     state: Any
+    method: optimizers.Method
     step: Callable[[Any, optimizers.DelayedGradientReport], Any]
-    query: Callable[[Any], Array]
-    buffer: Callable[[Any], Array | None]
-    descent: Callable[[Any], Array | None]
-    needs_pair: bool
     resolved: dict[str, Any]
 
 
@@ -156,40 +156,35 @@ def _vector(value: Any, field: str) -> Array:
     return out
 
 
-def _resolve_theory(method: str, opt: Mapping[str, Any], constants, domain, T: int, M: int):
-    """Derive method parameters from closed-form problem constants."""
-    if method == "ordered_momentum":
-        for name in ("sigma", "delta_gap"):
-            if getattr(constants, name) is None:
-                raise InvalidConfigError(
-                    f"objective lacks closed-form {name}; give eta/beta explicitly",
-                    field="optimizer.theory",
-                )
-        params = optimizers.theorem1_params(
-            constants.lipschitz, constants.delta_gap, constants.sigma, T, M
-        )
-        return {"eta": params.eta, "beta": params.beta}
-    if method == "ordered_mu2":
-        if domain is None:
-            raise InvalidConfigError("the projected method needs objective.domain", field="objective.domain")
-        if constants.sigma is None or constants.sigma_l is None:
-            raise InvalidConfigError(
-                "objective lacks closed-form noise constants; give eta explicitly",
-                field="optimizer.theory",
-            )
-        window = optimizers.theorem2_step_window(
-            constants.lipschitz,
-            constants.sigma,
-            constants.sigma_l,
-            domain.diameter,
-            T,
-            M,
-            bound_constant=_number(opt.get("bound_constant", 1.0), "optimizer.bound_constant"),
-        )
-        return {"eta": window.eta_max, "eta_min": window.eta_min, "eta_max": window.eta_max}
-    raise InvalidConfigError(
-        f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
-    )
+@contextmanager
+def _blame(field: str):
+    """Name ``field`` on errors from building what that config section describes."""
+    try:
+        yield
+    except InvalidConfigError as exc:
+        if exc.field:
+            raise
+        raise InvalidConfigError(str(exc), field=field) from None
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _adaptive_constants(opt, objective, x1: Array, T: int, M: int, resolved: dict):
+    """Delay-adaptive constants: explicit optimizer values, else the objective's."""
+    constants = objective.theory_constants(x_init=x1)
+    values = {}
+    for name in ("lipschitz", "delta_gap", "sigma"):
+        value = opt.get(name, getattr(constants, name))
+        if value is None:
+            message = f"objective lacks closed-form {name}; supply it explicitly"
+            raise InvalidConfigError(message, field=f"optimizer.{name}")
+        values[name] = _number(value, f"optimizer.{name}")
+    resolved.update(values)
+    return optimizers.AdaptiveConstants(num_workers=M, total_iterations=T, **values)
 
 
 def _prepare(config: SimConfig) -> _Prepared:
@@ -201,26 +196,28 @@ def _prepare(config: SimConfig) -> _Prepared:
         raise InvalidConfigError("need at least one iteration", field="run.iterations")
     if T < M:
         raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
-    if config.seed < 0:
-        raise InvalidConfigError("seed must be nonnegative", field="run.seed")
-    if config.snapshot_stride is not None and config.snapshot_stride < 1:
-        raise InvalidConfigError("snapshot stride must be positive", field="run.snapshot_stride")
+    if not _is_integer(config.seed) or config.seed < 0:
+        raise InvalidConfigError(f"must be a nonnegative integer, got {config.seed!r}", field="run.seed")
+    stride = config.snapshot_stride
+    if stride is not None and (not _is_integer(stride) or stride < 1):
+        raise InvalidConfigError(f"must be a positive integer, got {stride!r}", field="run.snapshot_stride")
+    if not isinstance(config.record_gradients, bool):
+        raise InvalidConfigError("must be true or false", field="run.record_gradients")
 
-    delay_spec = dict(config.delay)
-    if delay_spec.get("slow_weight") is None:
-        raise InvalidConfigError("missing", field="delay.slow_weight")
-    slow_weight = _number(delay_spec["slow_weight"], "delay.slow_weight")
-    probs = delay_spec.get("arrival_probs")
-    model = delays.DelayModel.build(
-        M, slow_weight, None if probs is None else _vector(probs, "delay.arrival_probs")
-    )
+    with _blame("delay"):
+        delay_spec = dict(config.delay)
+        if delay_spec.get("slow_weight") is None:
+            raise InvalidConfigError("missing", field="delay.slow_weight")
+        slow_weight = _number(delay_spec["slow_weight"], "delay.slow_weight")
+        probs = delay_spec.get("arrival_probs")
+        model = delays.DelayModel.build(
+            M, slow_weight, None if probs is None else _vector(probs, "delay.arrival_probs")
+        )
 
-    _number(config.objective.get("noise_sigma", 0.0), "objective.noise_sigma")  # check only
-    try:
+    with _blame("objective"):
+        _number(config.objective.get("noise_sigma", 0.0), "objective.noise_sigma")  # check only
         objective = objectives.from_spec(config.objective, slow_weight)
         domain = objectives.domain_from_spec(config.objective)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"malformed entry: {exc}", field="objective") from None
     if domain is not None and domain.dim != objective.dim:
         raise InvalidConfigError("domain and objective dimensions differ", field="objective.domain")
 
@@ -229,101 +226,42 @@ def _prepare(config: SimConfig) -> _Prepared:
     else:
         x1 = _vector(config.x_init, "run.x_init")
         if x1.shape != (objective.dim,):
-            raise InvalidConfigError(
-                f"x_init must have {objective.dim} entries", field="run.x_init"
-            )
+            raise InvalidConfigError(f"x_init must have {objective.dim} entries", field="run.x_init")
 
     opt = dict(config.optimizer)
     method = opt.get("method")
     if method not in optimizers.METHODS:
         raise InvalidConfigError(f"unknown method {method!r}", field="optimizer.method")
+    row = optimizers.METHOD_TABLE[method]
+    if "domain" in row.takes and domain is None:
+        raise InvalidConfigError("the projected method needs objective.domain", field="objective.domain")
+    theory = opt.get("theory", False)
+    if not isinstance(theory, bool):
+        raise InvalidConfigError("must be true or false", field="optimizer.theory")
 
     resolved: dict[str, Any] = {"method": method}
-    if opt.get("theory"):
-        constants = objective.theory_constants(x_init=x1)
-        resolved.update(_resolve_theory(method, opt, constants, domain, T, M))
+    if theory:
+        if row.theory is None:
+            raise InvalidConfigError(
+                f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
+            )
+        with _blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
+            resolved.update(row.theory(opt, objective.theory_constants(x_init=x1), domain, T, M))
     for name in ("eta", "beta", "gamma", "tau_filter"):
         if name in opt:
             resolved[name] = _number(opt[name], f"optimizer.{name}")
 
-    def need(name: str) -> float:
+    def value(name: str) -> Any:
+        if name == "domain":
+            return domain
+        if name == "adaptive":
+            return _adaptive_constants(opt, objective, x1, T, M, resolved)
         if name not in resolved:
             raise InvalidConfigError("missing", field=f"optimizer.{name}")
         return resolved[name]
 
-    needs_pair = method in ("ordered_mu2", "naive_mu2")
-    buffer = lambda s: None  # noqa: E731 - overridden per method below
-    descent = lambda s: None  # noqa: E731
-    query = lambda s: s.iterate  # noqa: E731
-
-    if method == "ordered_momentum":
-        state = optimizers.OrderedMomentumState.initial(x1, need("eta"), need("beta"))
-        step = optimizers.step_ordered_momentum
-        buffer = lambda s: s.momentum
-    elif method == "ordered_mu2":
-        if domain is None:
-            raise InvalidConfigError(
-                "the projected method needs objective.domain", field="objective.domain"
-            )
-        state = optimizers.OrderedMu2State.initial(x1, need("eta"), domain)
-        step = optimizers.step_ordered_mu2
-        query = lambda s: s.averaged_iterate
-        buffer = lambda s: s.weighted_momentum
-        descent = lambda s: s.descent_iterate
-    else:
-        step = optimizers.step_baseline
-        if method == "vanilla":
-            state = optimizers.BaselineState.vanilla(x1, need("eta"))
-        elif method == "delay_adaptive":
-            constants = objective.theory_constants(x_init=x1)
-            values = {}
-            for name, fallback in (
-                ("lipschitz", constants.lipschitz),
-                ("delta_gap", constants.delta_gap),
-                ("sigma", constants.sigma),
-            ):
-                value = opt.get(name, fallback)
-                if value is None:
-                    raise InvalidConfigError(
-                        f"objective lacks closed-form {name}; supply it explicitly",
-                        field=f"optimizer.{name}",
-                    )
-                values[name] = _number(value, f"optimizer.{name}")
-            adaptive = optimizers.AdaptiveConstants(
-                lipschitz=values["lipschitz"],
-                num_workers=M,
-                delta_gap=values["delta_gap"],
-                sigma=values["sigma"],
-                total_iterations=T,
-            )
-            resolved.update(values)
-            state = optimizers.BaselineState.delay_adaptive(x1, adaptive)
-        elif method == "delay_filtered":
-            state = optimizers.BaselineState.delay_filtered(x1, need("eta"), need("tau_filter"))
-        elif method == "naive_momentum":
-            state = optimizers.BaselineState.naive_momentum(x1, need("eta"), need("beta"))
-        else:  # naive_mu2
-            state = optimizers.BaselineState.naive_mu2(
-                x1, need("eta"), need("beta"), need("gamma")
-            )
-            buffer = lambda s: s.correction
-            descent = lambda s: s.descent_iterate
-        if method == "naive_momentum":
-            buffer = lambda s: s.momentum
-
-    return _Prepared(
-        objective=objective,
-        domain=domain,
-        model=model,
-        x1=x1,
-        state=state,
-        step=step,
-        query=query,
-        buffer=buffer,
-        descent=descent,
-        needs_pair=needs_pair,
-        resolved=resolved,
-    )
+    state = row.build(x1, *[value(name) for name in row.takes])
+    return _Prepared(objective, model, state, row, getattr(optimizers, row.step), resolved)
 
 
 def validate_config(config: SimConfig) -> None:
@@ -346,12 +284,15 @@ def run(config: SimConfig) -> RunTrace:
     """Execute one simulation; exactly T updates, deterministic per seed."""
     prep = _prepare(config)
     T, M = config.total_iterations, config.num_workers
-    objective, model = prep.objective, prep.model
+    objective, model, method = prep.objective, prep.model, prep.method
     rng = np.random.default_rng(config.seed)
     dim = objective.dim
 
     stride = config.snapshot_stride or max(1, math.ceil(T / 1000))
     record = config.record_gradients
+    query_of, applied_of = attrgetter(method.query), attrgetter(method.applied)
+    buffer_of = attrgetter(method.buffer) if method.buffer else None
+    descent_of = attrgetter(method.descent) if method.descent else None
 
     worker_col = np.zeros(T, dtype=np.int64)
     dispatch_col = np.zeros(T, dtype=np.int64)
@@ -364,12 +305,10 @@ def run(config: SimConfig) -> RunTrace:
     snapshot_steps: list[int] = []
     snapshots: list[Array] = []
     gradients = np.zeros((T, dim)) if record else None
-    paired = np.zeros((T, dim)) if (record and prep.needs_pair) else None
+    paired = np.zeros((T, dim)) if (record and method.paired) else None
     buffers = np.zeros((T, dim)) if record else None
     pre_iterates = np.zeros((T, dim)) if record else None
-    descent_rows: list[Array] | None = None
-    if record and prep.descent(prep.state) is not None:
-        descent_rows = [np.array(prep.descent(prep.state))]
+    descent_rows = [np.array(descent_of(prep.state))] if record and descent_of else None
 
     # Entries are (return clock, worker, ticket, gradient, paired gradient).
     # Each worker has one ticket in flight, so (clock, worker) is unique and
@@ -378,7 +317,7 @@ def run(config: SimConfig) -> RunTrace:
     push, pop = heapq.heappush, heapq.heappop
     draw_ticket = model.draw_ticket
     component_index = {tag: objective.component_for(tag) for tag in (SLOW, FAST)}
-    needs_pair = prep.needs_pair
+    needs_pair = method.paired
     oracle, oracle_pair = objective.stochastic_grad, objective.stochastic_grad_pair
 
     def dispatch(worker: int, index: int, x: Array, x_prev: Array, clock: float) -> None:
@@ -391,15 +330,14 @@ def run(config: SimConfig) -> RunTrace:
         push(heap, (ticket.return_clock, worker, ticket, g, g_prev))
 
     state = prep.state
-    query = prep.query(state)
+    query = query_of(state)
     query_prev = query
     for worker in range(M):
         dispatch(worker, 1, query, query_prev, 0.0)
     pending: set[int] = {1}
 
-    step, query_of, buffer_of = prep.step, prep.query, prep.buffer
+    step = prep.step
     make_report = optimizers.DelayedGradientReport
-    counts_applied = hasattr(state, "applied_updates")
     for t in range(1, T + 1):
         row = t - 1
         clock, worker, ticket, g, g_prev = pop(heap)
@@ -423,21 +361,20 @@ def run(config: SimConfig) -> RunTrace:
             snapshot_steps.append(t)
             snapshots.append(np.array(query))
 
-        if counts_applied:
-            applied_before = state.applied_updates
+        applied_before = applied_of(state)
         state = step(state, make_report(g, k, tau, g_prev))
-        if counts_applied and state.applied_updates == applied_before:
+        if applied_of(state) == applied_before:
             applied_col[row] = False
 
         new_query = query_of(state)
-        buf = buffer_of(state)
+        buf = buffer_of(state) if buffer_of is not None else None
         if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
             raise DivergedRunError(step=t, last_iterate=np.array(query))
         if record:
-            if buffers is not None and buf is not None:
+            if buf is not None:
                 buffers[row] = buf
             if descent_rows is not None:
-                descent_rows.append(np.array(prep.descent(state)))
+                descent_rows.append(np.array(descent_of(state)))
 
         query_prev = query
         query = new_query
@@ -465,7 +402,7 @@ def run(config: SimConfig) -> RunTrace:
         resolved_params=prep.resolved,
         gradients=gradients,
         paired_gradients=paired,
-        buffers=None if buffers is None else buffers,
+        buffers=buffers,
         pre_iterates=pre_iterates,
         descent_iterates=None if descent_rows is None else np.array(descent_rows),
     )

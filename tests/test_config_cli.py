@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stalegrad.cli as cli
 from stalegrad.config import (
@@ -22,8 +25,8 @@ from stalegrad.config import (
     load_document,
     parse_sim_config,
 )
-from stalegrad.errors import InvalidConfigError
-from stalegrad.simulation import config_hash
+from stalegrad.errors import DivergedRunError, InvalidConfigError
+from stalegrad.simulation import config_hash, run
 
 BASE_DOC = {
     "objective": {
@@ -337,6 +340,134 @@ def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, objec
     assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.2})
+
+# field path -> how a SimConfig built directly carries the same value
+_RUN_FIELD_ATTRS = {
+    "run.seed": "seed",
+    "run.snapshot_stride": "snapshot_stride",
+    "run.record_gradients": "record_gradients",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("run.seed", "3"),
+        ("run.seed", 1.5),
+        ("run.seed", True),
+        ("run.snapshot_stride", "5"),
+        ("run.snapshot_stride", 2.5),
+        ("run.record_gradients", "no"),
+        ("optimizer.theory", "false"),
+        ("sweep.write_traces", "no"),
+    ],
+)
+def test_malformed_run_fields_name_their_path(field, value):
+    section, key = field.split(".")
+    doc = copy.deepcopy(THEORY_DOC)
+    doc.setdefault(section, {})[key] = value
+    with pytest.raises(InvalidConfigError) as err:
+        if section == "sweep":
+            ExperimentConfig.from_document(doc)
+        else:
+            parse_sim_config(doc)
+    assert err.value.field == field
+    if section == "sweep":
+        return
+    # A SimConfig built in code skips check_document; the run must still refuse it.
+    valid = parse_sim_config(THEORY_DOC)
+    if section == "optimizer":
+        direct = dataclasses.replace(valid, optimizer=dict(valid.optimizer, theory=value))
+    else:
+        direct = dataclasses.replace(valid, **{_RUN_FIELD_ATTRS[field]: value})
+    with pytest.raises(InvalidConfigError) as err:
+        run(direct)
+    assert err.value.field == field
+
+
+_SMALL_RUN = {"workers": 3, "iterations": 20, "seed": 1}
+_VALID_DOCS = [
+    dict(BASE_DOC, run={"workers": 2, "iterations": 20, "seed": 3}),
+    dict(BASE_DOC, optimizer={"method": "ordered_momentum", "theory": True}, run=_SMALL_RUN),
+    {
+        "objective": {
+            "family": "quadratic",
+            "curvature": [1.0, 1.0],
+            "minimizer": [0.5, 0.0],
+            "noise_sigma": 1.0,
+            "domain": {"center": [0.0, 0.0], "radius": 1.0},
+        },
+        "optimizer": {"method": "ordered_mu2", "eta": 0.01},
+        "delay": {"slow_weight": 0.1},
+        "run": dict(_SMALL_RUN, x_init=[0.5, 0.0], snapshot_stride=4, record_gradients=True),
+    },
+    {
+        "objective": {
+            "family": "mixture",
+            "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}],
+            "noise_sigma": 0.6,
+        },
+        "optimizer": {"method": "naive_mu2", "eta": 0.01, "beta": 0.5, "gamma": 0.5},
+        "delay": {"slow_weight": 0.1},
+        "run": _SMALL_RUN,
+    },
+    {
+        "objective": {"family": "nonconvex", "dim": 3, "squash_scale": 2.0},
+        "optimizer": {"method": "delay_filtered", "eta": 0.05, "tau_filter": 2},
+        "delay": {"slow_weight": 0.2, "arrival_probs": [0.5, 0.5, 0.5]},
+        "run": _SMALL_RUN,
+    },
+    {
+        "objective": {"family": "logistic", "classes": 2, "feature_dim": 2, "samples": 20},
+        "optimizer": {"method": "delay_adaptive"},
+        "delay": {"slow_weight": 0.1},
+        "run": _SMALL_RUN,
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """Every key path in a document, sections included."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+# Numbers stay small, so a mutated size (dim, samples, workers) stays cheap.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=20),
+    st.floats(min_value=-20, max_value=20),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(-2, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.sampled_from(["radius", "center", "dim", "minimizer"]), st.integers(-1, 3), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_run_or_name_a_field(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=str)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JUNK)
+    try:
+        run(parse_sim_config(doc))
+    except InvalidConfigError as exc:
+        assert exc.field, f"{exc} names no field"
+    except DivergedRunError:
+        pass  # a run that blows up still ran
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stalegrad import optimizers
 from stalegrad.errors import InvalidConfigError, ProtocolError
 from stalegrad.objectives import BallDomain
 from stalegrad.optimizers import (
+    METHOD_TABLE,
     METHODS,
     AdaptiveConstants,
     BaselineState,
@@ -180,6 +182,36 @@ def test_methods_tuple():
         "naive_momentum",
         "naive_mu2",
     )
+
+
+MINIMAL_VALUES = {
+    "eta": 0.1,
+    "beta": 0.5,
+    "gamma": 0.5,
+    "tau_filter": 3.0,
+    "domain": BallDomain(center=np.zeros(2), radius=1.0),
+    "adaptive": AdaptiveConstants(
+        lipschitz=1.0, num_workers=2, delta_gap=1.0, sigma=1.0, total_iterations=10
+    ),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_table_row_matches_its_state_and_step(method):
+    row = METHOD_TABLE[method]
+    state = row.build(np.zeros(2), *(MINIMAL_VALUES[name] for name in row.takes))
+    for attr in (row.query, row.applied, row.buffer, row.descent):
+        if attr is not None:
+            assert isinstance(getattr(state, attr), (np.ndarray, int)), attr
+    step = getattr(optimizers, row.step)
+    unpaired = DelayedGradientReport(gradient=np.ones(2), dispatch_iteration=2, delay=1)
+    try:
+        step(state, unpaired)
+    except ProtocolError:
+        refused = True
+    else:
+        refused = False
+    assert refused == row.paired
 
 
 def test_vanilla_step():
