@@ -78,6 +78,17 @@ def finite_number(value: Any, field: str) -> float:
     return out
 
 
+def finite_vector(value: Any, field: str) -> Array:
+    """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
+    if not np.all(np.isfinite(out)):
+        raise InvalidConfigError("entries must be finite", field=field)
+    return out
+
+
 def whole_number(value: Any, field: str) -> int:
     """``value`` as an int, or :class:`InvalidConfigError` naming ``field``.
 
@@ -621,21 +632,35 @@ def make_logistic(
     )
 
 
+#: largest ``dim`` a config may ask for: its d×d float64 curvature matrix then
+#: takes at most 128 MiB, and a larger one is refused before it is allocated
+MAX_DIM = 4096
+
+
+def _dimension(value: Any, field: str) -> int:
+    dim = whole_number(value, field)
+    if not 1 <= dim <= MAX_DIM:
+        raise InvalidConfigError(f"must be between 1 and {MAX_DIM}, got {dim}", field=field)
+    return dim
+
+
 def _quadratic_from_spec(
     spec: Mapping[str, Any], noise_sigma: float, path: str = "objective"
 ) -> Quadratic:
     dim = spec.get("dim")
+    key = "curvature" if "curvature" in spec else "matrix"
+    curvature = finite_vector(spec.get(key, 1.0), f"{path}.{key}")
     if "offset" in spec:
-        offset = np.asarray(spec["offset"], dtype=np.float64)
+        offset = finite_vector(spec["offset"], f"{path}.offset")
     elif "minimizer" in spec:
-        target = np.asarray(spec["minimizer"], dtype=np.float64)
-        matrix = _as_matrix(spec.get("curvature", spec.get("matrix", 1.0)), target.shape[0])
+        target = finite_vector(spec["minimizer"], f"{path}.minimizer")
+        matrix = _as_matrix(curvature, target.shape[0])
         return Quadratic(matrix=matrix, offset=matrix @ target, noise_sigma=noise_sigma)
     elif dim is not None:
-        offset = np.zeros(whole_number(dim, f"{path}.dim"))
+        offset = np.zeros(_dimension(dim, f"{path}.dim"))
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
-    matrix = _as_matrix(spec.get("curvature", spec.get("matrix", 1.0)), offset.shape[0])
+    matrix = _as_matrix(curvature, offset.shape[0])
     return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
 
 
@@ -665,7 +690,7 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
                     field="objective.weights",
                 )
             weights = (slow_weight, 1.0 - slow_weight)
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(finite_number(w, f"objective.weights.{i}") for i, w in enumerate(weights))
         if abs(weights[0] - slow_weight) > 1e-12:
             raise InvalidConfigError(
                 "first mixture weight must equal delay.slow_weight "
@@ -708,8 +733,8 @@ def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
                 "domain needs an explicit center when the objective has no dim field",
                 field="objective.domain.center",
             )
-        center = np.zeros(whole_number(dim, "objective.dim"))
+        center = np.zeros(_dimension(dim, "objective.dim"))
     return BallDomain(
-        center=np.asarray(center, dtype=np.float64),
+        center=finite_vector(center, "objective.domain.center"),
         radius=finite_number(raw["radius"], "objective.domain.radius"),
     )

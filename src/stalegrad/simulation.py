@@ -38,6 +38,7 @@ from .errors import (
 )
 from .objectives import FAST, SLOW, euclidean_norm
 from .objectives import finite_number as _number
+from .objectives import finite_vector as _vector
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +62,11 @@ class SimConfig:
     snapshot_stride: int | None = None
     record_gradients: bool = False
     x_init: tuple[float, ...] | None = None
+
+
+def _objective_for(config: SimConfig):
+    """The objective ``config`` describes, built without the run's checks."""
+    return objectives.from_spec(config.objective, float(config.delay["slow_weight"]))
 
 
 def _jsonable(value: Any) -> Any:
@@ -143,17 +149,6 @@ class _Prepared:
     method: optimizers.Method
     step: Callable[[Any, optimizers.DelayedGradientReport], Any]
     resolved: dict[str, Any]
-
-
-def _vector(value: Any, field: str) -> Array:
-    """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
-    try:
-        out = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
-    if not np.all(np.isfinite(out)):
-        raise InvalidConfigError("entries must be finite", field=field)
-    return out
 
 
 @contextmanager

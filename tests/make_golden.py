@@ -22,6 +22,7 @@ Regenerate only when a change of the numbers is intended::
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -106,8 +107,22 @@ def battery() -> dict[str, SimConfig]:
     return out
 
 
+def blas_core() -> str | None:
+    """The kernel set OpenBLAS picked for this CPU (``OPENBLAS_CORETYPE`` overrides it).
+
+    Read from the scipy-openblas library bundled with numpy wheels; ``None``
+    for any other BLAS build.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment_stamp() -> dict:
-    """What decides the rounding of a run: interpreter, numpy, BLAS and CPU."""
+    """What decides the rounding of a run: interpreter, numpy, BLAS, its kernels and CPU."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -117,6 +132,7 @@ def environment_stamp() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": blas_core(),
         "machine": f"{platform.system()} {platform.machine()}",
         "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)],
     }

@@ -330,8 +330,9 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
     [
         ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
         ({"family": "logistic", "classes": 2.5}, "objective.classes"),
+        ({"family": "quadratic", "minimizer": [1.0, math.nan]}, "objective.minimizer"),
     ],
-    ids=["inf-squash", "half-class"],
+    ids=["inf-squash", "half-class", "nan-minimizer"],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, objective, field):
     doc = copy.deepcopy(BASE_DOC)

@@ -10,6 +10,10 @@ still catching any change of the numbers.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +44,20 @@ def test_run_matches_golden(key):
         assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-12)
     if SAME_ENVIRONMENT:
         assert actual == expected
+
+
+def test_stamp_tells_openblas_kernels_apart():
+    """Forcing another OpenBLAS kernel set changes the rounding, so it must change the stamp."""
+    stamp = make_golden.environment_stamp()
+    if stamp["blas_core"] in (None, "Haswell"):
+        pytest.skip(f"needs scipy-openblas on a core other than Haswell, have {stamp['blas_core']}")
+    tests_dir = Path(__file__).parent
+    path = [str(tests_dir), str(tests_dir.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(path))
+    probe = "import json, make_golden; print(json.dumps(make_golden.environment_stamp()))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    forced = json.loads(result.stdout)
+    assert forced["blas_core"] == "Haswell"
+    assert forced != stamp

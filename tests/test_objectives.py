@@ -221,25 +221,6 @@ def test_noise_unbiased():
     assert abs(draws.mean()) <= 4.0 / math.sqrt(draws.size)
 
 
-def test_noise_second_moment():
-    q = Quadratic(matrix=np.eye(5), offset=np.zeros(5), noise_sigma=2.0)
-    rng = np.random.default_rng(7)
-    x = np.zeros(5)
-    sq = [np.linalg.norm(q.stochastic_grad(x, 0, rng) - q.grad(x)) ** 2 for _ in range(2000)]
-    assert abs(np.mean(sq) - 4.0) <= 0.25
-
-
-def test_pair_shares_one_noise_draw():
-    q = Quadratic(matrix=np.eye(3), offset=np.zeros(3), noise_sigma=1.0)
-    rng = np.random.default_rng(9)
-    x = np.array([1.0, -1.0, 0.5])
-    g, g_pair = q.stochastic_grad_pair(x, x, 0, rng)
-    assert np.array_equal(g, g_pair)
-    y = np.array([0.0, 2.0, 0.0])
-    g, g_pair = q.stochastic_grad_pair(x, y, 0, rng)
-    assert np.allclose(g - g_pair, q.grad(x) - q.grad(y), atol=1e-12)
-
-
 def test_zero_noise_skips_the_generator():
     q = Quadratic(matrix=np.eye(2), offset=np.zeros(2), noise_sigma=0.0)
     rng = np.random.default_rng(21)
@@ -563,11 +544,39 @@ def test_domain_from_spec():
             {"family": "mixture", "components": [{"dim": 2}, {"dim": 1.5}]},
             "objective.components.1.dim",
         ),
+        ({"family": "quadratic", "minimizer": [1.0, math.nan]}, "objective.minimizer"),
+        ({"family": "quadratic", "offset": [math.inf, 0.0]}, "objective.offset"),
+        ({"family": "quadratic", "dim": 2, "curvature": math.inf}, "objective.curvature"),
+        (
+            {"family": "quadratic", "curvature": [1.0, math.nan], "minimizer": [1.0, 1.0]},
+            "objective.curvature",
+        ),
+        ({"family": "nonconvex", "dim": 2, "matrix": [[1.0, 0.0], [0.0, math.inf]]}, "objective.matrix"),
+        (
+            {"family": "mixture", "components": [{"minimizer": [math.nan]}, {"minimizer": [1.0]}]},
+            "objective.components.0.minimizer",
+        ),
+        (
+            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1}], "weights": [0.1, "fast"]},
+            "objective.weights.1",
+        ),
+        ({"family": "quadratic", "dim": 32764}, "objective.dim"),
+        ({"family": "quadratic", "dim": 0}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"dim": 2}, {"dim": 4097}]},
+            "objective.components.1.dim",
+        ),
+        (
+            {"family": "quadratic", "dim": 2, "domain": {"center": [0.0, math.nan], "radius": 1.0}},
+            "objective.domain.center",
+        ),
+        ({"family": "quadratic", "offset": [0.0], "dim": 4097, "domain": {"radius": 1.0}}, "objective.dim"),
     ],
 )
 def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
     with pytest.raises(InvalidConfigError) as err:
         from_spec(spec, 0.1)
+        domain_from_spec(spec)
     assert err.value.field == field
 
 

@@ -46,12 +46,6 @@ def test_ordered_weight_examples():
     assert ordered_weight(0.5, 1) == 0.25
 
 
-def test_ordered_weight_monotone_in_delay():
-    weights = [ordered_weight(0.3, tau) for tau in range(30)]
-    assert all(a > b for a, b in zip(weights, weights[1:]))
-    assert all(w > 0 for w in weights)
-
-
 @given(
     beta=st.floats(min_value=1e-6, max_value=1 - 1e-6),
     tau=st.integers(min_value=0, max_value=200),
@@ -88,22 +82,6 @@ def test_momentum_hand_unroll():
     assert state.momentum[0] == 0.75
     assert state.iterate[0] == -1.25
     assert state.steps_done == 2
-
-
-def test_momentum_zero_rule():
-    """A late duplicate of dispatch index 1 contributes nothing."""
-    state = OrderedMomentumState.initial(np.zeros(1), step_size=1.0, momentum_param=0.5)
-    state = step_ordered_momentum(state, report(1.0, k=1, tau=0))
-    repeat = step_ordered_momentum(state, report(7.0, k=1, tau=1))
-    assert repeat.momentum[0] == (1 - 0.5) * 0.5  # pure decay, gradient dropped
-    fresh = step_ordered_momentum(state, report(7.0, k=2, tau=0))
-    assert fresh.momentum[0] != repeat.momentum[0]
-
-
-def test_momentum_first_step_keeps_index_one():
-    state = OrderedMomentumState.initial(np.zeros(1), step_size=1.0, momentum_param=0.25)
-    state = step_ordered_momentum(state, report(4.0, k=1, tau=0))
-    assert state.momentum[0] == 1.0  # not zeroed at t=1
 
 
 def test_momentum_delay_and_dispatch_are_independent_fields():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stalegrad.errors import (
-    ContractViolationError,
     DivergedRunError,
     InvalidConfigError,
     ReplayDivergenceError,
@@ -73,13 +72,6 @@ def test_iterations_must_cover_the_initial_broadcast():
     assert "run.iterations" in str(err.value)
 
 
-def test_replay_same_seed_reproduces():
-    config = momentum_config(seed=11)
-    trace = run(config)
-    assert replay_check(trace, config) is True
-    assert replay_compare(trace, config) is None
-
-
 def test_replay_other_seed_differs():
     config = momentum_config(seed=11)
     trace = run(config)
@@ -87,13 +79,6 @@ def test_replay_other_seed_differs():
     first = replay_compare(trace, other)
     assert first is not None and first <= 3  # the fresh noise shows almost immediately
     assert replay_check(trace, other) is False
-
-
-def test_replay_different_experiment_is_rejected():
-    trace = run(momentum_config(seed=11))
-    tweaked = momentum_config(seed=11, optimizer={"method": "ordered_momentum", "eta": 0.04, "beta": 0.1})
-    with pytest.raises(ContractViolationError):
-        replay_compare(trace, tweaked)
 
 
 def test_tampered_trace_raises_divergence():
