@@ -456,6 +456,13 @@ def _reaggregate_from_csv(path: Path, metric: str) -> dict:
     return _aggregate(results, metric)
 
 
+def _agrees(stored, fresh) -> bool:
+    """Both absent, or equal within 1e-9 relative (counts exactly)."""
+    if stored is None or fresh is None:
+        return stored is fresh
+    return math.isclose(stored, fresh, rel_tol=1e-9)
+
+
 def cmd_report(directory: str, check: bool = False) -> int:
     out = Path(directory)
     summary_path = out / "summary.json"
@@ -483,8 +490,14 @@ def cmd_report(directory: str, check: bool = False) -> int:
         elif stored_best is not None:
             if stored_best["grid_index"] != fresh_best["grid_index"]:
                 failures.append(f"{method}: best grid point mismatch")
-            elif not math.isclose(stored_best["mean"], fresh_best["mean"], rel_tol=1e-9):
+            elif not _agrees(stored_best["mean"], fresh_best["mean"]):
                 failures.append(f"{method}: best mean mismatch")
+    fresh_points = {point["grid_index"]: point for point in recomputed["grid_points"]}
+    for point in summary["grid_points"]:
+        fresh = fresh_points.get(point["grid_index"])
+        for stat in ("mean", "sd", "diverged"):
+            if fresh is None or not _agrees(point[stat], fresh[stat]):
+                failures.append(f"grid point {point['grid_index']}: {stat} mismatch")
     for name, value in summary.get("acceptance", {}).items():
         if value is False:
             failures.append(f"acceptance flag {name} is false")

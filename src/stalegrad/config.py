@@ -30,8 +30,8 @@ from pathlib import Path
 import yaml
 
 from .errors import InvalidConfigError
-from .optimizers import METHODS
-from .simulation import SimConfig
+from .objectives import integer_at_least, true_or_false
+from .simulation import DEFAULT_DELAY, SimConfig
 
 OUTPUT_DIR_ENV = "STALEGRAD_OUTPUT_DIR"
 
@@ -79,59 +79,29 @@ def _expect_mapping(doc, key: str, required: bool) -> dict:
     return dict(section)
 
 
-def _expect_int(section, section_name: str, key: str, minimum: int, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise InvalidConfigError("value is required", field=f"{section_name}.{key}")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError("must be an integer", field=f"{section_name}.{key}")
-    if value < minimum:
-        raise InvalidConfigError(f"must be >= {minimum}", field=f"{section_name}.{key}")
-    return value
-
-
-def _expect_bool(section, section_name: str, key: str) -> None:
-    if key in section and not isinstance(section[key], bool):
-        raise InvalidConfigError("must be true or false", field=f"{section_name}.{key}")
-
-
 def check_document(doc: Mapping) -> None:
-    """Shape-level schema check; value-level checks live with the consumers."""
+    """Shape-level schema check: known sections and keys, required ones present.
+
+    Values are checked by their consumers; the run fields by ``SimConfig``.
+    """
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise InvalidConfigError("unknown section", field=sorted(unknown)[0])
-    objective = _expect_mapping(doc, "objective", required=True)
-    if not isinstance(objective.get("family"), str):
-        raise InvalidConfigError("must name an objective family", field="objective.family")
-    optimizer = _expect_mapping(doc, "optimizer", required=True)
-    method = optimizer.get("method")
-    if not isinstance(method, str):
-        raise InvalidConfigError("must name a method", field="optimizer.method")
-    if method not in METHODS:
-        raise InvalidConfigError(
-            f"unknown method {method!r}; choose one of {', '.join(METHODS)}",
-            field="optimizer.method",
-        )
-    _expect_bool(optimizer, "optimizer", "theory")
+    _expect_mapping(doc, "objective", required=True)
+    _expect_mapping(doc, "optimizer", required=True)
     _expect_mapping(doc, "delay", required=False)
     run = _expect_mapping(doc, "run", required=True)
     unknown = set(run) - _RUN_KEYS
     if unknown:
         raise InvalidConfigError("unknown key", field=f"run.{sorted(unknown)[0]}")
-    _expect_int(run, "run", "workers", minimum=1)
-    _expect_int(run, "run", "iterations", minimum=1)
-    _expect_int(run, "run", "seed", minimum=0, default=0)
-    if run.get("snapshot_stride") is not None:
-        _expect_int(run, "run", "snapshot_stride", minimum=1)
-    _expect_bool(run, "run", "record_gradients")
+    for key in ("workers", "iterations"):
+        if key not in run:
+            raise InvalidConfigError("value is required", field=f"run.{key}")
     if "sweep" in doc:
         sweep = _expect_mapping(doc, "sweep", required=False)
         unknown = set(sweep) - _SWEEP_KEYS
         if unknown:
             raise InvalidConfigError("unknown key", field=f"sweep.{sorted(unknown)[0]}")
-        _expect_bool(sweep, "sweep", "write_traces")
         grid = sweep.get("grid", {})
         if not isinstance(grid, Mapping):
             raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
@@ -145,23 +115,16 @@ def check_document(doc: Mapping) -> None:
 def parse_sim_config(doc: Mapping) -> SimConfig:
     check_document(doc)
     run = dict(doc["run"])
-    delay = dict(doc.get("delay") or {"slow_weight": 0.1})
-    x_init = run.get("x_init")
-    if x_init is not None:
-        try:
-            x_init = tuple(float(v) for v in x_init)
-        except (TypeError, ValueError):
-            raise InvalidConfigError("must be a list of numbers", field="run.x_init") from None
     return SimConfig(
         objective=dict(doc["objective"]),
         optimizer=dict(doc["optimizer"]),
         total_iterations=run["iterations"],
         num_workers=run["workers"],
-        delay=delay,
+        delay=dict(doc.get("delay") or DEFAULT_DELAY),
         seed=run.get("seed", 0),
         snapshot_stride=run.get("snapshot_stride"),
         record_gradients=run.get("record_gradients", False),
-        x_init=x_init,
+        x_init=run.get("x_init"),
     )
 
 
@@ -209,16 +172,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "ExperimentConfig":
-        check_document(doc)
+        base = parse_sim_config(doc)
         sweep = dict(doc.get("sweep") or {})
         grid_section = sweep.get("grid") or {}
         grid = tuple((str(path), tuple(values)) for path, values in grid_section.items())
         seeds = sweep.get("seeds") or {}
         if not isinstance(seeds, Mapping):
             raise InvalidConfigError("must be a mapping with base and count", field="sweep.seeds")
-        seed_base = _expect_int(seeds, "sweep.seeds", "base", minimum=0, default=dict(doc["run"]).get("seed", 0))
-        seed_count = _expect_int(seeds, "sweep.seeds", "count", minimum=1, default=1)
-        parallelism = _expect_int(sweep, "sweep", "parallelism", minimum=1, default=1)
+        seed_base = integer_at_least(seeds.get("base", base.seed), "sweep.seeds.base", 0)
+        seed_count = integer_at_least(seeds.get("count", 1), "sweep.seeds.count", 1)
+        parallelism = integer_at_least(sweep.get("parallelism", 1), "sweep.parallelism", 1)
         output = dict(doc.get("output") or {})
         base_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or output.get("dir") or "results")
         return cls(
@@ -228,7 +191,7 @@ class ExperimentConfig:
             seed_count=seed_count,
             output_dir=base_dir,
             parallelism=parallelism,
-            write_traces=sweep.get("write_traces", False),
+            write_traces=true_or_false(sweep.get("write_traces", False), "sweep.write_traces"),
             report=dict(doc.get("report") or {}),
         )
 

@@ -27,7 +27,7 @@ from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidConfigError, UnsupportedObjectiveError
+from .errors import ContractViolationError, InvalidConfigError
 
 Array = np.ndarray
 
@@ -101,6 +101,22 @@ def whole_number(value: Any, field: str) -> int:
     if not out.is_integer():
         raise InvalidConfigError(f"must be an integer, got {value!r}", field=field)
     return int(out)
+
+
+def integer_at_least(value: Any, field: str, minimum: int) -> int:
+    """``value`` if it is an int (not a bool, nor ``3.0``) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigError("must be an integer", field=field)
+    if value < minimum:
+        raise InvalidConfigError(f"must be >= {minimum}", field=field)
+    return value
+
+
+def true_or_false(value: Any, field: str) -> bool:
+    """``value`` if it is a bool; quoted ``"no"`` is not read as a flag."""
+    if not isinstance(value, bool):
+        raise InvalidConfigError("must be true or false", field=field)
+    return value
 
 
 @dataclass(frozen=True)
@@ -672,7 +688,7 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
     the objective's weights.
     """
     family = spec.get("family")
-    noise_sigma = float(spec.get("noise_sigma", 0.0))
+    noise_sigma = finite_number(spec.get("noise_sigma", 0.0), "objective.noise_sigma")
     if family == "quadratic":
         return _quadratic_from_spec(spec, noise_sigma)
     if family == "mixture":

@@ -21,7 +21,6 @@ import heapq
 import json
 import logging
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -36,7 +35,7 @@ from .errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from .objectives import FAST, SLOW, euclidean_norm
+from .objectives import FAST, SLOW, euclidean_norm, integer_at_least, true_or_false
 from .objectives import finite_number as _number
 from .objectives import finite_vector as _vector
 
@@ -45,23 +44,51 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 
+#: the delay section of a config that gives none
+DEFAULT_DELAY: Mapping[str, Any] = {"slow_weight": 0.1}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs; plain data so it hashes and pickles cleanly.
 
     ``objective`` and ``optimizer`` are nested documents in the same shape
     the YAML config uses; ``delay`` holds at least ``slow_weight``.
+
+    Building one checks the run fields and names the field at fault, so a
+    config from YAML, from code or from ``dataclasses.replace`` fails here,
+    not at :func:`run`.  ``x_init`` is stored as a tuple of floats.
     """
 
     objective: Mapping[str, Any]
     optimizer: Mapping[str, Any]
     total_iterations: int
     num_workers: int
-    delay: Mapping[str, Any] = field(default_factory=lambda: {"slow_weight": 0.1})
+    delay: Mapping[str, Any] = field(default_factory=lambda: dict(DEFAULT_DELAY))
     seed: int = 0
     snapshot_stride: int | None = None
     record_gradients: bool = False
     x_init: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        method = self.optimizer.get("method")
+        if method not in optimizers.METHODS:
+            raise InvalidConfigError(
+                f"unknown method {method!r}; choose one of {', '.join(optimizers.METHODS)}",
+                field="optimizer.method",
+            )
+        true_or_false(self.optimizer.get("theory", False), "optimizer.theory")
+        workers = integer_at_least(self.num_workers, "run.workers", 1)
+        if integer_at_least(self.total_iterations, "run.iterations", 1) < workers:
+            raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
+        integer_at_least(self.seed, "run.seed", 0)
+        if self.snapshot_stride is not None:
+            integer_at_least(self.snapshot_stride, "run.snapshot_stride", 1)
+        true_or_false(self.record_gradients, "run.record_gradients")
+        if self.x_init is not None:
+            if isinstance(self.x_init, (str, bytes)) or not np.iterable(self.x_init):
+                raise InvalidConfigError("must be a list of numbers", field="run.x_init")
+            object.__setattr__(self, "x_init", tuple(_number(v, "run.x_init") for v in self.x_init))
 
 
 def _objective_for(config: SimConfig):
@@ -164,10 +191,6 @@ def _blame(field: str):
         raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
 
 
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _adaptive_constants(opt, objective, x1: Array, T: int, M: int, resolved: dict):
     """Delay-adaptive constants: explicit optimizer values, else the objective's."""
     constants = objective.theory_constants(x_init=x1)
@@ -183,22 +206,8 @@ def _adaptive_constants(opt, objective, x1: Array, T: int, M: int, resolved: dic
 
 
 def _prepare(config: SimConfig) -> _Prepared:
-    """Validate the config and build every object a run needs."""
+    """Build every object a run needs; the run fields were checked in ``SimConfig``."""
     T, M = config.total_iterations, config.num_workers
-    if M < 1:
-        raise InvalidConfigError("need at least one worker", field="run.workers")
-    if T < 1:
-        raise InvalidConfigError("need at least one iteration", field="run.iterations")
-    if T < M:
-        raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
-    if not _is_integer(config.seed) or config.seed < 0:
-        raise InvalidConfigError(f"must be a nonnegative integer, got {config.seed!r}", field="run.seed")
-    stride = config.snapshot_stride
-    if stride is not None and (not _is_integer(stride) or stride < 1):
-        raise InvalidConfigError(f"must be a positive integer, got {stride!r}", field="run.snapshot_stride")
-    if not isinstance(config.record_gradients, bool):
-        raise InvalidConfigError("must be true or false", field="run.record_gradients")
-
     with _blame("delay"):
         delay_spec = dict(config.delay)
         if delay_spec.get("slow_weight") is None:
@@ -210,7 +219,6 @@ def _prepare(config: SimConfig) -> _Prepared:
         )
 
     with _blame("objective"):
-        _number(config.objective.get("noise_sigma", 0.0), "objective.noise_sigma")  # check only
         objective = objectives.from_spec(config.objective, slow_weight)
         domain = objectives.domain_from_spec(config.objective)
     if domain is not None and domain.dim != objective.dim:
@@ -219,23 +227,18 @@ def _prepare(config: SimConfig) -> _Prepared:
     if config.x_init is None:
         x1 = np.zeros(objective.dim)
     else:
-        x1 = _vector(config.x_init, "run.x_init")
+        x1 = np.array(config.x_init)
         if x1.shape != (objective.dim,):
             raise InvalidConfigError(f"x_init must have {objective.dim} entries", field="run.x_init")
 
     opt = dict(config.optimizer)
-    method = opt.get("method")
-    if method not in optimizers.METHODS:
-        raise InvalidConfigError(f"unknown method {method!r}", field="optimizer.method")
+    method = opt["method"]
     row = optimizers.METHOD_TABLE[method]
     if "domain" in row.takes and domain is None:
         raise InvalidConfigError("the projected method needs objective.domain", field="objective.domain")
-    theory = opt.get("theory", False)
-    if not isinstance(theory, bool):
-        raise InvalidConfigError("must be true or false", field="optimizer.theory")
 
     resolved: dict[str, Any] = {"method": method}
-    if theory:
+    if opt.get("theory", False):
         if row.theory is None:
             raise InvalidConfigError(
                 f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"

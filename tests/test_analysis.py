@@ -1,7 +1,6 @@
 """Analysis layer: unrolled momentum, bias decomposition, metrics, F1, GOF."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest

@@ -8,10 +8,8 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -80,7 +78,7 @@ def test_unknown_method_lists_choices():
     doc = dict(BASE_DOC)
     doc["optimizer"] = {"method": "adam", "eta": 0.01}
     with pytest.raises(InvalidConfigError) as err:
-        check_document(doc)
+        parse_sim_config(doc)
     message = str(err.value)
     assert "optimizer.method" in message and "ordered_momentum" in message
 
@@ -89,10 +87,10 @@ def test_run_counts_reject_bools_and_strings():
     doc = dict(BASE_DOC)
     doc["run"] = dict(BASE_DOC["run"], workers=True)
     with pytest.raises(InvalidConfigError):
-        check_document(doc)
+        parse_sim_config(doc)
     doc["run"] = dict(BASE_DOC["run"], iterations="many")
     with pytest.raises(InvalidConfigError):
-        check_document(doc)
+        parse_sim_config(doc)
 
 
 def test_grid_axis_must_be_a_list():
@@ -347,21 +345,29 @@ THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05
 
 # field path -> how a SimConfig built directly carries the same value
 _RUN_FIELD_ATTRS = {
+    "run.workers": "num_workers",
+    "run.iterations": "total_iterations",
     "run.seed": "seed",
     "run.snapshot_stride": "snapshot_stride",
     "run.record_gradients": "record_gradients",
+    "run.x_init": "x_init",
 }
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("run.workers", 2.5),
+        ("run.workers", True),
+        ("run.workers", "2"),
+        ("run.iterations", 40.0),
         ("run.seed", "3"),
         ("run.seed", 1.5),
         ("run.seed", True),
         ("run.snapshot_stride", "5"),
         ("run.snapshot_stride", 2.5),
         ("run.record_gradients", "no"),
+        ("run.x_init", "12"),
         ("optimizer.theory", "false"),
         ("sweep.write_traces", "no"),
     ],
@@ -378,15 +384,23 @@ def test_malformed_run_fields_name_their_path(field, value):
     assert err.value.field == field
     if section == "sweep":
         return
-    # A SimConfig built in code skips check_document; the run must still refuse it.
+    # A SimConfig built in code skips check_document; constructing it must still refuse it.
     valid = parse_sim_config(THEORY_DOC)
-    if section == "optimizer":
-        direct = dataclasses.replace(valid, optimizer=dict(valid.optimizer, theory=value))
-    else:
-        direct = dataclasses.replace(valid, **{_RUN_FIELD_ATTRS[field]: value})
     with pytest.raises(InvalidConfigError) as err:
-        run(direct)
+        if section == "optimizer":
+            dataclasses.replace(valid, optimizer=dict(valid.optimizer, theory=value))
+        else:
+            dataclasses.replace(valid, **{_RUN_FIELD_ATTRS[field]: value})
     assert err.value.field == field
+
+
+def test_sweep_seed_default_is_checked_as_run_seed():
+    doc = copy.deepcopy(THEORY_DOC)
+    doc["run"]["seed"] = "3"
+    doc["sweep"] = {"grid": {"optimizer.eta": [0.01, 0.05]}, "seeds": {"count": 2}}
+    with pytest.raises(InvalidConfigError) as err:
+        ExperimentConfig.from_document(doc)
+    assert err.value.field == "run.seed"
 
 
 _SMALL_RUN = {"workers": 3, "iterations": 20, "seed": 1}
@@ -502,13 +516,24 @@ def test_report_and_check(tmp_path, capsys):
 def test_report_check_catches_tampering(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(out)]) == 0
-    with open(out / "runs.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][6] = repr(float(rows[1][6]) + 1.0)  # nudge one cell of the aggregated metric
-    with open(out / "runs.csv", "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    assert cli.main(["report", str(out), "--check"]) == 2
-    assert "CHECK FAIL" in capsys.readouterr().out
+    pristine = (out / "runs.csv").read_text()
+    summary = json.loads((out / "summary.json").read_text())
+    best = {info["best"]["grid_index"] for info in summary["methods"].values()}
+
+    def nudge_first_row(rows):  # one cell of the aggregated metric
+        rows[1][6] = repr(float(rows[1][6]) + 1.0)
+
+    def scale_non_best_row(rows):  # a grid point that no best configuration reads
+        row = next(r for r in rows[1:] if int(r[0]) not in best)
+        row[6] = repr(float(row[6]) * 1.5)
+
+    for tamper in (nudge_first_row, scale_non_best_row):
+        rows = list(csv.reader(pristine.splitlines()))
+        tamper(rows)
+        with open(out / "runs.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert cli.main(["report", str(out), "--check"]) == 2, tamper.__name__
+        assert "CHECK FAIL" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- validate command

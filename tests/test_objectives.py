@@ -116,17 +116,6 @@ def test_smoothness_bound(objective):
         assert lhs <= lips * np.linalg.norm(x - y) * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("objective", [QUAD, MIXTURE, NONCONVEX], ids=["quad", "mixture", "nonconvex"])
-def test_gradient_norm_lemma(objective):
-    """‖∇f(x)‖² ≤ 2L(f(x) − f*) wherever f* is known in closed form."""
-    constants = objective.theory_constants()
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        x = 2.0 * rng.standard_normal(objective.dim)
-        gap = objective.loss(x) - constants.f_star
-        assert np.linalg.norm(objective.grad(x)) ** 2 <= 2 * constants.lipschitz * gap * (1 + 1e-9) + 1e-12
-
-
 def test_lipschitz_is_largest_eigenvalue():
     assert QUAD.theory_constants().lipschitz == 4.0
     rng = np.random.default_rng(14)

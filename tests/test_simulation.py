@@ -183,9 +183,8 @@ def test_mu2_requires_a_domain():
 
 
 def test_unknown_method_is_named():
-    config = momentum_config(optimizer={"method": "adamw", "eta": 0.01})
     with pytest.raises(InvalidConfigError) as err:
-        validate_config(config)
+        momentum_config(optimizer={"method": "adamw", "eta": 0.01})
     assert "optimizer.method" in str(err.value)
 
 
