@@ -1,10 +1,10 @@
 """Trace oracles and metrics, independent of the simulator's bookkeeping.
 
 Everything here recomputes its quantities from the raw trace — pending
-sets are rebuilt from dispatch indices, the momentum buffer is
-reconstructed as an explicit weighted sum, the averaged method's identity
-is re-derived from the recorded iterate sequences — so these functions can
-serve as oracles against the incremental implementations they mirror.
+sets are rebuilt from dispatch indices, the delay bias is summed over them,
+the averaged method's identity is re-derived from the recorded iterate
+sequences — so these functions can serve as oracles against the
+incremental implementations they mirror.
 """
 
 from __future__ import annotations
@@ -38,30 +38,6 @@ def pending_sets(trace: RunTrace) -> list[frozenset[int]]:
         pend.add(int(t))
         pend.discard(int(k))
         out.append(frozenset(pend))
-    return out
-
-
-def unrolled_momentum(trace: RunTrace, beta: float) -> Array:
-    """Direct-sum reconstruction of the ordered-momentum buffer.
-
-    m_t = Σ_k β(1−β)^{t−k}·g_k over every dispatch index k that has arrived
-    by iteration t, with g_k the gradient of k's first arrival (later
-    arrivals of index 1 are the zeroed duplicates, so they add nothing).
-    """
-    if trace.gradients is None:
-        raise InsufficientTraceError("the run did not record raw gradients")
-    n, dim = trace.gradients.shape
-    consumed: dict[int, Array] = {}
-    out = np.zeros((n, dim))
-    for i in range(n):
-        t = int(trace.t[i])
-        k = int(trace.dispatch_iteration[i])
-        if k not in consumed:
-            consumed[k] = trace.gradients[i]
-        acc = np.zeros(dim)
-        for k0, g0 in consumed.items():
-            acc += beta * (1.0 - beta) ** (t - k0) * g0
-        out[i] = acc
     return out
 
 

@@ -292,17 +292,17 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
     experiment = ExperimentConfig.from_document(doc)
     if not experiment.grid:
         raise InvalidConfigError("sweep needs at least one grid axis", field="sweep.grid")
+    expanded = experiment.expand()
+    for item in expanded:
+        validate_config(item.config)
+    metric = _select_metric(experiment.report, expanded[0].config)
+
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)
     traces_dir = None
     if experiment.write_traces:
         traces_dir = out / "traces"
         traces_dir.mkdir(exist_ok=True)
-
-    expanded = experiment.expand()
-    for item in expanded:
-        validate_config(item.config)
-    metric = _select_metric(experiment.report, expanded[0].config)
 
     payloads = [(item, None if traces_dir is None else str(traces_dir)) for item in expanded]
     if experiment.parallelism > 1 and len(payloads) > 1:

@@ -30,7 +30,7 @@ from pathlib import Path
 import yaml
 
 from .errors import InvalidConfigError
-from .objectives import integer_at_least, true_or_false
+from .objectives import integer_at_least, known_keys, true_or_false
 from .simulation import DEFAULT_DELAY, SimConfig
 
 OUTPUT_DIR_ENV = "STALEGRAD_OUTPUT_DIR"
@@ -91,17 +91,13 @@ def check_document(doc: Mapping) -> None:
     _expect_mapping(doc, "optimizer", required=True)
     _expect_mapping(doc, "delay", required=False)
     run = _expect_mapping(doc, "run", required=True)
-    unknown = set(run) - _RUN_KEYS
-    if unknown:
-        raise InvalidConfigError("unknown key", field=f"run.{sorted(unknown)[0]}")
+    known_keys(run, _RUN_KEYS, "run")
     for key in ("workers", "iterations"):
         if key not in run:
             raise InvalidConfigError("value is required", field=f"run.{key}")
     if "sweep" in doc:
         sweep = _expect_mapping(doc, "sweep", required=False)
-        unknown = set(sweep) - _SWEEP_KEYS
-        if unknown:
-            raise InvalidConfigError("unknown key", field=f"sweep.{sorted(unknown)[0]}")
+        known_keys(sweep, _SWEEP_KEYS, "sweep")
         grid = sweep.get("grid", {})
         if not isinstance(grid, Mapping):
             raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")

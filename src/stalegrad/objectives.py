@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Collection, Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,6 +110,14 @@ def integer_at_least(value: Any, field: str, minimum: int) -> int:
     if value < minimum:
         raise InvalidConfigError(f"must be >= {minimum}", field=field)
     return value
+
+
+def known_keys(section: Any, allowed: Collection[str], path: str) -> None:
+    """Refuse a key of the mapping ``section`` outside ``allowed`` (a misspelt one, say)."""
+    unknown = sorted(set(section) - set(allowed), key=str) if isinstance(section, Mapping) else ()
+    if unknown:
+        message = f"unknown key; expected one of {', '.join(sorted(allowed))}"
+        raise InvalidConfigError(message, field=f"{path}.{unknown[0]}")
 
 
 def true_or_false(value: Any, field: str) -> bool:
@@ -660,6 +668,16 @@ def _dimension(value: Any, field: str) -> int:
     return dim
 
 
+_QUADRATIC_KEYS = frozenset({"dim", "curvature", "matrix", "offset", "minimizer"})
+#: the keys each family reads, besides ``family``, ``noise_sigma``, ``dim`` and ``domain``
+_FAMILY_KEYS = {
+    "quadratic": _QUADRATIC_KEYS,
+    "mixture": frozenset({"components", "weights"}),
+    "nonconvex": _QUADRATIC_KEYS | {"squash_scale"},
+    "logistic": frozenset({"classes", "feature_dim", "samples", "separation", "data_seed"}),
+}
+
+
 def _quadratic_from_spec(
     spec: Mapping[str, Any], noise_sigma: float, path: str = "objective"
 ) -> Quadratic:
@@ -688,6 +706,9 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
     the objective's weights.
     """
     family = spec.get("family")
+    if family in _FAMILY_KEYS:
+        known_keys(spec, _FAMILY_KEYS[family] | {"family", "noise_sigma", "dim", "domain"}, "objective")
+        known_keys(spec.get("domain"), ("center", "radius"), "objective.domain")
     noise_sigma = finite_number(spec.get("noise_sigma", 0.0), "objective.noise_sigma")
     if family == "quadratic":
         return _quadratic_from_spec(spec, noise_sigma)
@@ -695,6 +716,8 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
         raw = spec.get("components")
         if not raw or len(raw) < 2:
             raise InvalidConfigError("mixture needs >= 2 components", field="objective.components")
+        for i, c in enumerate(raw):
+            known_keys(c, _QUADRATIC_KEYS, f"objective.components.{i}")
         components = tuple(
             _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(raw)
         )

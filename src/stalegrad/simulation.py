@@ -35,7 +35,7 @@ from .errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from .objectives import FAST, SLOW, euclidean_norm, integer_at_least, true_or_false
+from .objectives import FAST, SLOW, euclidean_norm, integer_at_least, known_keys, true_or_false
 from .objectives import finite_number as _number
 from .objectives import finite_vector as _vector
 
@@ -46,6 +46,11 @@ Array = np.ndarray
 
 #: the delay section of a config that gives none
 DEFAULT_DELAY: Mapping[str, Any] = {"slow_weight": 0.1}
+
+_STEP_KEYS = ("eta", "beta", "gamma", "tau_filter")
+_ADAPTIVE_KEYS = ("lipschitz", "delta_gap", "sigma")
+#: every optimizer key some method reads; a grid sweep shares one section across methods
+_OPTIMIZER_KEYS = frozenset({"method", "theory", "bound_constant", *_STEP_KEYS, *_ADAPTIVE_KEYS})
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,7 @@ class SimConfig:
                 f"unknown method {method!r}; choose one of {', '.join(optimizers.METHODS)}",
                 field="optimizer.method",
             )
+        known_keys(self.optimizer, _OPTIMIZER_KEYS, "optimizer")
         true_or_false(self.optimizer.get("theory", False), "optimizer.theory")
         workers = integer_at_least(self.num_workers, "run.workers", 1)
         if integer_at_least(self.total_iterations, "run.iterations", 1) < workers:
@@ -159,7 +165,6 @@ class RunTrace:
     config: SimConfig
     resolved_params: Mapping[str, Any]
     gradients: Array | None = None
-    paired_gradients: Array | None = None
     buffers: Array | None = None
     pre_iterates: Array | None = None
     descent_iterates: Array | None = None
@@ -195,7 +200,7 @@ def _adaptive_constants(opt, objective, x1: Array, T: int, M: int, resolved: dic
     """Delay-adaptive constants: explicit optimizer values, else the objective's."""
     constants = objective.theory_constants(x_init=x1)
     values = {}
-    for name in ("lipschitz", "delta_gap", "sigma"):
+    for name in _ADAPTIVE_KEYS:
         value = opt.get(name, getattr(constants, name))
         if value is None:
             message = f"objective lacks closed-form {name}; supply it explicitly"
@@ -245,7 +250,7 @@ def _prepare(config: SimConfig) -> _Prepared:
             )
         with _blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
             resolved.update(row.theory(opt, objective.theory_constants(x_init=x1), domain, T, M))
-    for name in ("eta", "beta", "gamma", "tau_filter"):
+    for name in _STEP_KEYS:
         if name in opt:
             resolved[name] = _number(opt[name], f"optimizer.{name}")
 
@@ -303,7 +308,6 @@ def run(config: SimConfig) -> RunTrace:
     snapshot_steps: list[int] = []
     snapshots: list[Array] = []
     gradients = np.zeros((T, dim)) if record else None
-    paired = np.zeros((T, dim)) if (record and method.paired) else None
     buffers = np.zeros((T, dim)) if record else None
     pre_iterates = np.zeros((T, dim)) if record else None
     descent_rows = [np.array(descent_of(prep.state))] if record and descent_of else None
@@ -353,8 +357,6 @@ def run(config: SimConfig) -> RunTrace:
         if record:
             gradients[row] = g
             pre_iterates[row] = query
-            if paired is not None:
-                paired[row] = g_prev
         if row % stride == 0 or t == T:
             snapshot_steps.append(t)
             snapshots.append(np.array(query))
@@ -399,7 +401,6 @@ def run(config: SimConfig) -> RunTrace:
         config=config,
         resolved_params=prep.resolved,
         gradients=gradients,
-        paired_gradients=paired,
         buffers=buffers,
         pre_iterates=pre_iterates,
         descent_iterates=None if descent_rows is None else np.array(descent_rows),

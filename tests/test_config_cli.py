@@ -193,14 +193,6 @@ def test_run_writes_golden_trace(tmp_path):
     assert summary["runs"][0]["csv"] == "run_s0.csv"
 
 
-def test_run_is_byte_identical_across_executions(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", "configs/minimal.yaml", "--output-dir", str(out_a)]) == 0
-    assert cli.main(["run", "configs/minimal.yaml", "--output-dir", str(out_b)]) == 0
-    assert (out_a / "run_s0.csv").read_bytes() == (out_b / "run_s0.csv").read_bytes()
-    assert (out_a / "run_summary.json").read_bytes() == (out_b / "run_summary.json").read_bytes()
-
-
 def _write_trace_csv_row_by_row(trace, path):
     """The trace CSV written one row at a time, converting one cell at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -323,20 +315,33 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
     assert not (tmp_path / "out").exists()
 
 
+_QUAD_2D = {"family": "quadratic", "dim": 2}
+
+
 @pytest.mark.parametrize(
-    "objective, field",
+    "sections, field",
     [
-        ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
-        ({"family": "logistic", "classes": 2.5}, "objective.classes"),
-        ({"family": "quadratic", "minimizer": [1.0, math.nan]}, "objective.minimizer"),
+        ({"objective": {"family": "nonconvex", "dim": 2, "squash_scale": math.inf}}, "objective.squash_scale"),
+        ({"objective": {"family": "logistic", "classes": 2.5}}, "objective.classes"),
+        ({"objective": {"family": "quadratic", "minimizer": [1.0, math.nan]}}, "objective.minimizer"),
+        ({"objective": dict(_QUAD_2D, curvture=[5.0, 9.0])}, "objective.curvture"),
+        ({"objective": dict(_QUAD_2D, noise_simga=3.0)}, "objective.noise_simga"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [0.0], "radius": 1.0})}, "objective.domain"),
+        ({"run": {"workers": 2, "iterations": 40, "x_init": [0.0]}}, "run.x_init"),
+        ({"optimizer": {"method": "vanilla", "eta": 0.05, "theory": True}}, "optimizer.theory"),
+        ({"report": {"metric": "accuracy"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}}, "report.metric"),
     ],
-    ids=["inf-squash", "half-class", "nan-minimizer"],
+    ids=[
+        "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
+        "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
+    ],
 )
-def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, objective, field):
-    doc = copy.deepcopy(BASE_DOC)
-    doc["objective"] = objective
+def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
+    """Fields refused while a command prepares its runs fail it before anything is written."""
+    doc = dict(copy.deepcopy(BASE_DOC), **sections)
+    command = "sweep" if "sweep" in doc else "run"
     path = write_doc(tmp_path, doc)
-    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert cli.main([command, path, "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
 
@@ -369,6 +374,7 @@ _RUN_FIELD_ATTRS = {
         ("run.record_gradients", "no"),
         ("run.x_init", "12"),
         ("optimizer.theory", "false"),
+        ("optimizer.etta", 0.05),
         ("sweep.write_traces", "no"),
     ],
 )
@@ -388,7 +394,7 @@ def test_malformed_run_fields_name_their_path(field, value):
     valid = parse_sim_config(THEORY_DOC)
     with pytest.raises(InvalidConfigError) as err:
         if section == "optimizer":
-            dataclasses.replace(valid, optimizer=dict(valid.optimizer, theory=value))
+            dataclasses.replace(valid, optimizer=dict(valid.optimizer, **{key: value}))
         else:
             dataclasses.replace(valid, **{_RUN_FIELD_ATTRS[field]: value})
     assert err.value.field == field
@@ -536,6 +542,22 @@ def test_report_check_catches_tampering(tmp_path, capsys):
         assert "CHECK FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
+    doc = sweep_doc()
+    doc["sweep"] = dict(doc["sweep"], grid={"optimizer.eta": [0.05, 1e100]})
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged_total"] == 2
+    assert summary["acceptance"]["vanilla_unstable_gt_10"] is True
+    assert cli.main(["report", str(out), "--check"]) == 0
+    assert "CHECK PASS" in capsys.readouterr().out
+
+    path = write_doc(tmp_path, dict(BASE_DOC, optimizer={"method": "vanilla", "eta": 1e100}), "run.yaml")
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "run")]) == 1  # every seed diverged
+
+
 # ---------------------------------------------------------------- validate command
 
 
@@ -563,3 +585,28 @@ def test_validate_catches_mutated_thresholds(monkeypatch, capsys):
     assert cli.main(["validate"]) == 2
     out = capsys.readouterr().out
     assert "FAIL distribution_preservation" in out
+
+
+def test_checks_catch_drift_below_their_old_tolerances(monkeypatch):
+    """Drift that an absolute floor of 1e-15, or scaling by 1 + ||m||, let through."""
+    from stalegrad import checks, optimizers
+
+    named = dict(checks.CHECKS)
+    weight, run_simulation = optimizers.ordered_weight, checks.run_simulation
+
+    def drift_small_weights(beta, tau):  # 1.5e-12 relative, where the weight is below 1e-3
+        w = weight(beta, tau)
+        return w * (1 + 1.5e-12) if w < 1e-3 else w
+
+    monkeypatch.setattr(optimizers, "ordered_weight", drift_small_weights)
+    with pytest.raises(checks.Failure, match="tau=50"):
+        named["ordered_weight_properties"]()
+    monkeypatch.undo()
+
+    def drift_buffers(config):
+        trace = run_simulation(config)
+        return dataclasses.replace(trace, buffers=trace.buffers * (1 + 1.5e-9))
+
+    monkeypatch.setattr(checks, "run_simulation", drift_buffers)
+    with pytest.raises(checks.Failure, match="direct sum"):
+        named["unrolled_equivalence"]()

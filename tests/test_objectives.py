@@ -46,15 +46,6 @@ NONCONVEX = NonconvexQuadratic(
 LOGISTIC = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
 
 
-def _fd_gradient(objective, x, step=1e-6):
-    out = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        out[i] = (objective.loss(x + e) - objective.loss(x - e)) / (2 * step)
-    return out
-
-
 # ---------------------------------------------------------------- gradients
 
 
@@ -90,32 +81,6 @@ def test_curvature_must_be_symmetric_positive_definite():
         Quadratic(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]), offset=np.zeros(2))
 
 
-@pytest.mark.parametrize(
-    "objective", [QUAD, MIXTURE, NONCONVEX, LOGISTIC], ids=["quad", "mixture", "nonconvex", "logistic"]
-)
-def test_finite_difference_gradient(objective):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = rng.standard_normal(objective.dim)
-        g = objective.grad(x)
-        approx = _fd_gradient(objective, x)
-        denom = max(1.0, float(np.linalg.norm(g)))
-        assert np.linalg.norm(g - approx) / denom <= 1e-6
-
-
-@pytest.mark.parametrize(
-    "objective", [QUAD, MIXTURE, NONCONVEX, LOGISTIC], ids=["quad", "mixture", "nonconvex", "logistic"]
-)
-def test_smoothness_bound(objective):
-    lips = objective.theory_constants().lipschitz
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        x = rng.standard_normal(objective.dim)
-        y = rng.standard_normal(objective.dim)
-        lhs = np.linalg.norm(objective.grad(x) - objective.grad(y))
-        assert lhs <= lips * np.linalg.norm(x - y) * (1 + 1e-9)
-
-
 def test_lipschitz_is_largest_eigenvalue():
     assert QUAD.theory_constants().lipschitz == 4.0
     rng = np.random.default_rng(14)
@@ -132,12 +97,6 @@ def test_mixture_gradient_is_weighted_mean():
     got = MIXTURE.grad(np.zeros(2))
     want = -(0.1 * np.array([1.0, 0.0]) + 0.9 * np.array([-1.0, 0.0]))
     assert np.allclose(got, want, atol=1e-15)
-
-
-def test_mixture_minimizer():
-    m = MIXTURE.minimizer
-    assert np.allclose(m, [-0.8, 0.0], atol=1e-12)
-    assert np.linalg.norm(MIXTURE.grad(m)) <= 1e-12
 
 
 def test_mixture_weights_must_be_a_distribution():

@@ -40,12 +40,6 @@ def report(g, k, tau, pair=None):
 # ---------------------------------------------------------------- weights
 
 
-def test_ordered_weight_examples():
-    assert ordered_weight(0.1, 0) == 0.1
-    assert math.isclose(ordered_weight(0.1, 50), 5.15377520732012e-04, rel_tol=1e-12)
-    assert ordered_weight(0.5, 1) == 0.25
-
-
 @given(
     beta=st.floats(min_value=1e-6, max_value=1 - 1e-6),
     tau=st.integers(min_value=0, max_value=200),
