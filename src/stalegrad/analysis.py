@@ -93,7 +93,6 @@ class MetricSeries:
     """Per-run convergence metrics; optional entries need closed-form constants."""
 
     avg_sq_grad_norm: Array
-    excess_loss: Array | None
     final_loss: float
     final_excess: float | None
     final_distance: float | None
@@ -118,11 +117,10 @@ def confusion_counts(objective, x: Array) -> dict[str, Array]:
 
 
 def convergence_metrics(trace: RunTrace, objective) -> MetricSeries:
-    """Prefix-averaged squared gradient norms, excess losses, final distances."""
+    """Prefix-averaged squared gradient norms, final loss, excess and distance."""
     steps = np.arange(1, len(trace) + 1, dtype=np.float64)
     avg_sq = np.cumsum(np.square(trace.grad_norm)) / steps
     constants = objective.theory_constants()
-    excess = None if constants.f_star is None else trace.loss - constants.f_star
     final_loss = float(objective.loss(trace.final_iterate))
     final_excess = None if constants.f_star is None else final_loss - constants.f_star
     final_distance = (
@@ -137,7 +135,6 @@ def convergence_metrics(trace: RunTrace, objective) -> MetricSeries:
     )
     return MetricSeries(
         avg_sq_grad_norm=avg_sq,
-        excess_loss=excess,
         final_loss=final_loss,
         final_excess=final_excess,
         final_distance=final_distance,

@@ -164,8 +164,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
 # sweep
 
 
-def _sweep_worker(payload) -> dict:
-    expanded, traces_dir = payload
+def _sweep_worker(expanded) -> dict:
     config = expanded.config
     result = {
         "grid_index": expanded.grid_index,
@@ -191,10 +190,6 @@ def _sweep_worker(payload) -> dict:
     objective = _objective_for(config)
     result["eta"] = _jsonable(trace.resolved_params.get("eta"))
     result["metrics"] = _jsonable(_final_metrics(trace, objective))
-    if traces_dir is not None:
-        path = Path(traces_dir) / f"{expanded.run_id}.csv"
-        _write_trace_csv(trace, path)
-        result["trace"] = path.name
     return result
 
 
@@ -299,17 +294,11 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
 
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    traces_dir = None
-    if experiment.write_traces:
-        traces_dir = out / "traces"
-        traces_dir.mkdir(exist_ok=True)
-
-    payloads = [(item, None if traces_dir is None else str(traces_dir)) for item in expanded]
-    if experiment.parallelism > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(experiment.parallelism, len(payloads))) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+    if experiment.parallelism > 1 and len(expanded) > 1:
+        with ProcessPoolExecutor(max_workers=min(experiment.parallelism, len(expanded))) as pool:
+            results = list(pool.map(_sweep_worker, expanded))
     else:
-        results = [_sweep_worker(p) for p in payloads]
+        results = [_sweep_worker(item) for item in expanded]
 
     summary = _aggregate(results, metric)
     summary["grid"] = [[path, list(values)] for path, values in experiment.grid]

@@ -1,14 +1,15 @@
 """Config documents: loading, schema checks, and grid expansion.
 
-A document is YAML with nested sections::
+A document is YAML with nested sections; ``objective``, ``optimizer`` and
+``run`` (with ``workers`` and ``iterations``) are required::
 
     objective:   family + family-specific keys (see objectives.from_spec)
-    optimizer:   method + optional hyperparameters (defaults come from theory)
-    delay:       slow_weight
+    optimizer:   method, theory, eta, beta, gamma, tau_filter
+    delay:       slow_weight (0.1 without a delay section)
     run:         workers, iterations, seed, snapshot_stride,
                  record_gradients, x_init
     sweep:       grid (dotted path -> list of values), seeds {base, count},
-                 parallelism, write_traces
+                 parallelism
     output:      dir
     report:      metric
 
@@ -30,13 +31,13 @@ from pathlib import Path
 import yaml
 
 from .errors import InvalidConfigError
-from .objectives import integer_at_least, known_keys, true_or_false
+from .objectives import integer_at_least, known_keys
 from .simulation import DEFAULT_DELAY, SimConfig
 
 OUTPUT_DIR_ENV = "STALEGRAD_OUTPUT_DIR"
 
 _RUN_KEYS = {"workers", "iterations", "seed", "snapshot_stride", "record_gradients", "x_init"}
-_SWEEP_KEYS = {"grid", "seeds", "parallelism", "write_traces"}
+_SWEEP_KEYS = {"grid", "seeds", "parallelism"}
 _TOP_KEYS = {"objective", "optimizer", "delay", "run", "sweep", "output", "report"}
 
 
@@ -148,10 +149,6 @@ class ExpandedRun:
     overrides: tuple[tuple[str, object], ...]
     config: SimConfig
 
-    @property
-    def run_id(self) -> str:
-        return f"g{self.grid_index:04d}_s{self.config.seed}"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -163,7 +160,6 @@ class ExperimentConfig:
     seed_count: int
     output_dir: Path
     parallelism: int = 1
-    write_traces: bool = False
     report: Mapping = field(default_factory=dict)
 
     @classmethod
@@ -187,7 +183,6 @@ class ExperimentConfig:
             seed_count=seed_count,
             output_dir=base_dir,
             parallelism=parallelism,
-            write_traces=true_or_false(sweep.get("write_traces", False), "sweep.write_traces"),
             report=dict(doc.get("report") or {}),
         )
 

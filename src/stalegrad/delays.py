@@ -76,7 +76,6 @@ class DelayModel:
 
     num_workers: int
     arrival_probs: np.ndarray
-    slow_weight: float
     thresholds: np.ndarray
 
     def __post_init__(self):
@@ -92,13 +91,8 @@ class DelayModel:
         object.__setattr__(self, "_per_worker", tuple(zip(probs.tolist(), thresholds.tolist())))
 
     @classmethod
-    def build(
-        cls,
-        num_workers: int,
-        slow_weight: float,
-        arrival_probs: np.ndarray | None = None,
-    ) -> "DelayModel":
-        """Construct the default model (index-proportional arrival rates).
+    def build(cls, num_workers: int, slow_weight: float) -> "DelayModel":
+        """The model with index-proportional arrival rates (see the module docstring).
 
         A worker with p = 1 (only possible when M = 1) always returns in one
         step, so no finite threshold realizes the slow fraction; its
@@ -108,24 +102,11 @@ class DelayModel:
             raise InvalidConfigError(
                 "slow weight must lie strictly in (0,1)", field="delay.slow_weight"
             )
-        probs = (
-            default_arrival_probs(num_workers)
-            if arrival_probs is None
-            else np.asarray(arrival_probs, dtype=np.float64)
-        )
-        if probs.shape != (num_workers,):
-            raise InvalidConfigError("arrival_probs must have one entry per worker", field="delay.arrival_probs")
-        if np.any(probs <= 0) or np.any(probs > 1):
-            raise InvalidConfigError("arrival probabilities must lie in (0,1]", field="delay.arrival_probs")
+        probs = default_arrival_probs(num_workers)
         thresholds = np.array(
             [delay_threshold(slow_weight, p) if p < 1.0 else math.inf for p in probs]
         )
-        return cls(
-            num_workers=num_workers,
-            arrival_probs=probs,
-            slow_weight=slow_weight,
-            thresholds=thresholds,
-        )
+        return cls(num_workers=num_workers, arrival_probs=probs, thresholds=thresholds)
 
     def draw_ticket(
         self, worker_id: int, dispatch_iteration: int, clock: float, rng: np.random.Generator

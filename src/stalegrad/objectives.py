@@ -3,8 +3,8 @@
 Four families are provided, all cheap enough to evaluate exactly:
 
 * :class:`Quadratic` — f(x) = ½xᵀAx − bᵀx, positive definite A.
-* :class:`Mixture` — a weighted sum of quadratics; the first component is
-  the rare "slow" one, its weight matching the delay model's slow_weight.
+* :class:`Mixture` — a weighted sum of two quadratics; the first component
+  is the rare "slow" one, its weight matching the delay model's slow_weight.
 * :class:`NonconvexQuadratic` — a quadratic plus a bounded coordinatewise
   squash, lower bounded with a hand-derived smoothness constant.
 * :class:`Logistic` — multinomial cross-entropy on a synthetic dataset,
@@ -201,6 +201,10 @@ class _NoiseModel:
 
     # subclasses provide: dim, noise_sigma, component_grad, num_components
 
+    def _check_noise_sigma(self) -> None:
+        if not self.noise_sigma >= 0:
+            raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+
     def component_for(self, tag: str) -> int:
         """Map a delay-model component tag to a component index."""
         if tag not in (SLOW, FAST):
@@ -264,8 +268,7 @@ class Quadratic(_NoiseModel):
     def __post_init__(self):
         object.__setattr__(self, "offset", _freeze(np.atleast_1d(self.offset)))
         object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, self.offset.shape[0])))
-        if self.noise_sigma < 0:
-            raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+        self._check_noise_sigma()
         object.__setattr__(self, "_memo", ((None, None), (None, None)))
 
     @cached_property
@@ -320,7 +323,7 @@ class Quadratic(_NoiseModel):
 
 @dataclass(frozen=True)
 class Mixture(_NoiseModel):
-    """Weighted sum of quadratics; component 0 is the slow one.
+    """Weighted sum of two quadratics; component 0 is the slow one, 1 the fast one.
 
     The full gradient is the weight-averaged component gradient, and the
     minimizer solves (Σ q_c A_c) x = Σ q_c b_c in closed form.
@@ -333,15 +336,13 @@ class Mixture(_NoiseModel):
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.components) != len(self.weights) or not self.components:
-            raise InvalidConfigError("components and weights must be nonempty and aligned")
+        if len(self.components) != 2 or len(self.weights) != 2:
+            raise InvalidConfigError("a mixture has two components (slow, fast) and two weights")
         if any(not 0 < w < 1 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-12:
-            raise InvalidConfigError("weights must lie in (0,1) and sum to 1", field="objective.weights")
-        dims = {c.dim for c in self.components}
-        if len(dims) != 1:
-            raise InvalidConfigError("all components must share one dimension")
-        if self.noise_sigma < 0:
-            raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+            raise InvalidConfigError("weights must lie in (0,1) and sum to 1")
+        if self.components[0].dim != self.components[1].dim:
+            raise InvalidConfigError("both components must share one dimension")
+        self._check_noise_sigma()
 
     @cached_property
     def dim(self) -> int:
@@ -349,7 +350,7 @@ class Mixture(_NoiseModel):
 
     @property
     def num_components(self) -> int:
-        return len(self.components)
+        return 2
 
     def loss(self, x: Array) -> float:
         return float(sum(w * c.loss(x) for w, c in zip(self.weights, self.components)))
@@ -444,8 +445,7 @@ class NonconvexQuadratic(_NoiseModel):
     def __post_init__(self):
         if not self.squash_scale > 0:
             raise InvalidConfigError("squash_scale must be positive", field="objective.squash_scale")
-        if self.noise_sigma < 0:
-            raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+        self._check_noise_sigma()
 
     @cached_property
     def dim(self) -> int:
@@ -528,6 +528,7 @@ class Logistic(_NoiseModel):
             raise InvalidConfigError("group tags must be 0 (slow) or 1 (fast)")
         if abs(sum(self.group_weights) - 1.0) > 1e-12 or min(self.group_weights) <= 0:
             raise InvalidConfigError("group weights must be positive and sum to 1")
+        self._check_noise_sigma()
         groups = []
         for c in range(self.num_components):
             rows = np.flatnonzero(self.group_of == c)
@@ -622,19 +623,19 @@ def make_logistic(
     feature_dim: int,
     num_samples: int,
     slow_weight: float,
-    separation: float = 2.0,
-    data_seed: int = 0,
     noise_sigma: float = 0.0,
 ) -> Logistic:
     """Generate a Gaussian-blob classification dataset.
 
-    The slow group holds round(n·slow_weight) samples, all from the last
-    class (the rare, hard class); the fast group cycles over the others.
+    Class means are 2·N(0, I) draws from seed 0, and each sample adds N(0, I)
+    to its class mean.  The slow group holds round(n·slow_weight) samples,
+    all from the last class (the rare, hard class); the fast group cycles
+    over the others.
     """
     if num_classes < 2:
         raise InvalidConfigError("need at least two classes", field="objective.classes")
-    rng = np.random.default_rng(data_seed)
-    means = separation * rng.standard_normal((num_classes, feature_dim))
+    rng = np.random.default_rng(0)
+    means = 2.0 * rng.standard_normal((num_classes, feature_dim))
     n_slow = max(1, round(num_samples * slow_weight))
     if n_slow >= num_samples:
         raise InvalidConfigError("slow group would swallow the dataset", field="objective.samples")
@@ -657,7 +658,8 @@ def make_logistic(
 
 
 #: largest ``dim`` a config may ask for: its d×d float64 curvature matrix then
-#: takes at most 128 MiB, and a larger one is refused before it is allocated
+#: takes at most 128 MiB, and a larger one is refused before it is allocated.
+#: A logistic dataset gets the same budget of MAX_DIM² floats per per-sample array.
 MAX_DIM = 4096
 
 
@@ -668,42 +670,44 @@ def _dimension(value: Any, field: str) -> int:
     return dim
 
 
-_QUADRATIC_KEYS = frozenset({"dim", "curvature", "matrix", "offset", "minimizer"})
+_QUADRATIC_KEYS = frozenset({"dim", "curvature", "offset", "minimizer"})
 #: the keys each family reads, besides ``family``, ``noise_sigma``, ``dim`` and ``domain``
 _FAMILY_KEYS = {
     "quadratic": _QUADRATIC_KEYS,
-    "mixture": frozenset({"components", "weights"}),
+    "mixture": frozenset({"components"}),
     "nonconvex": _QUADRATIC_KEYS | {"squash_scale"},
-    "logistic": frozenset({"classes", "feature_dim", "samples", "separation", "data_seed"}),
+    "logistic": frozenset({"classes", "feature_dim", "samples"}),
 }
 
 
 def _quadratic_from_spec(
     spec: Mapping[str, Any], noise_sigma: float, path: str = "objective"
 ) -> Quadratic:
-    dim = spec.get("dim")
-    key = "curvature" if "curvature" in spec else "matrix"
-    curvature = finite_vector(spec.get(key, 1.0), f"{path}.{key}")
-    if "offset" in spec:
-        offset = finite_vector(spec["offset"], f"{path}.offset")
-    elif "minimizer" in spec:
-        target = finite_vector(spec["minimizer"], f"{path}.minimizer")
-        matrix = _as_matrix(curvature, target.shape[0])
-        return Quadratic(matrix=matrix, offset=matrix @ target, noise_sigma=noise_sigma)
+    """A quadratic from ``offset``, from ``minimizer`` (b = A·minimizer), or zero b of ``dim``."""
+    if "offset" in spec and "minimizer" in spec:
+        raise InvalidConfigError("give offset or minimizer, not both", field=f"{path}.minimizer")
+    curvature = finite_vector(spec.get("curvature", 1.0), f"{path}.curvature")
+    dim = None if spec.get("dim") is None else _dimension(spec["dim"], f"{path}.dim")
+    key = "offset" if "offset" in spec else "minimizer" if "minimizer" in spec else None
+    if key is not None:
+        vector = finite_vector(spec[key], f"{path}.{key}")
+        if dim is not None and vector.shape != (dim,):
+            raise InvalidConfigError(f"{key} has {vector.size} entries, not {dim}", field=f"{path}.dim")
     elif dim is not None:
-        offset = np.zeros(_dimension(dim, f"{path}.dim"))
+        vector = np.zeros(dim)
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
-    matrix = _as_matrix(curvature, offset.shape[0])
+    matrix = _as_matrix(curvature, vector.shape[0])
+    offset = matrix @ vector if key == "minimizer" else vector
     return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
 
 
 def from_spec(spec: Mapping[str, Any], slow_weight: float):
     """Build an objective from its config-document form.
 
-    ``slow_weight`` comes from the delay section; mixtures and the logistic
-    family must agree with it so the realized sampling proportions match
-    the objective's weights.
+    ``slow_weight`` comes from the delay section and weighs the slow
+    component of a mixture and the slow group of the logistic family, so
+    the objective's weights are the realized sampling proportions.
     """
     family = spec.get("family")
     if family in _FAMILY_KEYS:
@@ -714,29 +718,16 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
         return _quadratic_from_spec(spec, noise_sigma)
     if family == "mixture":
         raw = spec.get("components")
-        if not raw or len(raw) < 2:
-            raise InvalidConfigError("mixture needs >= 2 components", field="objective.components")
+        if not raw or len(raw) != 2:
+            raise InvalidConfigError(
+                "a mixture has exactly two components, slow then fast", field="objective.components"
+            )
         for i, c in enumerate(raw):
             known_keys(c, _QUADRATIC_KEYS, f"objective.components.{i}")
         components = tuple(
             _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(raw)
         )
-        weights = spec.get("weights")
-        if weights is None:
-            if len(components) != 2:
-                raise InvalidConfigError(
-                    "weights required for mixtures with more than two components",
-                    field="objective.weights",
-                )
-            weights = (slow_weight, 1.0 - slow_weight)
-        weights = tuple(finite_number(w, f"objective.weights.{i}") for i, w in enumerate(weights))
-        if abs(weights[0] - slow_weight) > 1e-12:
-            raise InvalidConfigError(
-                "first mixture weight must equal delay.slow_weight "
-                "(component 0 is the slow component)",
-                field="objective.weights",
-            )
-        return Mixture(components=components, weights=weights, noise_sigma=noise_sigma)
+        return Mixture(components, (slow_weight, 1.0 - slow_weight), noise_sigma)
     if family == "nonconvex":
         base = _quadratic_from_spec(spec, 0.0)
         return NonconvexQuadratic(
@@ -745,15 +736,19 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
             noise_sigma=noise_sigma,
         )
     if family == "logistic":
-        return make_logistic(
-            num_classes=whole_number(spec.get("classes", 3), "objective.classes"),
-            feature_dim=whole_number(spec.get("feature_dim", 4), "objective.feature_dim"),
-            num_samples=whole_number(spec.get("samples", 200), "objective.samples"),
-            slow_weight=slow_weight,
-            separation=finite_number(spec.get("separation", 2.0), "objective.separation"),
-            data_seed=whole_number(spec.get("data_seed", 0), "objective.data_seed"),
-            noise_sigma=noise_sigma,
-        )
+        classes = whole_number(spec.get("classes", 3), "objective.classes")
+        feature_dim = whole_number(spec.get("feature_dim", 4), "objective.feature_dim")
+        samples = whole_number(spec.get("samples", 200), "objective.samples")
+        if classes * feature_dim > MAX_DIM:
+            raise InvalidConfigError(
+                f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim"
+            )
+        if samples * max(classes, feature_dim) > MAX_DIM**2:
+            raise InvalidConfigError(
+                f"samples·max(classes, feature_dim) must be at most {MAX_DIM**2}",
+                field="objective.samples",
+            )
+        return make_logistic(classes, feature_dim, samples, slow_weight, noise_sigma)
     raise InvalidConfigError(f"unknown objective family {family!r}", field="objective.family")
 
 

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import InvalidConfigError, ProtocolError
-from .objectives import BallDomain, finite_number
+from .objectives import BallDomain
 
 Array = np.ndarray
 
@@ -393,13 +393,11 @@ def theorem2_step_window(
     diameter: float,
     total_iterations: int,
     num_workers: int,
-    bound_constant: float = 1.0,
 ) -> StepWindow:
-    """η_max = 1/(4LT); η_min = 1/(T·c·((σ/D + σ_L)√T + LM)).
+    """η_max = 1/(4LT); η_min = 1/(T·((σ/D + σ_L)√T + LM)).
 
-    ``bound_constant`` (c above, default 1) is the constant hidden in the
-    stability bound's upper end; only the window's ratio matters for the
-    robustness checks, so it is exposed as a knob rather than estimated.
+    The stability bound's upper end hides a constant, taken here as 1:
+    only the window's ratio matters for the robustness checks.
     """
     for name, value in (("lipschitz", lipschitz), ("diameter", diameter)):
         if not value > 0:
@@ -408,14 +406,13 @@ def theorem2_step_window(
         raise InvalidConfigError("noise levels must be nonnegative")
     if total_iterations < 1 or num_workers < 1:
         raise InvalidConfigError("iteration and worker counts must be positive")
-    require_in_range(bound_constant, "optimizer.bound_constant")
     eta_max = 1.0 / (4.0 * lipschitz * total_iterations)
     envelope = (sigma / diameter + sigma_l) * math.sqrt(total_iterations) + lipschitz * num_workers
-    eta_min = 1.0 / (total_iterations * bound_constant * envelope)
+    eta_min = 1.0 / (total_iterations * envelope)
     return StepWindow(eta_min=eta_min, eta_max=eta_max)
 
 
-def _resolve_theorem1(opt: Mapping[str, Any], constants, domain, T: int, M: int) -> dict:
+def _resolve_theorem1(constants, domain, T: int, M: int) -> dict:
     """η and β from Theorem 1; needs closed-form σ and Δ."""
     for name in ("sigma", "delta_gap"):
         if getattr(constants, name) is None:
@@ -427,16 +424,15 @@ def _resolve_theorem1(opt: Mapping[str, Any], constants, domain, T: int, M: int)
     return {"eta": params.eta, "beta": params.beta}
 
 
-def _resolve_theorem2(opt: Mapping[str, Any], constants, domain, T: int, M: int) -> dict:
+def _resolve_theorem2(constants, domain, T: int, M: int) -> dict:
     """η at the top of Theorem 2's stable window; needs closed-form σ and σ_L."""
     if constants.sigma is None or constants.sigma_l is None:
         raise InvalidConfigError(
             "objective lacks closed-form noise constants; give eta explicitly",
             field="optimizer.theory",
         )
-    bound = finite_number(opt.get("bound_constant", 1.0), "optimizer.bound_constant")
     window = theorem2_step_window(
-        constants.lipschitz, constants.sigma, constants.sigma_l, domain.diameter, T, M, bound
+        constants.lipschitz, constants.sigma, constants.sigma_l, domain.diameter, T, M
     )
     return {"eta": window.eta_max, "eta_min": window.eta_min, "eta_max": window.eta_max}
 
@@ -462,7 +458,7 @@ class Method:
     buffer: str | None = None
     descent: str | None = None
     paired: bool = False  # needs the same-sample gradient at the previous query
-    theory: Callable[..., dict] | None = None  # (opt, constants, domain, T, M) -> params
+    theory: Callable[..., dict] | None = None  # (constants, domain, T, M) -> params
 
 
 METHOD_TABLE: dict[str, Method] = {

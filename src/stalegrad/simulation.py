@@ -37,7 +37,6 @@ from .errors import (
 )
 from .objectives import FAST, SLOW, euclidean_norm, integer_at_least, known_keys, true_or_false
 from .objectives import finite_number as _number
-from .objectives import finite_vector as _vector
 
 logger = logging.getLogger(__name__)
 
@@ -48,9 +47,8 @@ Array = np.ndarray
 DEFAULT_DELAY: Mapping[str, Any] = {"slow_weight": 0.1}
 
 _STEP_KEYS = ("eta", "beta", "gamma", "tau_filter")
-_ADAPTIVE_KEYS = ("lipschitz", "delta_gap", "sigma")
 #: every optimizer key some method reads; a grid sweep shares one section across methods
-_OPTIMIZER_KEYS = frozenset({"method", "theory", "bound_constant", *_STEP_KEYS, *_ADAPTIVE_KEYS})
+_OPTIMIZER_KEYS = frozenset({"method", "theory", *_STEP_KEYS})
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class SimConfig:
     """Everything one run needs; plain data so it hashes and pickles cleanly.
 
     ``objective`` and ``optimizer`` are nested documents in the same shape
-    the YAML config uses; ``delay`` holds at least ``slow_weight``.
+    the YAML config uses; ``delay`` holds ``slow_weight``.
 
     Building one checks the run fields and names the field at fault, so a
     config from YAML, from code or from ``dataclasses.replace`` fails here,
@@ -196,16 +194,16 @@ def _blame(field: str):
         raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
 
 
-def _adaptive_constants(opt, objective, x1: Array, T: int, M: int, resolved: dict):
-    """Delay-adaptive constants: explicit optimizer values, else the objective's."""
+def _adaptive_constants(objective, x1: Array, T: int, M: int, resolved: dict):
+    """Delay-adaptive constants: the objective's closed-form L, Δ and σ."""
     constants = objective.theory_constants(x_init=x1)
     values = {}
-    for name in _ADAPTIVE_KEYS:
-        value = opt.get(name, getattr(constants, name))
-        if value is None:
-            message = f"objective lacks closed-form {name}; supply it explicitly"
-            raise InvalidConfigError(message, field=f"optimizer.{name}")
-        values[name] = _number(value, f"optimizer.{name}")
+    for name in ("lipschitz", "delta_gap", "sigma"):
+        value = getattr(constants, name)
+        if value is None or not 0 < value < math.inf:
+            message = f"delay_adaptive needs a positive, finite closed-form {name}, got {value!r}"
+            raise InvalidConfigError(message, field="optimizer.method")
+        values[name] = float(value)
     resolved.update(values)
     return optimizers.AdaptiveConstants(num_workers=M, total_iterations=T, **values)
 
@@ -214,14 +212,11 @@ def _prepare(config: SimConfig) -> _Prepared:
     """Build every object a run needs; the run fields were checked in ``SimConfig``."""
     T, M = config.total_iterations, config.num_workers
     with _blame("delay"):
-        delay_spec = dict(config.delay)
-        if delay_spec.get("slow_weight") is None:
+        known_keys(config.delay, ("slow_weight",), "delay")
+        if config.delay.get("slow_weight") is None:
             raise InvalidConfigError("missing", field="delay.slow_weight")
-        slow_weight = _number(delay_spec["slow_weight"], "delay.slow_weight")
-        probs = delay_spec.get("arrival_probs")
-        model = delays.DelayModel.build(
-            M, slow_weight, None if probs is None else _vector(probs, "delay.arrival_probs")
-        )
+        slow_weight = _number(config.delay["slow_weight"], "delay.slow_weight")
+        model = delays.DelayModel.build(M, slow_weight)
 
     with _blame("objective"):
         objective = objectives.from_spec(config.objective, slow_weight)
@@ -249,7 +244,7 @@ def _prepare(config: SimConfig) -> _Prepared:
                 f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
             )
         with _blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
-            resolved.update(row.theory(opt, objective.theory_constants(x_init=x1), domain, T, M))
+            resolved.update(row.theory(objective.theory_constants(x_init=x1), domain, T, M))
     for name in _STEP_KEYS:
         if name in opt:
             resolved[name] = _number(opt[name], f"optimizer.{name}")
@@ -258,7 +253,7 @@ def _prepare(config: SimConfig) -> _Prepared:
         if name == "domain":
             return domain
         if name == "adaptive":
-            return _adaptive_constants(opt, objective, x1, T, M, resolved)
+            return _adaptive_constants(objective, x1, T, M, resolved)
         if name not in resolved:
             raise InvalidConfigError("missing", field=f"optimizer.{name}")
         return resolved[name]

@@ -166,8 +166,6 @@ def test_expansion_is_grid_major_seed_minor():
     assert len(expanded) == 399
     order = [(e.grid_index, e.seed_index) for e in expanded]
     assert order == [(g, s) for g in range(57) for s in range(7)]
-    assert expanded[0].run_id == "g0000_s3"
-    assert expanded[-1].run_id == "g0056_s9"
     assert all(e.config.seed == 3 + e.seed_index for e in expanded)
     # the overrides really landed in the expanded configs
     assert expanded[7].config.optimizer["beta"] == 0.2
@@ -316,6 +314,8 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
 
 
 _QUAD_2D = {"family": "quadratic", "dim": 2}
+_MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
+_LOGISTIC = {"family": "logistic"}
 
 
 @pytest.mark.parametrize(
@@ -330,10 +330,24 @@ _QUAD_2D = {"family": "quadratic", "dim": 2}
         ({"run": {"workers": 2, "iterations": 40, "x_init": [0.0]}}, "run.x_init"),
         ({"optimizer": {"method": "vanilla", "eta": 0.05, "theory": True}}, "optimizer.theory"),
         ({"report": {"metric": "accuracy"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}}, "report.metric"),
+        ({"objective": dict(_MIXTURE_2D, weights=[0.1, 0.9])}, "objective.weights"),
+        ({"objective": dict(_MIXTURE_2D, components=_MIXTURE_2D["components"] * 2)}, "objective.components"),
+        ({"objective": {"family": "quadratic", "matrix": 2.0, "minimizer": [1.0, -1.0]}}, "objective.matrix"),
+        ({"objective": dict(_LOGISTIC, separation=2.0)}, "objective.separation"),
+        ({"objective": dict(_LOGISTIC, data_seed=0)}, "objective.data_seed"),
+        ({"optimizer": {"method": "vanilla", "eta": 0.05, "bound_constant": 1}}, "optimizer.bound_constant"),
+        ({"optimizer": {"method": "delay_adaptive", "lipschitz": 2.0}}, "optimizer.lipschitz"),
+        ({"optimizer": {"method": "delay_adaptive", "delta_gap": 2.0}}, "optimizer.delta_gap"),
+        ({"optimizer": {"method": "delay_adaptive", "sigma": 2.0}}, "optimizer.sigma"),
+        ({"objective": _LOGISTIC, "optimizer": {"method": "delay_adaptive"}}, "optimizer.method"),
+        ({"delay": {"slow_weight": 0.1, "arrival_probs": [0.5, 0.5]}}, "delay.arrival_probs"),
+        ({"sweep": {"grid": {"optimizer.eta": [0.05]}, "write_traces": False}}, "sweep.write_traces"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
         "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
+        "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
+        "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -375,7 +389,6 @@ _RUN_FIELD_ATTRS = {
         ("run.x_init", "12"),
         ("optimizer.theory", "false"),
         ("optimizer.etta", 0.05),
-        ("sweep.write_traces", "no"),
     ],
 )
 def test_malformed_run_fields_name_their_path(field, value):
@@ -383,13 +396,8 @@ def test_malformed_run_fields_name_their_path(field, value):
     doc = copy.deepcopy(THEORY_DOC)
     doc.setdefault(section, {})[key] = value
     with pytest.raises(InvalidConfigError) as err:
-        if section == "sweep":
-            ExperimentConfig.from_document(doc)
-        else:
-            parse_sim_config(doc)
+        parse_sim_config(doc)
     assert err.value.field == field
-    if section == "sweep":
-        return
     # A SimConfig built in code skips check_document; constructing it must still refuse it.
     valid = parse_sim_config(THEORY_DOC)
     with pytest.raises(InvalidConfigError) as err:
@@ -436,18 +444,31 @@ _VALID_DOCS = [
         "run": _SMALL_RUN,
     },
     {
-        "objective": {"family": "nonconvex", "dim": 3, "squash_scale": 2.0},
-        "optimizer": {"method": "delay_filtered", "eta": 0.05, "tau_filter": 2},
-        "delay": {"slow_weight": 0.2, "arrival_probs": [0.5, 0.5, 0.5]},
+        "objective": {
+            "family": "nonconvex",
+            "dim": 3,
+            "minimizer": [0.5, -0.5, 1.0],
+            "squash_scale": 2.0,
+            "noise_sigma": 0.5,
+        },
+        "optimizer": {"method": "delay_adaptive"},
+        "delay": {"slow_weight": 0.2},
         "run": _SMALL_RUN,
     },
     {
         "objective": {"family": "logistic", "classes": 2, "feature_dim": 2, "samples": 20},
-        "optimizer": {"method": "delay_adaptive"},
+        "optimizer": {"method": "delay_filtered", "eta": 0.05, "tau_filter": 2},
         "delay": {"slow_weight": 0.1},
         "run": _SMALL_RUN,
     },
 ]
+
+
+@pytest.mark.parametrize("doc", _VALID_DOCS, ids=lambda doc: doc["optimizer"]["method"])
+def test_mutation_base_documents_run(doc):
+    """Each base document runs unmutated, so its mutations test more than the failure path."""
+    trace = run(parse_sim_config(doc))
+    assert len(trace) == doc["run"]["iterations"]
 
 
 def _paths(node, prefix=()):

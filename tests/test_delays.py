@@ -150,5 +150,3 @@ def test_build_validation():
     with pytest.raises(InvalidConfigError) as err:
         DelayModel.build(4, 1.2)
     assert "delay.slow_weight" in str(err.value)
-    with pytest.raises(InvalidConfigError):
-        DelayModel.build(4, 0.1, arrival_probs=[0.5, 0.5])  # wrong length

@@ -1,5 +1,6 @@
 """Objective families: gradients, smoothness constants, noise, and the ball domain."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -105,6 +106,17 @@ def test_mixture_weights_must_be_a_distribution():
         Mixture(components=comps, weights=(0.5, 0.6), noise_sigma=0.0)
     with pytest.raises(InvalidConfigError):
         Mixture(components=comps, weights=(0.0, 1.0), noise_sigma=0.0)
+    with pytest.raises(InvalidConfigError):
+        Mixture(components=comps + comps[:1], weights=(0.1, 0.4, 0.5), noise_sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "objective", [QUAD, MIXTURE, NONCONVEX, LOGISTIC], ids=lambda o: type(o).__name__
+)
+def test_every_family_refuses_negative_noise(objective):
+    with pytest.raises(InvalidConfigError) as err:
+        dataclasses.replace(objective, noise_sigma=-0.5)
+    assert err.value.field == "objective.noise_sigma"
 
 
 def test_mixture_sigma_closed_form():
@@ -444,15 +456,12 @@ def test_from_spec_mixture_defaults_to_delay_weights():
     assert mix.weights == (0.1, 0.9)
 
 
-def test_from_spec_mixture_weight_mismatch():
-    spec = {
-        "family": "mixture",
-        "components": [{"minimizer": [1.0]}, {"minimizer": [-1.0]}],
-        "weights": [0.2, 0.8],
-    }
+@pytest.mark.parametrize("count", [1, 3])
+def test_from_spec_mixture_needs_exactly_two_components(count):
+    spec = {"family": "mixture", "components": [{"minimizer": [float(i)]} for i in range(count)]}
     with pytest.raises(InvalidConfigError) as err:
         from_spec(spec, 0.1)
-    assert "objective.weights" in str(err.value)
+    assert err.value.field == "objective.components"
 
 
 def test_from_spec_unknown_family():
@@ -479,13 +488,14 @@ def test_domain_from_spec():
     [
         ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
         ({"family": "nonconvex", "dim": 2, "squash_scale": math.nan}, "objective.squash_scale"),
-        ({"family": "logistic", "separation": math.inf}, "objective.separation"),
-        ({"family": "logistic", "separation": -math.inf}, "objective.separation"),
-        ({"family": "logistic", "separation": math.nan}, "objective.separation"),
+        # separation, data_seed, matrix and weights are not keys: each is refused by name
+        ({"family": "logistic", "separation": 2.0}, "objective.separation"),
+        ({"family": "logistic", "separation": 0.5, "noise_sigma": 0.1}, "objective.separation"),
+        ({"family": "logistic", "classes": 3, "samples": 200, "separation": 2}, "objective.separation"),
         ({"family": "logistic", "classes": 2.5}, "objective.classes"),
         ({"family": "logistic", "feature_dim": 3.5}, "objective.feature_dim"),
         ({"family": "logistic", "samples": 100.5}, "objective.samples"),
-        ({"family": "logistic", "data_seed": 0.5}, "objective.data_seed"),
+        ({"family": "logistic", "data_seed": 0}, "objective.data_seed"),
         ({"family": "logistic", "classes": math.inf}, "objective.classes"),
         ({"family": "quadratic", "dim": 2.5}, "objective.dim"),
         (
@@ -499,14 +509,14 @@ def test_domain_from_spec():
             {"family": "quadratic", "curvature": [1.0, math.nan], "minimizer": [1.0, 1.0]},
             "objective.curvature",
         ),
-        ({"family": "nonconvex", "dim": 2, "matrix": [[1.0, 0.0], [0.0, math.inf]]}, "objective.matrix"),
+        ({"family": "nonconvex", "dim": 2, "matrix": [[1.0, 0.0], [0.0, 2.0]]}, "objective.matrix"),
         (
             {"family": "mixture", "components": [{"minimizer": [math.nan]}, {"minimizer": [1.0]}]},
             "objective.components.0.minimizer",
         ),
         (
-            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1}], "weights": [0.1, "fast"]},
-            "objective.weights.1",
+            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1}], "weights": [0.1, 0.9]},
+            "objective.weights",
         ),
         ({"family": "quadratic", "dim": 32764}, "objective.dim"),
         ({"family": "quadratic", "dim": 0}, "objective.dim"),
@@ -519,6 +529,29 @@ def test_domain_from_spec():
             "objective.domain.center",
         ),
         ({"family": "quadratic", "offset": [0.0], "dim": 4097, "domain": {"radius": 1.0}}, "objective.dim"),
+        (
+            {"family": "nonconvex", "dim": 2, "curvature": [[1.0, 0.0], [0.0, math.inf]]},
+            "objective.curvature",
+        ),
+        (
+            {"family": "mixture", "components": [{"minimizer": [0.0]}, {"dim": 1, "matrix": 2.0}]},
+            "objective.components.1.matrix",
+        ),
+        ({"family": "logistic", "noise_sigma": -0.5}, "objective.noise_sigma"),
+        ({"family": "logistic", "samples": 10**9}, "objective.samples"),
+        ({"family": "logistic", "classes": 2, "feature_dim": 2049}, "objective.feature_dim"),
+        ({"family": "logistic", "classes": 4096, "feature_dim": 1, "samples": 4097}, "objective.samples"),
+        ({"family": "quadratic", "offset": [1.0, 0.0], "minimizer": [5.0, 5.0]}, "objective.minimizer"),
+        ({"family": "quadratic", "dim": 3, "minimizer": [1.0, 2.0]}, "objective.dim"),
+        ({"family": "nonconvex", "dim": 1, "offset": [1.0, 2.0]}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"minimizer": [1.0]}, {"dim": 2, "offset": [1.0]}]},
+            "objective.components.1.dim",
+        ),
+        (
+            {"family": "mixture", "components": [{"offset": [1.0], "minimizer": [1.0]}, {"dim": 1}]},
+            "objective.components.0.minimizer",
+        ),
     ],
 )
 def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):

@@ -1,10 +1,11 @@
 """Update rules: ordered methods, the five baselines, and theory parameters."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stalegrad import optimizers
@@ -46,7 +47,9 @@ def report(g, k, tau, pair=None):
 )
 def test_ordered_weight_restores_ema_weight(beta, tau):
     # applying at delay tau then decaying s more steps equals the weight of
-    # an on-time gradient decayed tau+s steps — the defining property
+    # an on-time gradient decayed tau+s steps — the defining property.
+    # Subnormal weights carry too few digits for a relative comparison.
+    assume(ordered_weight(beta, tau + 3) >= sys.float_info.min)
     assert math.isclose(
         ordered_weight(beta, tau) * (1 - beta) ** 3,
         ordered_weight(beta, tau + 3) / (1 - beta) ** 0,
