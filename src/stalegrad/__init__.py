@@ -5,136 +5,4 @@ systematically carry one data component, plus the optimizers built to
 survive that coupling and the analysis oracles used to audit them.
 """
 
-from .analysis import (
-    ErrorDecomposition,
-    F1Scores,
-    MetricSeries,
-    bias_experiment_gap,
-    convergence_metrics,
-    error_decomposition_series,
-    f1_from_confusion,
-    f1_scores,
-    pending_sets,
-    verify_trace_invariants,
-    virtual_momentum_and_bias,
-    waiting_time_gof,
-)
-from .config import ExpandedRun, ExperimentConfig, load_document, parse_sim_config
-from .delays import (
-    DelayModel,
-    DispatchTicket,
-    assign_component,
-    default_arrival_probs,
-    delay_threshold,
-    draw_waiting_time,
-)
-from .errors import (
-    ContractViolationError,
-    DivergedRunError,
-    InsufficientTraceError,
-    InvalidComparisonError,
-    InvalidConfigError,
-    ProtocolError,
-    ReplayDivergenceError,
-    StalegradError,
-    UnsupportedObjectiveError,
-)
-from .objectives import (
-    FAST,
-    SLOW,
-    BallDomain,
-    Logistic,
-    Mixture,
-    NonconvexQuadratic,
-    Quadratic,
-    TheoryConstants,
-    domain_from_spec,
-    from_spec,
-    make_logistic,
-)
-from .optimizers import (
-    METHODS,
-    AdaptiveConstants,
-    BaselineState,
-    DelayedGradientReport,
-    OrderedMomentumState,
-    OrderedMu2State,
-    StepWindow,
-    Theorem1Params,
-    delay_adaptive_step_size,
-    ordered_weight,
-    step_baseline,
-    step_ordered_momentum,
-    step_ordered_mu2,
-    theorem1_params,
-    theorem2_step_window,
-)
-from .simulation import RunTrace, SimConfig, config_hash, replay_check, run, validate_config
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptiveConstants",
-    "BallDomain",
-    "BaselineState",
-    "ContractViolationError",
-    "DelayModel",
-    "DelayedGradientReport",
-    "DispatchTicket",
-    "DivergedRunError",
-    "ErrorDecomposition",
-    "ExpandedRun",
-    "ExperimentConfig",
-    "F1Scores",
-    "FAST",
-    "InsufficientTraceError",
-    "InvalidComparisonError",
-    "InvalidConfigError",
-    "Logistic",
-    "METHODS",
-    "MetricSeries",
-    "Mixture",
-    "NonconvexQuadratic",
-    "OrderedMomentumState",
-    "OrderedMu2State",
-    "ProtocolError",
-    "Quadratic",
-    "ReplayDivergenceError",
-    "RunTrace",
-    "SLOW",
-    "SimConfig",
-    "StalegradError",
-    "StepWindow",
-    "Theorem1Params",
-    "TheoryConstants",
-    "UnsupportedObjectiveError",
-    "assign_component",
-    "bias_experiment_gap",
-    "config_hash",
-    "convergence_metrics",
-    "default_arrival_probs",
-    "delay_adaptive_step_size",
-    "delay_threshold",
-    "domain_from_spec",
-    "draw_waiting_time",
-    "error_decomposition_series",
-    "f1_from_confusion",
-    "f1_scores",
-    "from_spec",
-    "load_document",
-    "make_logistic",
-    "ordered_weight",
-    "parse_sim_config",
-    "pending_sets",
-    "replay_check",
-    "run",
-    "step_baseline",
-    "step_ordered_momentum",
-    "step_ordered_mu2",
-    "theorem1_params",
-    "theorem2_step_window",
-    "validate_config",
-    "verify_trace_invariants",
-    "virtual_momentum_and_bias",
-    "waiting_time_gof",
-]

@@ -54,11 +54,6 @@ class ErrorDecomposition:
     epsilon_hat: Array
     bias: Array
 
-    @property
-    def virtual_momentum_offset(self) -> Array:
-        """m̂_t − m_t (what filling the pending slots would add)."""
-        return -self.bias
-
 
 def error_decomposition_series(trace: RunTrace, objective, beta: float | None = None) -> list[ErrorDecomposition]:
     """Per-step decomposition for an ordered-momentum trace."""
@@ -79,13 +74,6 @@ def error_decomposition_series(trace: RunTrace, objective, beta: float | None = 
         epsilon = trace.buffers[i] - grad
         out.append(ErrorDecomposition(epsilon=epsilon, epsilon_hat=epsilon - bias, bias=bias))
     return out
-
-
-def virtual_momentum_and_bias(trace: RunTrace, objective, t: int) -> ErrorDecomposition:
-    """The decomposition at one iteration (1-based)."""
-    if not 1 <= t <= len(trace):
-        raise InsufficientTraceError(f"iteration {t} outside the recorded range")
-    return error_decomposition_series(trace, objective)[t - 1]
 
 
 @dataclass(frozen=True)

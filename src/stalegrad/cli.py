@@ -172,7 +172,6 @@ def _sweep_worker(expanded) -> dict:
         "seed": config.seed,
         "overrides": [[path, _jsonable(value)] for path, value in expanded.overrides],
         "method": config.optimizer.get("method"),
-        "config_hash": config_hash(config),
         "eta": None,
         "diverged": False,
         "error": None,
@@ -180,9 +179,8 @@ def _sweep_worker(expanded) -> dict:
     }
     try:
         trace = run_simulation(config)
-    except DivergedRunError as exc:
+    except DivergedRunError:
         result["diverged"] = True
-        result["diverged_step"] = exc.step
         return result
     except StalegradError as exc:
         result["error"] = str(exc)

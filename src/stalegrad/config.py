@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import os
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -34,10 +33,11 @@ from .errors import InvalidConfigError
 from .objectives import integer_at_least, known_keys
 from .simulation import DEFAULT_DELAY, SimConfig
 
-OUTPUT_DIR_ENV = "STALEGRAD_OUTPUT_DIR"
-
 _RUN_KEYS = {"workers", "iterations", "seed", "snapshot_stride", "record_gradients", "x_init"}
 _SWEEP_KEYS = {"grid", "seeds", "parallelism"}
+_SEED_KEYS = {"base", "count"}
+_OUTPUT_KEYS = {"dir"}
+_REPORT_KEYS = {"metric"}
 _TOP_KEYS = {"objective", "optimizer", "delay", "run", "sweep", "output", "report"}
 
 
@@ -96,6 +96,8 @@ def check_document(doc: Mapping) -> None:
     for key in ("workers", "iterations"):
         if key not in run:
             raise InvalidConfigError("value is required", field=f"run.{key}")
+    known_keys(_expect_mapping(doc, "output", required=False), _OUTPUT_KEYS, "output")
+    known_keys(_expect_mapping(doc, "report", required=False), _REPORT_KEYS, "report")
     if "sweep" in doc:
         sweep = _expect_mapping(doc, "sweep", required=False)
         known_keys(sweep, _SWEEP_KEYS, "sweep")
@@ -107,6 +109,10 @@ def check_document(doc: Mapping) -> None:
                 raise InvalidConfigError(
                     "axis must be a nonempty list", field=f"sweep.grid.{path}"
                 )
+        seeds = sweep.get("seeds") or {}
+        if not isinstance(seeds, Mapping):
+            raise InvalidConfigError("must be a mapping with base and count", field="sweep.seeds")
+        known_keys(seeds, _SEED_KEYS, "sweep.seeds")
 
 
 def parse_sim_config(doc: Mapping) -> SimConfig:
@@ -169,29 +175,21 @@ class ExperimentConfig:
         grid_section = sweep.get("grid") or {}
         grid = tuple((str(path), tuple(values)) for path, values in grid_section.items())
         seeds = sweep.get("seeds") or {}
-        if not isinstance(seeds, Mapping):
-            raise InvalidConfigError("must be a mapping with base and count", field="sweep.seeds")
         seed_base = integer_at_least(seeds.get("base", base.seed), "sweep.seeds.base", 0)
         seed_count = integer_at_least(seeds.get("count", 1), "sweep.seeds.count", 1)
         parallelism = integer_at_least(sweep.get("parallelism", 1), "sweep.parallelism", 1)
-        output = dict(doc.get("output") or {})
-        base_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or output.get("dir") or "results")
+        output_dir = doc.get("output", {}).get("dir", "results")
+        if not isinstance(output_dir, str) or not output_dir:
+            raise InvalidConfigError("must be a nonempty path", field="output.dir")
         return cls(
             document=dict(doc),
             grid=grid,
             seed_base=seed_base,
             seed_count=seed_count,
-            output_dir=base_dir,
+            output_dir=Path(output_dir),
             parallelism=parallelism,
-            report=dict(doc.get("report") or {}),
+            report=dict(doc.get("report", {})),
         )
-
-    @property
-    def grid_size(self) -> int:
-        size = 1
-        for _, values in self.grid:
-            size *= len(values)
-        return size
 
     def expand(self) -> list[ExpandedRun]:
         """All grid points × seeds, in grid-major, seed-minor order."""

@@ -63,7 +63,6 @@ def assign_component(ticket_wait: int, threshold: float) -> str:
 class DispatchTicket:
     """One round trip: dispatched at ``dispatch_iteration``, due at ``return_clock``."""
 
-    worker_id: int
     dispatch_iteration: int
     return_clock: float
     waiting_time: int
@@ -114,6 +113,5 @@ class DelayModel:
         """Draw one ticket; the single draw fixes both schedule and component."""
         p, threshold = self._per_worker[worker_id]
         wait = draw_waiting_time(p, rng)
-        return DispatchTicket(
-            worker_id, dispatch_iteration, clock + wait, wait, assign_component(wait, threshold)
-        )
+        component = assign_component(wait, threshold)
+        return DispatchTicket(dispatch_iteration, clock + wait, wait, component)

@@ -89,20 +89,6 @@ def finite_vector(value: Any, field: str) -> Array:
     return out
 
 
-def whole_number(value: Any, field: str) -> int:
-    """``value`` as an int, or :class:`InvalidConfigError` naming ``field``.
-
-    Integral floats such as ``3.0`` are accepted; ``2.5`` is rejected
-    rather than truncated.
-    """
-    if isinstance(value, int):
-        return int(value)
-    out = finite_number(value, field)
-    if not out.is_integer():
-        raise InvalidConfigError(f"must be an integer, got {value!r}", field=field)
-    return int(out)
-
-
 def integer_at_least(value: Any, field: str, minimum: int) -> int:
     """``value`` if it is an int (not a bool, nor ``3.0``) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -664,10 +650,9 @@ MAX_DIM = 4096
 
 
 def _dimension(value: Any, field: str) -> int:
-    dim = whole_number(value, field)
-    if not 1 <= dim <= MAX_DIM:
-        raise InvalidConfigError(f"must be between 1 and {MAX_DIM}, got {dim}", field=field)
-    return dim
+    if integer_at_least(value, field, 1) > MAX_DIM:
+        raise InvalidConfigError(f"must be between 1 and {MAX_DIM}, got {value}", field=field)
+    return value
 
 
 _QUADRATIC_KEYS = frozenset({"dim", "curvature", "offset", "minimizer"})
@@ -736,9 +721,9 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
             noise_sigma=noise_sigma,
         )
     if family == "logistic":
-        classes = whole_number(spec.get("classes", 3), "objective.classes")
-        feature_dim = whole_number(spec.get("feature_dim", 4), "objective.feature_dim")
-        samples = whole_number(spec.get("samples", 200), "objective.samples")
+        classes = integer_at_least(spec.get("classes", 3), "objective.classes", 2)
+        feature_dim = integer_at_least(spec.get("feature_dim", 4), "objective.feature_dim", 1)
+        samples = integer_at_least(spec.get("samples", 200), "objective.samples", 1)
         if classes * feature_dim > MAX_DIM:
             raise InvalidConfigError(
                 f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim"

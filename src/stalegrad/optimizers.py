@@ -476,8 +476,7 @@ METHOD_TABLE: dict[str, Method] = {
     "delay_filtered": Method(BaselineState.delay_filtered, ("eta", "tau_filter")),
     "naive_momentum": Method(BaselineState.naive_momentum, ("eta", "beta"), buffer="momentum"),
     "naive_mu2": Method(
-        BaselineState.naive_mu2, ("eta", "beta", "gamma"), buffer="correction",
-        descent="descent_iterate", paired=True,
+        BaselineState.naive_mu2, ("eta", "beta", "gamma"), buffer="correction", paired=True
     ),
 }
 

@@ -83,8 +83,11 @@ class SimConfig:
         known_keys(self.optimizer, _OPTIMIZER_KEYS, "optimizer")
         true_or_false(self.optimizer.get("theory", False), "optimizer.theory")
         workers = integer_at_least(self.num_workers, "run.workers", 1)
-        if integer_at_least(self.total_iterations, "run.iterations", 1) < workers:
+        iterations = integer_at_least(self.total_iterations, "run.iterations", 1)
+        if iterations < workers:
             raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
+        if iterations > objectives.MAX_DIM**2:  # each T-long column then fits in 128 MiB
+            raise InvalidConfigError(f"must be at most {objectives.MAX_DIM**2}", field="run.iterations")
         integer_at_least(self.seed, "run.seed", 0)
         if self.snapshot_stride is not None:
             integer_at_least(self.snapshot_stride, "run.snapshot_stride", 1)
@@ -223,6 +226,9 @@ def _prepare(config: SimConfig) -> _Prepared:
         domain = objectives.domain_from_spec(config.objective)
     if domain is not None and domain.dim != objective.dim:
         raise InvalidConfigError("domain and objective dimensions differ", field="objective.domain")
+    if config.record_gradients and T * objective.dim > objectives.MAX_DIM**2:
+        message = f"iterations·dim must be at most {objectives.MAX_DIM**2} with record_gradients"
+        raise InvalidConfigError(message, field="run.iterations")
 
     if config.x_init is None:
         x1 = np.zeros(objective.dim)

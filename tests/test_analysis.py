@@ -16,7 +16,6 @@ from stalegrad.analysis import (
     f1_scores,
     pending_sets,
     verify_trace_invariants,
-    virtual_momentum_and_bias,
     waiting_time_gof,
 )
 from stalegrad.errors import InsufficientTraceError, InvalidComparisonError
@@ -109,7 +108,6 @@ def test_bias_bound_and_identity():
         assert np.linalg.norm(decomp.bias) <= 6 * beta * grad_norm * (1 + 1e-12)
         assert np.array_equal(decomp.epsilon_hat, decomp.epsilon - decomp.bias)
         assert np.allclose(decomp.epsilon, decomp.epsilon_hat + decomp.bias, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(decomp.virtual_momentum_offset, -decomp.bias)
 
 
 def test_bias_vanishes_without_pending_gradients():
@@ -117,16 +115,6 @@ def test_bias_vanishes_without_pending_gradients():
     objective = from_spec(config.objective, 0.1)
     for decomp in error_decomposition_series(trace, objective):
         assert np.all(decomp.bias == 0.0)
-
-
-def test_virtual_momentum_range_check():
-    config, trace = recorded_run(iters=20)
-    objective = from_spec(config.objective, 0.1)
-    assert virtual_momentum_and_bias(trace, objective, 1).bias.shape == (2,)
-    with pytest.raises(InsufficientTraceError):
-        virtual_momentum_and_bias(trace, objective, 0)
-    with pytest.raises(InsufficientTraceError):
-        virtual_momentum_and_bias(trace, objective, 21)
 
 
 # ---------------------------------------------------------------- metrics
@@ -312,3 +300,10 @@ def test_invariants_catch_doctored_traces():
     bad_pending = dataclasses.replace(trace, pending_size=trace.pending_size + 1)
     failures = verify_trace_invariants(bad_pending, objective)
     assert any("pending" in f for f in failures)
+
+
+def test_recorded_naive_mu2_trace_verifies_clean():
+    # the weighted-average identity belongs to ordered_mu2, whose query is the average
+    config, trace = recorded_run(method="naive_mu2", workers=4, iters=200, gamma=0.5)
+    assert trace.descent_iterates is None
+    assert verify_trace_invariants(trace, from_spec(config.objective, 0.1)) == []

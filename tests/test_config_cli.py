@@ -142,14 +142,6 @@ def test_experiment_defaults_without_sweep():
     assert experiment.output_dir == Path("results")  # relative: resolved against the cwd at use time
 
 
-def test_output_dir_env_override(monkeypatch, tmp_path):
-    doc = dict(BASE_DOC)
-    doc["output"] = {"dir": "elsewhere"}
-    monkeypatch.setenv("STALEGRAD_OUTPUT_DIR", str(tmp_path / "forced"))
-    experiment = ExperimentConfig.from_document(doc)
-    assert experiment.output_dir == tmp_path / "forced"
-
-
 def test_expansion_is_grid_major_seed_minor():
     doc = dict(BASE_DOC)
     doc["optimizer"] = {"method": "ordered_momentum", "eta": 0.05, "beta": 0.1}
@@ -161,7 +153,6 @@ def test_expansion_is_grid_major_seed_minor():
         "seeds": {"base": 3, "count": 7},
     }
     experiment = ExperimentConfig.from_document(doc)
-    assert experiment.grid_size == 57
     expanded = experiment.expand()
     assert len(expanded) == 399
     order = [(e.grid_index, e.seed_index) for e in expanded]
@@ -342,12 +333,28 @@ _LOGISTIC = {"family": "logistic"}
         ({"objective": _LOGISTIC, "optimizer": {"method": "delay_adaptive"}}, "optimizer.method"),
         ({"delay": {"slow_weight": 0.1, "arrival_probs": [0.5, 0.5]}}, "delay.arrival_probs"),
         ({"sweep": {"grid": {"optimizer.eta": [0.05]}, "write_traces": False}}, "sweep.write_traces"),
+        ({"objective": {"family": "quadratic", "dim": True}}, "objective.dim"),
+        ({"objective": dict(_LOGISTIC, feature_dim=True)}, "objective.feature_dim"),
+        ({"objective": dict(_LOGISTIC, feature_dim=0)}, "objective.feature_dim"),
+        ({"output": {"dirr": "elsewhere"}}, "output.dirr"),
+        ({"report": {"metrik": "final_loss"}}, "report.metrik"),
+        ({"sweep": {"grid": {"optimizer.eta": [0.05]}, "seeds": {"cout": 3}}}, "sweep.seeds.cout"),
+        ({"output": 5}, "output"),
+        ({"report": [1]}, "report"),
+        ({"output": {"dir": 5}}, "output.dir"),
+        ({"run": {"workers": 2, "iterations": 10**9}}, "run.iterations"),
+        (
+            {"objective": _QUAD_2D, "run": {"workers": 2, "iterations": 9_000_000, "record_gradients": True}},
+            "run.iterations",
+        ),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
         "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
+        "dim-true", "feature_dim-true", "feature_dim-zero", "output-key", "report-key", "seeds-key",
+        "output-scalar", "report-list", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -513,13 +520,19 @@ def test_mutated_documents_run_or_name_a_field(data):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """A module imported in a fresh interpreter loads only what it needs."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, stalegrad.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    for module, unloaded in [
+        ("stalegrad.cli", "scipy.stats"),
+        ("stalegrad.objectives", "yaml"),
+        ("stalegrad.simulation", "yaml"),
+    ]:
+        probe = f"import sys, {module}; print({unloaded!r} in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False", module
 
 
 def test_sweep_without_grid_is_an_error(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_ticket_fields_and_determinism():
     t1 = model.draw_ticket(2, 5, 10.0, np.random.default_rng(42))
     t2 = model.draw_ticket(2, 5, 10.0, np.random.default_rng(42))
     assert t1 == t2
-    assert t1.worker_id == 2 and t1.dispatch_iteration == 5
+    assert t1.dispatch_iteration == 5
     assert t1.return_clock == 10.0 + t1.waiting_time
     assert t1.component == assign_component(t1.waiting_time, float(model.thresholds[2]))
 

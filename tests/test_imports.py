@@ -2,9 +2,7 @@
 
 No linter ships with the project, so an AST scan stands in for one: a name
 bound by a module-level import must appear somewhere in that module.
-Package ``__init__.py`` files (which re-export) and imports marked
-``# noqa: F401`` are skipped; the package's ``__all__`` is instead checked
-against the names its ``__init__.py`` imports.
+Imports marked ``# noqa: F401`` are skipped.
 """
 
 import ast
@@ -36,12 +34,7 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_has_unused_imports():
-    paths = [
-        path
-        for folder in ("src/stalegrad", "tests")
-        for path in sorted((ROOT / folder).glob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    paths = [path for folder in ("src/stalegrad", "tests") for path in sorted((ROOT / folder).glob("*.py"))]
     assert paths
     found = {}
     for path in paths:
@@ -49,17 +42,3 @@ def test_no_module_has_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
-
-
-def test_package_exports_are_exactly_its_imports():
-    import stalegrad
-
-    tree = ast.parse((ROOT / "src/stalegrad/__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert sorted(stalegrad.__all__) == sorted(imported)
-    assert all(hasattr(stalegrad, name) for name in stalegrad.__all__)

@@ -552,6 +552,14 @@ def test_domain_from_spec():
             {"family": "mixture", "components": [{"offset": [1.0], "minimizer": [1.0]}, {"dim": 1}]},
             "objective.components.0.minimizer",
         ),
+        # one integer rule: a whole float or a bool is not an integer
+        ({"family": "logistic", "classes": 3.0, "samples": 60}, "objective.classes"),
+        ({"family": "quadratic", "dim": 3.0}, "objective.dim"),
+        ({"family": "quadratic", "dim": True}, "objective.dim"),
+        ({"family": "mixture", "components": [{"dim": 1}, {"dim": 1.0}]}, "objective.components.1.dim"),
+        ({"family": "logistic", "feature_dim": True}, "objective.feature_dim"),
+        ({"family": "logistic", "feature_dim": 0}, "objective.feature_dim"),
+        ({"family": "logistic", "classes": 1}, "objective.classes"),
     ],
 )
 def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
@@ -572,8 +580,3 @@ def test_domain_rejects_a_non_integral_dim():
     with pytest.raises(InvalidConfigError) as err:
         domain_from_spec({"family": "quadratic", "dim": 2.5, "domain": {"radius": 1.0}})
     assert err.value.field == "objective.dim"
-
-
-def test_integral_fields_accept_whole_floats():
-    assert from_spec({"family": "logistic", "classes": 3.0, "samples": 60}, 0.1).num_classes == 3
-    assert from_spec({"family": "quadratic", "dim": 3.0}, 0.1).dim == 3
