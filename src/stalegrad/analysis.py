@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientTraceError,
-    InvalidComparisonError,
-    UnsupportedObjectiveError,
-)
+from .errors import InsufficientTraceError, InvalidComparisonError
 from .objectives import FAST, SLOW
 from .simulation import RunTrace
 
@@ -162,41 +158,6 @@ def f1_from_confusion(matrix: Array) -> F1Scores:
     fp = matrix.sum(axis=0) - tp
     fn = matrix.sum(axis=1) - tp
     return f1_scores(tp, fp, fn)
-
-
-def bias_experiment_gap(traces_by_method: dict[str, list[RunTrace]], objective) -> dict[str, float]:
-    """Distance of each method's across-seed mean final iterate to the true minimizer.
-
-    All traces must share the experiment (same objective and delay specs)
-    and the same seed battery, so the comparison is paired.
-    """
-    constants = objective.theory_constants()
-    if constants.minimizer is None:
-        raise UnsupportedObjectiveError("the objective has no closed-form minimizer")
-    reference = None
-    for method, traces in traces_by_method.items():
-        if not traces:
-            raise InvalidComparisonError(f"no traces for method {method!r}")
-        key = (
-            tuple(sorted(t.seed for t in traces)),
-            repr(traces[0].config.objective),
-            repr(traces[0].config.delay),
-        )
-        for t in traces:
-            if (repr(t.config.objective), repr(t.config.delay)) != key[1:]:
-                raise InvalidComparisonError("traces mix different objectives or delay models")
-        if reference is None:
-            reference = key
-        elif key != reference:
-            raise InvalidComparisonError("methods were run under different objectives or seeds")
-    return {
-        method: float(
-            np.linalg.norm(
-                np.mean([t.final_iterate for t in traces], axis=0) - constants.minimizer
-            )
-        )
-        for method, traces in traces_by_method.items()
-    }
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class ContractViolationError(StalegradError):
     """An argument violated a documented precondition (wrong shape, bad hash, ...)."""
 
 
-class UnsupportedObjectiveError(StalegradError):
-    """The objective does not provide the requested closed-form quantity."""
-
-
 class ProtocolError(StalegradError):
     """A gradient report is missing data the update rule requires."""
 

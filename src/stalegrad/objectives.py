@@ -211,12 +211,14 @@ class _NoiseModel:
     def stochastic_grad_pair(
         self, x: Array, x_prev: Array, component: int, rng: np.random.Generator
     ) -> tuple[Array, Array]:
-        """Gradients at x and x_prev sharing one sample (component and noise)."""
+        """Gradients at x and x_prev sharing one sample (component and noise).
+
+        x_prev goes first: it is the point the previous dispatch evaluated
+        last, so a memo still holds it, and evaluating x then keeps both.
+        """
         noise = self._noise(rng)
-        return (
-            self.component_grad(x, component) + noise,
-            self.component_grad(x_prev, component) + noise,
-        )
+        g_prev = self.component_grad(x_prev, component) + noise
+        return self.component_grad(x, component) + noise, g_prev
 
 
 def _as_matrix(curvature: Any, dim: int) -> Array:
@@ -266,10 +268,10 @@ class Quadratic(_NoiseModel):
         return 1
 
     def loss(self, x: Array) -> float:
-        # ndarray.dot rather than @: the same products and sums (the goldens
-        # pin the bytes), without matmul's per-call dispatch cost
+        # ndarray.dot rather than @, without matmul's per-call dispatch cost.
+        # It reads no memo, so a check can compare grad against it.
         x = _check_dim(x, self.dim)
-        return float((0.5 * x).dot(self.matrix).dot(x) - self.offset.dot(x))
+        return 0.5 * float(x.dot(self.matrix.dot(x))) - float(self.offset.dot(x))
 
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
@@ -311,8 +313,10 @@ class Quadratic(_NoiseModel):
 class Mixture(_NoiseModel):
     """Weighted sum of two quadratics; component 0 is the slow one, 1 the fast one.
 
-    The full gradient is the weight-averaged component gradient, and the
-    minimizer solves (Σ q_c A_c) x = Σ q_c b_c in closed form.
+    A weighted sum of quadratics is itself one: ``mean`` is the quadratic
+    with Ā = Σ q_c A_c and b̄ = Σ q_c b_c, built once.  ``loss``, ``grad``
+    and the closed-form minimizer go through it, so monitoring a step costs
+    one matrix-vector product per call rather than one per component.
     """
 
     components: tuple[Quadratic, ...]
@@ -329,6 +333,12 @@ class Mixture(_NoiseModel):
         if self.components[0].dim != self.components[1].dim:
             raise InvalidConfigError("both components must share one dimension")
         self._check_noise_sigma()
+        dim = self.components[0].dim
+        matrix, offset = np.zeros((dim, dim)), np.zeros(dim)
+        for w, c in zip(self.weights, self.components):
+            matrix += w * c.matrix
+            offset += w * c.offset
+        object.__setattr__(self, "mean", Quadratic(matrix=matrix, offset=offset))
 
     @cached_property
     def dim(self) -> int:
@@ -339,41 +349,33 @@ class Mixture(_NoiseModel):
         return 2
 
     def loss(self, x: Array) -> float:
-        return float(sum(w * c.loss(x) for w, c in zip(self.weights, self.components)))
+        return self.mean.loss(x)
 
     def grad(self, x: Array) -> Array:
-        x = _check_dim(x, self.dim)
-        out = np.zeros(self.dim)
-        for w, c in zip(self.weights, self.components):
-            out += w * c.grad(x)
-        return out
+        return self.mean.grad(x)
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.components[component].grad(x)
 
     @property
-    def mean_matrix(self) -> Array:
-        out = np.zeros((self.dim, self.dim))
-        for w, c in zip(self.weights, self.components):
-            out += w * c.matrix
-        return out
-
-    @property
     def minimizer(self) -> Array:
-        mean_offset = np.zeros(self.dim)
-        for w, c in zip(self.weights, self.components):
-            mean_offset += w * c.offset
-        return np.linalg.solve(self.mean_matrix, mean_offset)
+        return self.mean.minimizer
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:
         x1 = np.zeros(self.dim) if x_init is None else _check_dim(x_init, self.dim)
         m = self.minimizer
-        f_star = self.loss(m)
+
+        def weighted_loss(x: Array) -> float:
+            # f* and the initial gap sum the component losses, as the mixture
+            # is defined: the mean quadratic rounds differently, and these two
+            # set the theory-derived step sizes.
+            return float(sum(w * c.loss(x) for w, c in zip(self.weights, self.components)))
+
+        f_star = weighted_loss(m)
         # The sample functions must be as smooth as the mean, so the
         # certificate is the largest component curvature (it dominates the
         # weighted average).
         lipschitz = max(float(np.linalg.eigvalsh(c.matrix)[-1]) for c in self.components)
-        mean_a = self.mean_matrix
         equal_curvature = all(
             np.allclose(c.matrix, self.components[0].matrix, rtol=0, atol=1e-12)
             for c in self.components
@@ -382,22 +384,21 @@ class Mixture(_NoiseModel):
         if equal_curvature:
             # Component gradients then differ from the mean by the constant
             # b̄ − b_c, so the gradient variance is the same at every x.
-            mean_offset = sum(w * c.offset for w, c in zip(self.weights, self.components))
             spread = sum(
-                w * float(np.linalg.norm(c.offset - mean_offset) ** 2)
+                w * float(np.linalg.norm(c.offset - self.mean.offset) ** 2)
                 for w, c in zip(self.weights, self.components)
             )
             sigma = math.sqrt(self.noise_sigma**2 + spread)
         second_moment = np.zeros((self.dim, self.dim))
         for w, c in zip(self.weights, self.components):
-            diff = c.matrix - mean_a
+            diff = c.matrix - self.mean.matrix
             second_moment += w * (diff @ diff)
         sigma_l = math.sqrt(max(0.0, float(np.linalg.eigvalsh(second_moment)[-1])))
         return TheoryConstants(
             lipschitz=lipschitz,
             sigma=sigma,
             sigma_l=sigma_l,
-            delta_gap=self.loss(x1) - f_star,
+            delta_gap=weighted_loss(x1) - f_star,
             minimizer=m,
             f_star=f_star,
         )
@@ -527,7 +528,7 @@ class Logistic(_NoiseModel):
                 )
             )
         object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_memo", (b"", None, None))
+        object.__setattr__(self, "_memo", (b"", None, None, {}))
 
     @property
     def feature_dim(self) -> int:
@@ -547,24 +548,25 @@ class Logistic(_NoiseModel):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def _softmax(self, x: Array) -> tuple[Array, Array]:
-        """Read-only (log-probabilities, probabilities) over all samples at x.
+    def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
+        """The memo of x: its key, the read-only log-probabilities and
+        probabilities over all samples, and the group gradients taken at x.
 
-        The last point evaluated is memoized, keyed on its exact bytes: a
-        step's monitoring re-evaluates the point the previous dispatch just
-        differentiated at, and ``grad`` needs both groups at one point.
+        Only the last point is kept, keyed on its exact bytes: a step's
+        monitoring re-evaluates the point the previous dispatch just
+        differentiated at, and reuses that dispatch's group gradient.
         """
         key = x.tobytes()
         memo = self._memo
         if memo[0] != key:
             log_probs = self._log_softmax(x)
-            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)))
+            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)), {})
             object.__setattr__(self, "_memo", memo)
-        return memo[1], memo[2]
+        return memo
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        log_probs, _ = self._softmax(x)
+        log_probs = self._memo_at(x)[1]
         return float(
             sum(
                 w * (-log_probs[g.rows, g.labels]).mean()
@@ -574,8 +576,13 @@ class Logistic(_NoiseModel):
 
     def component_grad(self, x: Array, component: int) -> Array:
         x = _check_dim(x, self.dim)
+        _, _, probs, grads = self._memo_at(x)
+        if component not in grads:
+            grads[component] = _read_only(self._group_grad(probs, component))
+        return grads[component]
+
+    def _group_grad(self, probs: Array, component: int) -> Array:
         g = self._groups[component]
-        _, probs = self._softmax(x)
         residual = probs[g.rows]
         residual[g.positions, g.labels] -= 1.0
         return (residual.T @ g.features / g.rows.shape[0]).ravel()
@@ -643,9 +650,10 @@ def make_logistic(
     )
 
 
-#: largest ``dim`` a config may ask for: its d×d float64 curvature matrix then
-#: takes at most 128 MiB, and a larger one is refused before it is allocated.
-#: A logistic dataset gets the same budget of MAX_DIM² floats per per-sample array.
+#: largest ``dim`` a config may ask for: each d×d float64 curvature matrix then
+#: takes at most 128 MiB (a mixture holds three: both components and their
+#: mean), and a larger one is refused before it is allocated.  A logistic
+#: dataset gets the same budget of MAX_DIM² floats per per-sample array.
 MAX_DIM = 4096
 
 

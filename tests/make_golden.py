@@ -18,6 +18,11 @@ plus a relative tolerance on the floats otherwise.
 Regenerate only when a change of the numbers is intended::
 
     PYTHONPATH=src python3 tests/make_golden.py
+
+Before writing, the script prints how far each float field moved against
+the file it replaces (worst relative change over the runs both files
+hold).  It refuses to write, and exits nonzero, when any run's
+``schedule_sha256`` changed: no change of rounding moves the schedule.
 """
 
 from __future__ import annotations
@@ -159,8 +164,36 @@ def record(config: SimConfig) -> dict:
     }
 
 
+def _relative_change(new: float, old: float) -> float:
+    if new == old:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def report_drift(old_runs: dict, new_runs: dict) -> list[str]:
+    """Print how far the runs both tables hold moved; return those whose
+    schedule digest changed."""
+    shared = sorted(old_runs.keys() & new_runs.keys())
+    fields = ("loss_fsum", "grad_norm_fsum", "final_iterate")
+    changes: dict[str, list[float]] = {name: [0.0] for name in fields}
+    for key in shared:
+        old, new = old_runs[key], new_runs[key]
+        for name in ("loss_fsum", "grad_norm_fsum"):
+            changes[name].append(_relative_change(new[name], old[name]))
+        changes["final_iterate"] += map(_relative_change, new["final_iterate"], old["final_iterate"])
+    traces = sum(old_runs[k]["trace_sha256"] != new_runs[k]["trace_sha256"] for k in shared)
+    print(f"{traces} of {len(shared)} shared runs changed their trace bytes")
+    for name, values in changes.items():
+        print(f"worst relative change of {name}: {max(values):.3g}")
+    return [k for k in shared if old_runs[k]["schedule_sha256"] != new_runs[k]["schedule_sha256"]]
+
+
 def main() -> None:
     runs = {key: record(config) for key, config in battery().items()}
+    if GOLDEN_PATH.exists():
+        moved = report_drift(json.loads(GOLDEN_PATH.read_text())["runs"], runs)
+        if moved:
+            raise SystemExit(f"not written: the schedule digest changed for {', '.join(moved)}")
     document = {
         "stamp": environment_stamp(),
         "iterations": ITERATIONS,

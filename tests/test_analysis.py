@@ -7,7 +7,6 @@ import pytest
 
 import reference
 from stalegrad.analysis import (
-    bias_experiment_gap,
     confusion_counts,
     convergence_metrics,
     delay_separation,
@@ -191,72 +190,6 @@ def test_f1_macro_one_iff_diagonal():
     # a empty class breaks perfection even with zero off-diagonals
     degenerate = np.diag([3, 0, 5])
     assert f1_from_confusion(degenerate).macro < 1.0
-
-
-# ---------------------------------------------------------------- comparisons
-
-
-def _battery(method, seeds, eta=0.004, **opt):
-    traces = []
-    for seed in seeds:
-        options = {"method": method, "eta": eta}
-        options.update(opt)
-        config = SimConfig(
-            objective=MIX_SPEC,
-            optimizer=options,
-            total_iterations=400,
-            num_workers=7,
-            delay={"slow_weight": 0.1},
-            seed=seed,
-        )
-        traces.append(run(config))
-    return traces
-
-
-def test_bias_gap_distances():
-    objective = from_spec(MIX_SPEC, 0.1)
-    gaps = bias_experiment_gap(
-        {
-            "vanilla": _battery("vanilla", [0, 1, 2]),
-            "ordered_momentum": _battery("ordered_momentum", [0, 1, 2], beta=0.05),
-        },
-        objective,
-    )
-    assert set(gaps) == {"vanilla", "ordered_momentum"}
-    assert all(v >= 0 for v in gaps.values())
-    # sanity anchor: the fast component's minimizer sits q₁·‖c₁−c₂‖ away
-    fast_min = np.array([-1.0, 0.0])
-    assert np.linalg.norm(fast_min - objective.minimizer) == pytest.approx(0.2, rel=1e-12)
-
-
-def test_bias_gap_rejects_mismatched_batteries():
-    objective = from_spec(MIX_SPEC, 0.1)
-    with pytest.raises(InvalidComparisonError):
-        bias_experiment_gap(
-            {
-                "vanilla": _battery("vanilla", [0, 1]),
-                "naive_momentum": _battery("naive_momentum", [0, 2], beta=0.05),
-            },
-            objective,
-        )
-
-
-def test_bias_gap_rejects_mixed_objectives():
-    objective = from_spec(MIX_SPEC, 0.1)
-    other_spec = {"family": "quadratic", "curvature": [1.0, 1.0], "offset": [0.0, 0.0]}
-    odd = SimConfig(
-        objective=other_spec,
-        optimizer={"method": "vanilla", "eta": 0.004},
-        total_iterations=400,
-        num_workers=7,
-        delay={"slow_weight": 0.1},
-        seed=0,
-    )
-    with pytest.raises(InvalidComparisonError):
-        bias_experiment_gap(
-            {"vanilla": _battery("vanilla", [0, 1]) + [run(odd)]},
-            objective,
-        )
 
 
 # ---------------------------------------------------------------- GOF / separation

@@ -61,3 +61,26 @@ def test_stamp_tells_openblas_kernels_apart():
     forced = json.loads(result.stdout)
     assert forced["blas_core"] == "Haswell"
     assert forced != stamp
+
+
+def test_drift_report_flags_a_moved_schedule(capsys):
+    """``make_golden`` prints the worst drift and names the runs whose schedule moved."""
+    old = {
+        "a": {"trace_sha256": "t", "schedule_sha256": "s", "loss_fsum": 2.0,
+              "grad_norm_fsum": 1.0, "final_iterate": [1.0, 4.0]},
+        "b": {"trace_sha256": "t", "schedule_sha256": "s", "loss_fsum": 1.0,
+              "grad_norm_fsum": 1.0, "final_iterate": [1.0]},
+    }
+    new = {
+        "a": dict(old["a"], trace_sha256="u", loss_fsum=2.5, final_iterate=[1.0, 5.0]),
+        "b": dict(old["b"], schedule_sha256="r"),
+    }
+    assert make_golden.report_drift(old, old) == []
+    capsys.readouterr()
+    assert make_golden.report_drift(old, new) == ["b"]
+    assert capsys.readouterr().out.splitlines() == [
+        "1 of 2 shared runs changed their trace bytes",
+        "worst relative change of loss_fsum: 0.25",
+        "worst relative change of grad_norm_fsum: 0",
+        "worst relative change of final_iterate: 0.25",
+    ]

@@ -142,6 +142,113 @@ def test_mixture_sigma_unknown_for_unequal_curvatures():
     assert math.isclose(constants.sigma_l, 0.3, rel_tol=1e-12)
 
 
+def _spd(rng, d: int) -> np.ndarray:
+    """A random symmetric positive definite d×d matrix with nonzero off-diagonals."""
+    b = rng.standard_normal((d, d))
+    return 0.5 * (b @ b.T + (b @ b.T).T) + d * np.eye(d)
+
+
+def _reference_quadratic_loss(q: Quadratic, x: np.ndarray) -> float:
+    """The loss as the product (½x)ᵀA then the product with x, minus bᵀx."""
+    return float((0.5 * x).dot(q.matrix).dot(x) - q.offset.dot(x))
+
+
+def _close(actual, expected, scale) -> bool:
+    """Equal within 1e-12 relative to ``scale``, the magnitude of the summed terms."""
+    return bool(np.all(np.abs(np.asarray(actual) - expected) <= 1e-12 * scale))
+
+
+@pytest.mark.parametrize("d", [2, 12, 40])
+def test_quadratic_and_mixture_match_their_summed_forms(d):
+    """``Quadratic.loss`` and the mixture's mean quadratic agree with the
+    expressions they replace, Σ w_c f_c and Σ w_c ∇f_c, up to rounding."""
+    rng = np.random.default_rng(30 + d)
+    components = tuple(Quadratic(matrix=_spd(rng, d), offset=rng.standard_normal(d)) for _ in range(2))
+    mixture = Mixture(components=components, weights=(0.3, 0.7))
+    for x in rng.standard_normal((20, d)):
+        terms = []
+        for c in components:
+            quad, lin = abs(0.5 * x.dot(c.matrix).dot(x)), abs(c.offset.dot(x))
+            assert _close(c.loss(x), _reference_quadratic_loss(c, x), quad + lin)
+            terms.append((quad + lin, np.abs(c.matrix).dot(np.abs(x)) + np.abs(c.offset)))
+        loss = sum(w * _reference_quadratic_loss(c, x) for w, c in zip(mixture.weights, components))
+        grad = sum(w * (c.matrix.dot(x) - c.offset) for w, c in zip(mixture.weights, components))
+        assert _close(mixture.loss(x), loss, sum(w * t[0] for w, t in zip(mixture.weights, terms)))
+        assert _close(mixture.grad(x), grad, sum(w * t[1] for w, t in zip(mixture.weights, terms)))
+
+
+def _reference_mixture_constants(mixture: Mixture, x1: np.ndarray) -> dict:
+    """Mixture minimizer and theory constants, summed component by component."""
+    d = mixture.dim
+    mean_a, mean_b = np.zeros((d, d)), np.zeros(d)
+    for w, c in zip(mixture.weights, mixture.components):
+        mean_a += w * c.matrix
+        mean_b += w * c.offset
+    m = np.linalg.solve(mean_a, mean_b)
+
+    def loss(x):
+        return float(
+            sum(w * _reference_quadratic_loss(c, x) for w, c in zip(mixture.weights, mixture.components))
+        )
+
+    sigma = None
+    first = mixture.components[0].matrix
+    if all(np.allclose(c.matrix, first, rtol=0, atol=1e-12) for c in mixture.components):
+        offset = sum(w * c.offset for w, c in zip(mixture.weights, mixture.components))
+        spread = sum(
+            w * float(np.linalg.norm(c.offset - offset) ** 2)
+            for w, c in zip(mixture.weights, mixture.components)
+        )
+        sigma = math.sqrt(mixture.noise_sigma**2 + spread)
+    second_moment = np.zeros((d, d))
+    for w, c in zip(mixture.weights, mixture.components):
+        diff = c.matrix - mean_a
+        second_moment += w * (diff @ diff)
+    return {
+        "lipschitz": max(float(np.linalg.eigvalsh(c.matrix)[-1]) for c in mixture.components),
+        "sigma": sigma,
+        "sigma_l": math.sqrt(max(0.0, float(np.linalg.eigvalsh(second_moment)[-1]))),
+        "delta_gap": loss(x1) - loss(m),
+        "minimizer": m,
+        "f_star": loss(m),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 12, 40])
+@pytest.mark.parametrize("curvature", ["equal-diagonal", "unequal-full"])
+def test_mixture_minimizer_and_constants_keep_their_bits(d, curvature):
+    """The mean quadratic's minimizer and every theory constant are bitwise the
+    component-by-component sums.  f* and the gap go through each component's
+    loss, which is bitwise the reference product for a diagonal curvature
+    (every config's) and within rounding of it otherwise."""
+    rng = np.random.default_rng(40 + d)
+    if curvature == "equal-diagonal":
+        shared = np.diag(rng.uniform(0.5, 3.0, d))
+        matrices = (shared, shared)
+    else:
+        matrices = (_spd(rng, d), _spd(rng, d))
+    components = tuple(Quadratic(matrix=a, offset=rng.standard_normal(d)) for a in matrices)
+    mixture = Mixture(components=components, weights=(0.1, 0.9), noise_sigma=0.6)
+    x1 = rng.standard_normal(d)
+    constants = mixture.theory_constants(x_init=x1)
+    expected = _reference_mixture_constants(mixture, x1)
+    assert np.array_equal(mixture.minimizer, expected["minimizer"])
+    assert np.array_equal(constants.minimizer, expected["minimizer"])
+    for name in ("lipschitz", "sigma", "sigma_l"):
+        assert getattr(constants, name) == expected[name], name
+    for name in ("f_star", "delta_gap"):
+        if curvature == "equal-diagonal":
+            assert getattr(constants, name) == expected[name], name
+        else:
+            assert math.isclose(getattr(constants, name), expected[name], rel_tol=1e-12), name
+
+
+def test_mixture_gradients_are_read_only():
+    g = MIXTURE.grad(np.array([0.25, -0.5]))
+    with pytest.raises(ValueError):
+        g[0] = 0.0
+
+
 def test_component_tags():
     assert MIXTURE.component_for(SLOW) == 0
     assert MIXTURE.component_for(FAST) == 1
@@ -260,10 +367,15 @@ def test_logistic_curvature_below_lipschitz():
 
 def test_logistic_memo_follows_the_point_bytes():
     """Evaluations interleaved across points, and at a point mutated in place,
-    equal those of a fresh objective; memoized arrays cannot be written."""
+    equal those of a fresh objective: ``grad`` reusing a memoized group
+    gradient is bit-equal to one computed afresh.  Memoized arrays cannot be
+    written."""
     rng = np.random.default_rng(20)
     x, y = rng.standard_normal((2, LOGISTIC.dim))
-    for point in (x, y, x):
+    for point, first in ((x, 1), (y, 0), (x, 1)):
+        fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
+        expected_group = fresh.component_grad(point, first)
+        assert np.array_equal(LOGISTIC.component_grad(point, first), expected_group)
         fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
         assert LOGISTIC.loss(point) == fresh.loss(point)
         assert np.array_equal(LOGISTIC.grad(point), fresh.grad(point))
@@ -271,8 +383,9 @@ def test_logistic_memo_follows_the_point_bytes():
     x[0] += 1.0
     fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
     assert np.array_equal(LOGISTIC.grad(x), fresh.grad(x))
-    log_probs, probs = LOGISTIC._softmax(x)
-    assert not log_probs.flags.writeable and not probs.flags.writeable
+    _, log_probs, probs, group_grads = LOGISTIC._memo_at(x)
+    assert sorted(group_grads) == [0, 1]
+    assert not any(a.flags.writeable for a in (log_probs, probs, *group_grads.values()))
 
 
 def _assert_memo_is_safe_across_threads(objective):

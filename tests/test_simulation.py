@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stalegrad.delays import DelayModel
 from stalegrad.errors import (
     DivergedRunError,
     InvalidConfigError,
@@ -211,6 +212,103 @@ def test_quadratic_run_evaluates_each_point_once(monkeypatch):
         )
     )
     assert 0 < len(calls) <= T + 1
+
+
+LOGISTIC_SPEC = {
+    "family": "logistic",
+    "classes": 3,
+    "feature_dim": 4,
+    "noise_sigma": 0.1,
+    "domain": {"center": [0.0] * 12, "radius": 5.0},
+}
+MIXTURE_SPEC = {
+    "family": "mixture",
+    "components": [
+        {"minimizer": [1.0, 0.0], "curvature": 1.0},
+        {"minimizer": [-1.0, 0.0], "curvature": [1.0, 2.0]},
+    ],
+    "noise_sigma": 0.3,
+    "domain": {"center": [0.0, 0.0], "radius": 2.0},
+}
+
+
+def _count_calls(monkeypatch, cls, name) -> list:
+    """Patch ``cls.name`` to append to the returned list once per call."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["vanilla", "ordered_mu2"])
+def test_logistic_run_takes_two_group_gradients_per_step(monkeypatch, method):
+    """The monitor's ``grad`` reuses the group gradient the last dispatch took at
+    its point, so each new point costs the two groups once: x_1…x_T both, x_{T+1}
+    (dispatched after the last step) one.  A paired dispatch's x_prev is the
+    monitored point, still in the one-entry memo."""
+    softmaxes = _count_calls(monkeypatch, Logistic, "_log_softmax")
+    group_grads = _count_calls(monkeypatch, Logistic, "_group_grad")
+    T = 60
+    run(
+        momentum_config(
+            objective=LOGISTIC_SPEC, optimizer={"method": method, "eta": 0.05}, total_iterations=T
+        )
+    )
+    assert 0 < len(softmaxes) <= T + 1
+    assert 0 < len(group_grads) <= 2 * T + 1
+
+
+def test_unpaired_mixture_run_evaluates_each_point_once_per_quadratic(monkeypatch):
+    """The mean quadratic takes the T monitored points, each dispatch's component
+    its new point, and the initial dispatches share x_1 (one component here)."""
+    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
+    T = 200
+    run(
+        momentum_config(
+            objective=MIXTURE_SPEC,
+            optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.1},
+            total_iterations=T,
+            seed=3,
+        )
+    )
+    assert 0 < len(calls) <= 2 * T + 1
+
+
+def test_paired_mixture_run_reuses_x_prev_after_a_same_component_dispatch(monkeypatch):
+    """A paired dispatch takes x_prev first: the previous dispatch took it last,
+    so its component's memo still holds it when both dispatches share a
+    component.  Count: T monitored points on the mean quadratic, one new point
+    per dispatch after a step, x_1 once per component the initial dispatches
+    drew, and x_prev again after each change of component."""
+    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
+    tickets = []
+    draw = DelayModel.draw_ticket
+
+    def recording(self, *args):
+        tickets.append(draw(self, *args))
+        return tickets[-1]
+
+    monkeypatch.setattr(DelayModel, "draw_ticket", recording)
+    T, M = 200, 4
+    run(
+        momentum_config(
+            objective=MIXTURE_SPEC,
+            optimizer={"method": "ordered_mu2", "eta": 0.01},
+            total_iterations=T,
+            num_workers=M,
+            seed=3,
+        )
+    )
+    components = [ticket.component for ticket in tickets]
+    initial, later = set(components[:M]), components[M:]
+    assert len(later) == T
+    changes = (later[0] not in initial) + sum(a != b for a, b in zip(later, later[1:]))
+    assert len(calls) == T + T + len(initial) + changes == 449
 
 
 @pytest.mark.parametrize(
