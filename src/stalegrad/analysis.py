@@ -106,7 +106,9 @@ def convergence_metrics(trace: RunTrace, objective) -> MetricSeries:
     avg_sq = np.cumsum(np.square(trace.grad_norm)) / steps
     constants = objective.theory_constants()
     final_loss = float(objective.loss(trace.final_iterate))
-    final_excess = None if constants.f_star is None else final_loss - constants.f_star
+    # the minimizer's loss rather than f_star: both terms then round the same way
+    optimum = None if constants.f_star is None else float(objective.loss(constants.minimizer))
+    final_excess = None if optimum is None else final_loss - optimum
     final_distance = (
         None
         if constants.minimizer is None
@@ -210,9 +212,9 @@ def verify_trace_invariants(trace: RunTrace, objective, domain=None, tol: float 
     """Re-derive the structural invariants from the trace; returns failures.
 
     Covers the pending-set bound, staleness consistency, the smoothness
-    consequence ‖∇f‖² ≤ 2L(f−f*), and — when the dense iterate recordings
-    exist — the averaged method's weighted-average identity and its
-    successive-query contraction.
+    consequence ‖∇f‖² ≤ 2L(f−f*), and — for an ``ordered_mu2`` trace with
+    its dense iterate recordings — the averaged method's weighted-average
+    identity and its successive-query contraction.
     """
     failures: list[str] = []
     T = len(trace)
@@ -234,7 +236,8 @@ def verify_trace_invariants(trace: RunTrace, objective, domain=None, tol: float 
         slack = tol * np.maximum(1.0, np.abs(bound))
         if (np.square(trace.grad_norm) > bound + slack).any():
             failures.append("gradient-norm bound 2L(f - f*) violated")
-    if trace.descent_iterates is not None and trace.pre_iterates is not None:
+    mu2 = trace.resolved_params["method"] == "ordered_mu2"
+    if mu2 and trace.descent_iterates is not None and trace.pre_iterates is not None:
         # x_t for t = 1..T+1 against the weighted average of w_1..w_{T+1}
         xs = np.vstack([trace.pre_iterates, trace.final_iterate])
         ws = trace.descent_iterates

@@ -226,9 +226,7 @@ def _check_distribution_preservation() -> None:
     slow_total = 0
     expected_total = 0.0
     for worker in range(7):
-        waits = np.array(
-            [model.draw_ticket(worker, 1, 0.0, rng).waiting_time for _ in range(draws)]
-        )
+        waits = np.array([model.draw_ticket(worker, rng)[0] for _ in range(draws)])
         p = float(model.arrival_probs[worker])
         _ensure(
             abs(waits.mean() - 1.0 / p) <= 0.08 / p,
@@ -256,7 +254,7 @@ def _check_waiting_time_gof() -> None:
     model = delays.DelayModel.build(7, 0.1)
     rng = np.random.default_rng(11)
     for worker in range(7):
-        waits = [model.draw_ticket(worker, 1, 0.0, rng).waiting_time for _ in range(3000)]
+        waits = [model.draw_ticket(worker, rng)[0] for _ in range(3000)]
         result = analysis.waiting_time_gof(waits, float(model.arrival_probs[worker]))
         _ensure(
             result.pvalue >= 0.005,
@@ -306,25 +304,18 @@ def _check_ordered_weight_properties() -> None:
 
 
 def _check_zero_rule() -> None:
-    state = optimizers.OrderedMomentumState.initial(np.array([0.0]), 1.0, 0.5)
-    first = optimizers.DelayedGradientReport(
-        gradient=np.array([1.0]), dispatch_iteration=1, delay=0
-    )
-    state = optimizers.step_ordered_momentum(state, first)
-    _ensure(state.momentum[0] == 0.5 and state.iterate[0] == -0.5, "plain first step")
-    duplicate = optimizers.DelayedGradientReport(
-        gradient=np.array([100.0]), dispatch_iteration=1, delay=1
-    )
-    after = optimizers.step_ordered_momentum(state, duplicate)
+    row = optimizers.METHOD_TABLE["ordered_momentum"]
+    params = optimizers.make_params("ordered_momentum", {"eta": 1.0, "beta": 0.5})
+    step = optimizers.step_ordered_momentum
+    state = step(params, row.initial(np.array([0.0])), np.array([1.0]), 1, 0, None)
+    _ensure(state.buffer[0] == 0.5 and state.query[0] == -0.5, "plain first step")
+    after = step(params, state, np.array([100.0]), 1, 1, None)
     _ensure(
-        after.momentum[0] == 0.25 and after.iterate[0] == -0.75,
+        after.buffer[0] == 0.25 and after.query[0] == -0.75,
         "a re-arrival of dispatch index 1 must contribute a zero gradient",
     )
-    late = optimizers.DelayedGradientReport(
-        gradient=np.array([2.0]), dispatch_iteration=2, delay=1
-    )
-    third = optimizers.step_ordered_momentum(after, late)
-    _close(third.momentum[0], 0.5 * 0.5 * 2.0 + 0.5 * 0.25, detail="discounted late gradient")
+    third = step(params, after, np.array([2.0]), 2, 1, None)
+    _close(third.buffer[0], 0.5 * 0.5 * 2.0 + 0.5 * 0.25, detail="discounted late gradient")
 
 
 _UNROLLED_CONFIG = SimConfig(

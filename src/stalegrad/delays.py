@@ -9,7 +9,9 @@ while slow samples ride the long waits.
 
 One draw per ticket serves both purposes: it schedules the return and
 decides the component, which is precisely the data/delay coupling the
-simulator exists to study.
+simulator exists to study.  A ticket is the pair (wait, component) that
+:meth:`DelayModel.draw_ticket` returns; the caller keeps the dispatch
+index and adds the wait to its own clock.
 """
 
 from __future__ import annotations
@@ -59,16 +61,6 @@ def assign_component(ticket_wait: int, threshold: float) -> str:
     return SLOW if ticket_wait > threshold else FAST
 
 
-@dataclass(frozen=True, slots=True)
-class DispatchTicket:
-    """One round trip: dispatched at ``dispatch_iteration``, due at ``return_clock``."""
-
-    dispatch_iteration: int
-    return_clock: float
-    waiting_time: int
-    component: str
-
-
 @dataclass(frozen=True)
 class DelayModel:
     """Immutable description of the worker pool; shareable across runs."""
@@ -107,11 +99,8 @@ class DelayModel:
         )
         return cls(num_workers=num_workers, arrival_probs=probs, thresholds=thresholds)
 
-    def draw_ticket(
-        self, worker_id: int, dispatch_iteration: int, clock: float, rng: np.random.Generator
-    ) -> DispatchTicket:
-        """Draw one ticket; the single draw fixes both schedule and component."""
+    def draw_ticket(self, worker_id: int, rng: np.random.Generator) -> tuple[int, str]:
+        """Draw one ticket, ``(wait, component)``; the single draw fixes both."""
         p, threshold = self._per_worker[worker_id]
         wait = draw_waiting_time(p, rng)
-        component = assign_component(wait, threshold)
-        return DispatchTicket(dispatch_iteration, clock + wait, wait, component)
+        return wait, assign_component(wait, threshold)

@@ -1,13 +1,16 @@
-"""Update rules as pure step functions over immutable state.
+"""Update rules as pure step functions over one immutable state type.
 
-Every rule consumes a :class:`DelayedGradientReport` and returns a fresh
-state object; nothing is mutated, so trajectories can be replayed and
-golden-traced.  The report's ``delay`` and ``dispatch_iteration`` are
-treated as independent facts: the staleness discount uses the delay, the
+Every rule is ``step(params, state, g, k, tau, g_prev)``: the run's
+constants, the current :class:`State`, the arriving gradient ``g``, its
+dispatch index ``k``, its delay ``tau`` and, for the paired rules, the
+same-sample gradient ``g_prev`` at the previous query point.  It returns a
+fresh state; nothing is mutated, so trajectories can be replayed and
+golden-traced.  The delay and the dispatch index are treated as
+independent facts: the staleness discount uses the delay, the
 first-dispatch zero rule keys on the dispatch index, and neither is ever
 recomputed from the other.
 
-States stay immutable (frozen, slotted dataclasses), and each rule builds
+The state stays immutable (a frozen, slotted dataclass), and each rule builds
 the next one directly with its constructor rather than through
 ``dataclasses.replace``, which costs several times more on a path taken
 once per iteration.
@@ -26,16 +29,16 @@ Rules
   naive momentum, and the naive (uncorrected-averaging) variant of the
   correction method.
 
-A method is one state class, one step rule and one row of
+A method is one step rule over :class:`State` and one row of
 :data:`METHOD_TABLE` (see :class:`Method`), which is all the simulation
-knows of it; the five baselines share :class:`BaselineState`.
+knows of it; the five baselines share :func:`step_baseline`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -53,126 +56,12 @@ def require_in_range(value, field: str, upper: float = math.inf, closed: bool = 
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class DelayedGradientReport:
-    """What a worker hands back: a gradient plus its provenance.
-
-    ``paired_gradient`` is the same-sample gradient at the previous query
-    point, present only when the dispatching method asked for it.
-    """
-
-    gradient: Array
-    dispatch_iteration: int
-    delay: int
-    paired_gradient: Array | None = None
-
-
 def ordered_weight(beta: float, tau: int) -> float:
     """β(1−β)^τ — the discount restoring a late gradient's original weight."""
     require_in_range(beta, "optimizer.beta", 1.0, closed=False)
     if tau < 0:
         raise InvalidConfigError("delay must be nonnegative")
     return beta * (1.0 - beta) ** tau
-
-
-@dataclass(frozen=True, slots=True)
-class OrderedMomentumState:
-    iterate: Array
-    momentum: Array
-    step_size: float
-    momentum_param: float
-    steps_done: int = 0
-
-    @classmethod
-    def initial(cls, x1: Array, step_size: float, momentum_param: float) -> "OrderedMomentumState":
-        require_in_range(step_size, "optimizer.eta")
-        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
-        x1 = np.asarray(x1, dtype=np.float64)
-        return cls(x1, np.zeros_like(x1), step_size, momentum_param)
-
-
-def step_ordered_momentum(
-    state: OrderedMomentumState, report: DelayedGradientReport
-) -> OrderedMomentumState:
-    """m ← β(1−β)^τ·g + (1−β)·m, then x ← x − η·m.
-
-    After the very first update, any further report carrying dispatch
-    index 1 is a duplicate of the initial dispatch and its gradient is
-    replaced by zero.
-    """
-    t = state.steps_done + 1
-    beta = state.momentum_param
-    if report.dispatch_iteration == 1 and t > 1:
-        weighted = np.zeros_like(state.momentum)
-    else:
-        weighted = ordered_weight(beta, report.delay) * report.gradient
-    momentum = weighted + (1.0 - beta) * state.momentum
-    return OrderedMomentumState(
-        iterate=state.iterate - state.step_size * momentum,
-        momentum=momentum,
-        step_size=state.step_size,
-        momentum_param=beta,
-        steps_done=t,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class OrderedMu2State:
-    """State of the projected, averaged correction method.
-
-    ``averaged_iterate`` is the query point x_t (what workers differentiate
-    at); ``descent_iterate`` is w_t; ``weighted_momentum`` holds
-    q_{t−1} = α_{t−1}·d_{t−1}.
-    """
-
-    descent_iterate: Array
-    averaged_iterate: Array
-    weighted_momentum: Array
-    step_size: float
-    domain: BallDomain
-    steps_done: int = 0
-
-    @classmethod
-    def initial(cls, x1: Array, step_size: float, domain: BallDomain) -> "OrderedMu2State":
-        require_in_range(step_size, "optimizer.eta")
-        x1 = np.asarray(x1, dtype=np.float64)
-        if not domain.contains(x1):
-            raise InvalidConfigError("initial iterate must lie in the domain", field="run.x_init")
-        return cls(x1, x1, np.zeros_like(x1), step_size, domain)
-
-
-def step_ordered_mu2(state: OrderedMu2State, report: DelayedGradientReport) -> OrderedMu2State:
-    """Accumulate s_k = α_k·g − α_{k−1}·g̃, project, and re-average.
-
-    The α₀ = 0 convention makes the first dispatch's increment just g₁, so
-    a missing pair is tolerated only for dispatch index 1.
-    """
-    k = report.dispatch_iteration
-    if report.paired_gradient is None and k >= 2:
-        raise ProtocolError(
-            "the update needs the same-sample gradient at the previous query point"
-        )
-    increment = float(k) * report.gradient
-    if k >= 2:
-        increment = increment - float(k - 1) * report.paired_gradient
-    weighted_momentum = state.weighted_momentum + increment
-    descent = state.domain.project(
-        state.descent_iterate - state.step_size * weighted_momentum
-    )
-    t = state.steps_done + 1
-    alpha_next = float(t + 1)
-    alpha_cumulative = (t + 1) * (t + 2) / 2.0
-    averaged = state.averaged_iterate + (alpha_next / alpha_cumulative) * (
-        descent - state.averaged_iterate
-    )
-    return OrderedMu2State(
-        descent_iterate=descent,
-        averaged_iterate=averaged,
-        weighted_momentum=weighted_momentum,
-        step_size=state.step_size,
-        domain=state.domain,
-        steps_done=t,
-    )
 
 
 @dataclass(frozen=True)
@@ -192,80 +81,6 @@ class AdaptiveConstants:
             raise InvalidConfigError("worker and iteration counts must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class BaselineState:
-    """One state type for the five baselines, tagged by ``method``.
-
-    Buffers irrelevant to the tagged method stay ``None``.
-    """
-
-    method: str
-    iterate: Array
-    step_size: float | None = None
-    momentum: Array | None = None
-    momentum_param: float | None = None
-    query_momentum: float | None = None  # γ of the naive averaged variant
-    descent_iterate: Array | None = None
-    correction: Array | None = None  # d_{t-1} of the naive averaged variant
-    filter_threshold: float | None = None
-    adaptive: AdaptiveConstants | None = None
-    steps_done: int = 0
-    applied_updates: int = 0
-
-    @classmethod
-    def vanilla(cls, x1: Array, step_size: float) -> "BaselineState":
-        require_in_range(step_size, "optimizer.eta")
-        return cls(method="vanilla", iterate=np.asarray(x1, dtype=np.float64), step_size=step_size)
-
-    @classmethod
-    def delay_adaptive(cls, x1: Array, constants: AdaptiveConstants) -> "BaselineState":
-        return cls(
-            method="delay_adaptive", iterate=np.asarray(x1, dtype=np.float64), adaptive=constants
-        )
-
-    @classmethod
-    def delay_filtered(cls, x1: Array, step_size: float, filter_threshold: float) -> "BaselineState":
-        require_in_range(step_size, "optimizer.eta")
-        require_in_range(filter_threshold, "optimizer.tau_filter")
-        return cls(
-            method="delay_filtered",
-            iterate=np.asarray(x1, dtype=np.float64),
-            step_size=step_size,
-            filter_threshold=filter_threshold,
-        )
-
-    @classmethod
-    def naive_momentum(cls, x1: Array, step_size: float, momentum_param: float) -> "BaselineState":
-        require_in_range(step_size, "optimizer.eta")
-        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
-        x1 = np.asarray(x1, dtype=np.float64)
-        return cls(
-            method="naive_momentum",
-            iterate=x1,
-            step_size=step_size,
-            momentum=np.zeros_like(x1),
-            momentum_param=momentum_param,
-        )
-
-    @classmethod
-    def naive_mu2(
-        cls, x1: Array, step_size: float, momentum_param: float, query_momentum: float
-    ) -> "BaselineState":
-        require_in_range(step_size, "optimizer.eta")
-        require_in_range(momentum_param, "optimizer.beta", 1.0, closed=False)
-        require_in_range(query_momentum, "optimizer.gamma", 1.0)
-        x1 = np.asarray(x1, dtype=np.float64)
-        return cls(
-            method="naive_mu2",
-            iterate=x1,
-            step_size=step_size,
-            momentum_param=momentum_param,
-            query_momentum=query_momentum,
-            descent_iterate=x1,
-            correction=np.zeros_like(x1),
-        )
-
-
 def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:
     """min{1/(Lτ), 1/(LM), √(Δ/(Lσ²T))}; a zero delay drops the first term."""
     c = constants
@@ -278,64 +93,112 @@ def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:
     return min(candidates)
 
 
-def _advance(
-    state: BaselineState,
-    iterate: Array,
-    applied: bool,
-    momentum: Array | None = None,
-    descent_iterate: Array | None = None,
-    correction: Array | None = None,
-) -> BaselineState:
-    """The next baseline state; buffers the method does not carry stay ``None``."""
-    return BaselineState(
-        state.method,
-        iterate,
-        state.step_size,
-        momentum,
-        state.momentum_param,
-        state.query_momentum,
-        descent_iterate,
-        correction,
-        state.filter_threshold,
-        state.adaptive,
-        state.steps_done + 1,
-        state.applied_updates + applied,
-    )
+@dataclass(frozen=True, slots=True)
+class State:
+    """What every rule carries from one update to the next.
+
+    ``query`` is the point workers differentiate at.  ``buffer`` is the
+    rule's one running vector (momentum, q_{t−1} = α_{t−1}·d_{t−1}, or the
+    naive correction d_{t−1}) and ``descent`` its descent iterate w_t; each
+    is ``None`` for a rule without one.  ``steps`` counts the reports
+    consumed and ``applied`` those that moved the state.
+    """
+
+    query: Array
+    buffer: Array | None
+    descent: Array | None
+    steps: int = 0
+    applied: int = 0
 
 
-def step_baseline(state: BaselineState, report: DelayedGradientReport) -> BaselineState:
-    """Advance whichever baseline the state is tagged with."""
-    method = state.method
+@dataclass(frozen=True, slots=True)
+class Params:
+    """The constants of one run's rule; those the method does not take stay ``None``.
+
+    ``gamma`` is the query momentum of the naive averaged variant.
+    """
+
+    method: str
+    eta: float | None = None
+    beta: float | None = None
+    gamma: float | None = None
+    tau_filter: float | None = None
+    domain: BallDomain | None = None
+    adaptive: AdaptiveConstants | None = None
+
+
+def step_ordered_momentum(
+    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+) -> State:
+    """m ← β(1−β)^τ·g + (1−β)·m, then x ← x − η·m.
+
+    After the very first update, any further report carrying dispatch
+    index 1 is a duplicate of the initial dispatch and its gradient is
+    replaced by zero.
+    """
+    t = state.steps + 1
+    beta = params.beta
+    if k == 1 and t > 1:
+        weighted = np.zeros_like(state.buffer)
+    else:
+        weighted = ordered_weight(beta, tau) * g
+    momentum = weighted + (1.0 - beta) * state.buffer
+    return State(state.query - params.eta * momentum, momentum, None, t, t)
+
+
+def step_ordered_mu2(
+    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+) -> State:
+    """Accumulate s_k = α_k·g − α_{k−1}·g̃, project, and re-average.
+
+    The α₀ = 0 convention makes the first dispatch's increment just g₁, so
+    a missing pair is tolerated only for dispatch index 1.
+    """
+    if g_prev is None and k >= 2:
+        raise ProtocolError(
+            "the update needs the same-sample gradient at the previous query point"
+        )
+    increment = float(k) * g
+    if k >= 2:
+        increment = increment - float(k - 1) * g_prev
+    weighted_momentum = state.buffer + increment
+    descent = params.domain.project(state.descent - params.eta * weighted_momentum)
+    t = state.steps + 1
+    alpha_next = float(t + 1)
+    alpha_cumulative = (t + 1) * (t + 2) / 2.0
+    averaged = state.query + (alpha_next / alpha_cumulative) * (descent - state.query)
+    return State(averaged, weighted_momentum, descent, t, t)
+
+
+def step_baseline(
+    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+) -> State:
+    """Advance whichever baseline ``params.method`` names."""
+    method = params.method
+    t = state.steps + 1
     if method == "vanilla":
-        return _advance(state, state.iterate - state.step_size * report.gradient, True)
+        return State(state.query - params.eta * g, None, None, t, state.applied + 1)
     if method == "delay_adaptive":
-        eta = delay_adaptive_step_size(state.adaptive, report.delay)
-        return _advance(state, state.iterate - eta * report.gradient, True)
+        eta = delay_adaptive_step_size(params.adaptive, tau)
+        return State(state.query - eta * g, None, None, t, state.applied + 1)
     if method == "delay_filtered":
-        if report.delay > state.filter_threshold:
-            return _advance(state, state.iterate, False)
-        return _advance(state, state.iterate - state.step_size * report.gradient, True)
+        if tau > params.tau_filter:
+            return State(state.query, None, None, t, state.applied)
+        return State(state.query - params.eta * g, None, None, t, state.applied + 1)
     if method == "naive_momentum":
-        momentum = state.momentum_param * report.gradient + (1.0 - state.momentum_param) * state.momentum
-        return _advance(state, state.iterate - state.step_size * momentum, True, momentum=momentum)
+        momentum = params.beta * g + (1.0 - params.beta) * state.buffer
+        return State(state.query - params.eta * momentum, momentum, None, t, state.applied + 1)
     if method == "naive_mu2":
-        if report.paired_gradient is None:
+        if g_prev is None:
             raise ProtocolError(
                 "the update needs the same-sample gradient at the previous query point"
             )
-        correction = report.gradient + (1.0 - state.momentum_param) * (
-            state.correction - report.paired_gradient
-        )
-        descent = state.descent_iterate - state.step_size * correction
-        gamma = state.query_momentum
-        return _advance(
-            state,
-            gamma * descent + (1.0 - gamma) * state.iterate,
-            True,
-            descent_iterate=descent,
-            correction=correction,
-        )
-    raise InvalidConfigError(f"unknown baseline {state.method!r}", field="optimizer.method")
+        correction = g + (1.0 - params.beta) * (state.buffer - g_prev)
+        descent = state.descent - params.eta * correction
+        gamma = params.gamma
+        query = gamma * descent + (1.0 - gamma) * state.query
+        return State(query, correction, descent, t, state.applied + 1)
+    raise InvalidConfigError(f"unknown baseline {method!r}", field="optimizer.method")
 
 
 @dataclass(frozen=True)
@@ -441,43 +304,57 @@ def _resolve_theorem2(constants, domain, T: int, M: int) -> dict:
 class Method:
     """One row of :data:`METHOD_TABLE`.
 
-    ``build(x1, *values)`` makes the initial state from the values named in
-    ``takes`` (``eta``, ``beta``, ``gamma``, ``tau_filter``, ``domain``, or
-    ``adaptive`` for an :class:`AdaptiveConstants`).  ``step`` names the step
-    function, looked up in this module when a run is prepared.  ``query``,
-    ``applied``, ``buffer`` and ``descent`` name state attributes; the
-    defaults fit :class:`BaselineState`.  The ordered rules apply every
-    update, so ``steps_done`` is their applied count.
+    ``takes`` names the constants of the method's :class:`Params`
+    (``eta``, ``beta``, ``gamma``, ``tau_filter``, ``domain``, or
+    ``adaptive`` for an :class:`AdaptiveConstants`).  ``step`` names the
+    step function, looked up in this module when a run is prepared.
+    ``buffer`` and ``descent`` say whether the rule's :class:`State`
+    carries those vectors.
     """
 
-    build: Callable[..., Any]
     takes: tuple[str, ...]
     step: str = "step_baseline"
-    query: str = "iterate"
-    applied: str = "applied_updates"
-    buffer: str | None = None
-    descent: str | None = None
+    buffer: bool = False
+    descent: bool = False
     paired: bool = False  # needs the same-sample gradient at the previous query
     theory: Callable[..., dict] | None = None  # (constants, domain, T, M) -> params
+
+    def initial(self, x1: Array) -> State:
+        """The state before the first update: buffer at zero, descent iterate at x₁."""
+        x1 = np.asarray(x1, dtype=np.float64)
+        return State(x1, np.zeros_like(x1) if self.buffer else None, x1 if self.descent else None)
 
 
 METHOD_TABLE: dict[str, Method] = {
     "ordered_momentum": Method(
-        OrderedMomentumState.initial, ("eta", "beta"), "step_ordered_momentum",
-        applied="steps_done", buffer="momentum", theory=_resolve_theorem1,
+        ("eta", "beta"), "step_ordered_momentum", buffer=True, theory=_resolve_theorem1
     ),
     "ordered_mu2": Method(
-        OrderedMu2State.initial, ("eta", "domain"), "step_ordered_mu2", query="averaged_iterate",
-        applied="steps_done", buffer="weighted_momentum", descent="descent_iterate",
-        paired=True, theory=_resolve_theorem2,
+        ("eta", "domain"), "step_ordered_mu2", buffer=True, descent=True, paired=True,
+        theory=_resolve_theorem2,
     ),
-    "vanilla": Method(BaselineState.vanilla, ("eta",)),
-    "delay_adaptive": Method(BaselineState.delay_adaptive, ("adaptive",)),
-    "delay_filtered": Method(BaselineState.delay_filtered, ("eta", "tau_filter")),
-    "naive_momentum": Method(BaselineState.naive_momentum, ("eta", "beta"), buffer="momentum"),
-    "naive_mu2": Method(
-        BaselineState.naive_mu2, ("eta", "beta", "gamma"), buffer="correction", paired=True
-    ),
+    "vanilla": Method(("eta",)),
+    "delay_adaptive": Method(("adaptive",)),
+    "delay_filtered": Method(("eta", "tau_filter")),
+    "naive_momentum": Method(("eta", "beta"), buffer=True),
+    "naive_mu2": Method(("eta", "beta", "gamma"), buffer=True, descent=True, paired=True),
 }
 
 METHODS = tuple(METHOD_TABLE)
+
+#: (upper, closed) of each scalar constant's range, checked by :func:`require_in_range`
+_RANGES = {
+    "eta": (math.inf, True),
+    "beta": (1.0, False),
+    "gamma": (1.0, True),
+    "tau_filter": (math.inf, True),
+}
+
+
+def make_params(method: str, values: Mapping[str, Any]) -> Params:
+    """``method``'s :class:`Params` from ``values``, each range checked in ``takes`` order."""
+    takes = METHOD_TABLE[method].takes
+    for name in takes:
+        if name in _RANGES:
+            require_in_range(values[name], f"optimizer.{name}", *_RANGES[name])
+    return Params(method, **{name: values[name] for name in takes})

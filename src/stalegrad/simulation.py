@@ -23,7 +23,6 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -178,9 +177,10 @@ class RunTrace:
 class _Prepared:
     objective: Any
     model: delays.DelayModel
-    state: Any
+    params: optimizers.Params
+    state: optimizers.State
     method: optimizers.Method
-    step: Callable[[Any, optimizers.DelayedGradientReport], Any]
+    step: Callable[..., optimizers.State]
     resolved: dict[str, Any]
 
 
@@ -264,8 +264,11 @@ def _prepare(config: SimConfig) -> _Prepared:
             raise InvalidConfigError("missing", field=f"optimizer.{name}")
         return resolved[name]
 
-    state = row.build(x1, *[value(name) for name in row.takes])
-    return _Prepared(objective, model, state, row, getattr(optimizers, row.step), resolved)
+    params = optimizers.make_params(method, {name: value(name) for name in row.takes})
+    if params.domain is not None and not params.domain.contains(x1):
+        raise InvalidConfigError("initial iterate must lie in the domain", field="run.x_init")
+    step = getattr(optimizers, row.step)
+    return _Prepared(objective, model, params, row.initial(x1), row, step, resolved)
 
 
 def validate_config(config: SimConfig) -> None:
@@ -294,9 +297,6 @@ def run(config: SimConfig) -> RunTrace:
 
     stride = config.snapshot_stride or max(1, math.ceil(T / 1000))
     record = config.record_gradients
-    query_of, applied_of = attrgetter(method.query), attrgetter(method.applied)
-    buffer_of = attrgetter(method.buffer) if method.buffer else None
-    descent_of = attrgetter(method.descent) if method.descent else None
 
     worker_col = np.zeros(T, dtype=np.int64)
     dispatch_col = np.zeros(T, dtype=np.int64)
@@ -311,11 +311,12 @@ def run(config: SimConfig) -> RunTrace:
     gradients = np.zeros((T, dim)) if record else None
     buffers = np.zeros((T, dim)) if record else None
     pre_iterates = np.zeros((T, dim)) if record else None
-    descent_rows = [np.array(descent_of(prep.state))] if record and descent_of else None
+    state = prep.state
+    descent_rows = [np.array(state.descent)] if record and method.descent else None
 
-    # Entries are (return clock, worker, ticket, gradient, paired gradient).
-    # Each worker has one ticket in flight, so (clock, worker) is unique and
-    # comparisons never reach the ticket.
+    # Entries are (return clock, worker, dispatch index, wait, component tag,
+    # gradient, paired gradient).  Each worker has one ticket in flight, so
+    # (clock, worker) is unique and comparisons never reach the rest.
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
     draw_ticket = model.draw_ticket
@@ -324,35 +325,32 @@ def run(config: SimConfig) -> RunTrace:
     oracle, oracle_pair = objective.stochastic_grad, objective.stochastic_grad_pair
 
     def dispatch(worker: int, index: int, x: Array, x_prev: Array, clock: float) -> None:
-        ticket = draw_ticket(worker, index, clock, rng)
-        comp = component_index[ticket.component]
+        wait, tag = draw_ticket(worker, rng)
+        comp = component_index[tag]
         if needs_pair:
             g, g_prev = oracle_pair(x, x_prev, comp, rng)
         else:
             g, g_prev = oracle(x, comp, rng), None
-        push(heap, (ticket.return_clock, worker, ticket, g, g_prev))
+        push(heap, (clock + wait, worker, index, wait, tag, g, g_prev))
 
-    state = prep.state
-    query = query_of(state)
+    query = state.query
     query_prev = query
     for worker in range(M):
         dispatch(worker, 1, query, query_prev, 0.0)
     pending: set[int] = {1}
 
-    step = prep.step
-    make_report = optimizers.DelayedGradientReport
+    step, params = prep.step, prep.params
     for t in range(1, T + 1):
         row = t - 1
-        clock, worker, ticket, g, g_prev = pop(heap)
-        k = ticket.dispatch_iteration
+        clock, worker, k, wait, tag, g, g_prev = pop(heap)
         tau = t - k
         pending.discard(k)
 
         worker_col[row] = worker
         dispatch_col[row] = k
         pending_col[row] = len(pending)
-        wait_col[row] = ticket.waiting_time
-        component_col.append(ticket.component)
+        wait_col[row] = wait
+        component_col.append(tag)
         loss_col[row] = objective.loss(query)
         grad_norm_col[row] = euclidean_norm(objective.grad(query))
         if record:
@@ -362,20 +360,20 @@ def run(config: SimConfig) -> RunTrace:
             snapshot_steps.append(t)
             snapshots.append(np.array(query))
 
-        applied_before = applied_of(state)
-        state = step(state, make_report(g, k, tau, g_prev))
-        if applied_of(state) == applied_before:
+        applied_before = state.applied
+        state = step(params, state, g, k, tau, g_prev)
+        if state.applied == applied_before:
             applied_col[row] = False
 
-        new_query = query_of(state)
-        buf = buffer_of(state) if buffer_of is not None else None
+        new_query = state.query
+        buf = state.buffer
         if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
             raise DivergedRunError(step=t, last_iterate=np.array(query))
         if record:
             if buf is not None:
                 buffers[row] = buf
             if descent_rows is not None:
-                descent_rows.append(np.array(descent_of(state)))
+                descent_rows.append(np.array(state.descent))
 
         query_prev = query
         query = new_query

@@ -137,6 +137,22 @@ def test_metrics_at_the_minimizer_are_zero():
     assert metrics.final_distance == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mixture_excess_at_the_minimizer_is_exactly_zero():
+    # a mixture's f* sums its component losses while loss() goes through the
+    # mean quadratic; the excess must not carry that rounding difference
+    config = SimConfig(
+        objective=MIX_SPEC,
+        optimizer={"method": "vanilla", "eta": 0.01},
+        total_iterations=20,
+        num_workers=2,
+        delay={"slow_weight": 0.1},
+    )
+    objective = from_spec(MIX_SPEC, 0.1)
+    minimizer = objective.theory_constants().minimizer
+    trace = dataclasses.replace(run(config), final_iterate=minimizer)
+    assert convergence_metrics(trace, objective).final_excess == 0.0
+
+
 def test_metrics_single_deterministic_step():
     spec = {"family": "quadratic", "curvature": [1.0, 1.0], "offset": [0.0, 0.0]}
     config = SimConfig(
@@ -234,9 +250,18 @@ def test_invariants_catch_doctored_traces():
     failures = verify_trace_invariants(bad_pending, objective)
     assert any("pending" in f for f in failures)
 
+    config, trace = recorded_run(method="ordered_mu2", workers=4, iters=200)
+    objective = from_spec(config.objective, 0.1)
+    assert verify_trace_invariants(trace, objective) == []
+    nudged = np.array(trace.descent_iterates)
+    nudged[100] += 1e-3
+    bad_identity = dataclasses.replace(trace, descent_iterates=nudged)
+    failures = verify_trace_invariants(bad_identity, objective)
+    assert "weighted-average identity violated" in failures
+
 
 def test_recorded_naive_mu2_trace_verifies_clean():
     # the weighted-average identity belongs to ordered_mu2, whose query is the average
     config, trace = recorded_run(method="naive_mu2", workers=4, iters=200, gamma=0.5)
-    assert trace.descent_iterates is None
+    assert trace.descent_iterates is not None
     assert verify_trace_invariants(trace, from_spec(config.objective, 0.1)) == []

@@ -94,7 +94,7 @@ def test_realized_slow_fractions_match_floor_law():
         p = float(model.arrival_probs[worker])
         expected = exact_slow_probability(0.1, p)
         slow = sum(
-            model.draw_ticket(worker, 1, 0.0, rng).component == SLOW for _ in range(draws)
+            model.draw_ticket(worker, rng)[1] == SLOW for _ in range(draws)
         )
         frac = slow / draws
         fractions.append(frac)
@@ -112,12 +112,11 @@ def test_realized_slow_fractions_match_floor_law():
 
 def test_ticket_fields_and_determinism():
     model = DelayModel.build(4, 0.1)
-    t1 = model.draw_ticket(2, 5, 10.0, np.random.default_rng(42))
-    t2 = model.draw_ticket(2, 5, 10.0, np.random.default_rng(42))
+    t1 = model.draw_ticket(2, np.random.default_rng(42))
+    t2 = model.draw_ticket(2, np.random.default_rng(42))
     assert t1 == t2
-    assert t1.dispatch_iteration == 5
-    assert t1.return_clock == 10.0 + t1.waiting_time
-    assert t1.component == assign_component(t1.waiting_time, float(model.thresholds[2]))
+    wait, component = t1
+    assert component == assign_component(wait, float(model.thresholds[2]))
 
 
 def test_single_draw_serves_schedule_and_component():
@@ -127,10 +126,10 @@ def test_single_draw_serves_schedule_and_component():
     for _ in range(2000):
         worker = int(rng.integers(7))
         before = np.random.default_rng(int(rng.integers(2**31)))
-        ticket = model.draw_ticket(worker, 1, 3.0, before)
+        wait, component = model.draw_ticket(worker, before)
         threshold = float(model.thresholds[worker])
-        want = SLOW if ticket.waiting_time > threshold else FAST
-        assert ticket.component == want
+        want = SLOW if wait > threshold else FAST
+        assert component == want
 
 
 def test_single_worker_is_always_fast():
@@ -139,9 +138,7 @@ def test_single_worker_is_always_fast():
     assert math.isinf(model.thresholds[0])
     rng = np.random.default_rng(8)
     for _ in range(50):
-        ticket = model.draw_ticket(0, 1, 0.0, rng)
-        assert ticket.waiting_time == 1
-        assert ticket.component == FAST
+        assert model.draw_ticket(0, rng) == (1, FAST)
 
 
 def test_build_validation():

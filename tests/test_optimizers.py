@@ -1,7 +1,9 @@
 """Update rules: ordered methods, the five baselines, and theory parameters."""
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,9 @@ from stalegrad.optimizers import (
     METHOD_TABLE,
     METHODS,
     AdaptiveConstants,
-    BaselineState,
-    DelayedGradientReport,
-    OrderedMomentumState,
-    OrderedMu2State,
+    State,
     delay_adaptive_step_size,
+    make_params,
     ordered_weight,
     step_baseline,
     step_ordered_momentum,
@@ -27,15 +27,16 @@ from stalegrad.optimizers import (
     theorem1_params,
     theorem2_step_window,
 )
+from stalegrad.simulation import SimConfig, validate_config
 
 
-def report(g, k, tau, pair=None):
-    return DelayedGradientReport(
-        gradient=np.atleast_1d(np.asarray(g, dtype=float)),
-        dispatch_iteration=k,
-        delay=tau,
-        paired_gradient=None if pair is None else np.atleast_1d(np.asarray(pair, dtype=float)),
-    )
+def start(method, x1, **values):
+    """``method``'s params from ``values`` and its state at ``x1``."""
+    return make_params(method, values), METHOD_TABLE[method].initial(np.asarray(x1, dtype=float))
+
+
+def vec(v):
+    return np.atleast_1d(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------- weights
@@ -70,31 +71,31 @@ def test_ordered_weight_validation():
 
 
 def test_momentum_hand_unroll():
-    state = OrderedMomentumState.initial(np.zeros(1), step_size=1.0, momentum_param=0.5)
-    state = step_ordered_momentum(state, report(1.0, k=1, tau=0))
-    assert state.momentum[0] == 0.5  # β·g
-    assert state.iterate[0] == -0.5
-    state = step_ordered_momentum(state, report(2.0, k=2, tau=1))
+    params, state = start("ordered_momentum", np.zeros(1), eta=1.0, beta=0.5)
+    state = step_ordered_momentum(params, state, vec(1.0), 1, 0, None)
+    assert state.buffer[0] == 0.5  # β·g
+    assert state.query[0] == -0.5
+    state = step_ordered_momentum(params, state, vec(2.0), 2, 1, None)
     # β(1−β)^1·2 + (1−β)·0.5 = 0.25·2 + 0.25 = 0.75
-    assert state.momentum[0] == 0.75
-    assert state.iterate[0] == -1.25
-    assert state.steps_done == 2
+    assert state.buffer[0] == 0.75
+    assert state.query[0] == -1.25
+    assert state.steps == state.applied == 2
 
 
 def test_momentum_delay_and_dispatch_are_independent_fields():
-    # the step consumes report.delay for the weight even when it disagrees
+    # the step consumes the delay for the weight even when it disagrees
     # with t − k; the protocol owns that relationship, not the update rule
-    state = OrderedMomentumState.initial(np.zeros(1), step_size=1.0, momentum_param=0.5)
-    state = step_ordered_momentum(state, report(1.0, k=1, tau=0))
-    odd = step_ordered_momentum(state, report(1.0, k=3, tau=2))
-    assert odd.momentum[0] == ordered_weight(0.5, 2) * 1.0 + 0.5 * 0.5
+    params, state = start("ordered_momentum", np.zeros(1), eta=1.0, beta=0.5)
+    state = step_ordered_momentum(params, state, vec(1.0), 1, 0, None)
+    odd = step_ordered_momentum(params, state, vec(1.0), 3, 2, None)
+    assert odd.buffer[0] == ordered_weight(0.5, 2) * 1.0 + 0.5 * 0.5
 
 
 def test_momentum_validation():
     with pytest.raises(InvalidConfigError):
-        OrderedMomentumState.initial(np.zeros(1), step_size=0.0, momentum_param=0.5)
+        make_params("ordered_momentum", {"eta": 0.0, "beta": 0.5})
     with pytest.raises(InvalidConfigError):
-        OrderedMomentumState.initial(np.zeros(1), step_size=0.1, momentum_param=1.0)
+        make_params("ordered_momentum", {"eta": 0.1, "beta": 1.0})
 
 
 # ---------------------------------------------------------------- ordered mu2
@@ -104,43 +105,50 @@ BALL = BallDomain(center=np.zeros(1), radius=10.0)
 
 
 def test_mu2_first_step_needs_no_pair():
-    state = OrderedMu2State.initial(np.zeros(1), step_size=0.5, domain=BALL)
-    state = step_ordered_mu2(state, report(2.0, k=1, tau=0))
+    params, state = start("ordered_mu2", np.zeros(1), eta=0.5, domain=BALL)
+    state = step_ordered_mu2(params, state, vec(2.0), 1, 0, None)
     # s₁ = 1·g, w₂ = 0 − 0.5·2 = −1, x₂ = x₁ + (2/3)(w₂ − x₁)
-    assert state.weighted_momentum[0] == 2.0
-    assert state.descent_iterate[0] == -1.0
-    assert state.averaged_iterate[0] == pytest.approx(-2.0 / 3.0, rel=1e-15)
+    assert state.buffer[0] == 2.0
+    assert state.descent[0] == -1.0
+    assert state.query[0] == pytest.approx(-2.0 / 3.0, rel=1e-15)
 
 
 def test_mu2_weighted_average_identity_by_hand():
-    state = OrderedMu2State.initial(np.zeros(1), step_size=0.5, domain=BALL)
-    ws = [state.descent_iterate[0]]
-    state = step_ordered_mu2(state, report(2.0, k=1, tau=0))
-    ws.append(state.descent_iterate[0])
-    state = step_ordered_mu2(state, report(1.0, k=2, tau=0, pair=3.0))
-    ws.append(state.descent_iterate[0])
+    params, state = start("ordered_mu2", np.zeros(1), eta=0.5, domain=BALL)
+    ws = [state.descent[0]]
+    state = step_ordered_mu2(params, state, vec(2.0), 1, 0, None)
+    ws.append(state.descent[0])
+    state = step_ordered_mu2(params, state, vec(1.0), 2, 0, vec(3.0))
+    ws.append(state.descent[0])
     want = (1 * ws[0] + 2 * ws[1] + 3 * ws[2]) / 6.0
-    assert state.averaged_iterate[0] == pytest.approx(want, rel=1e-12)
+    assert state.query[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_mu2_missing_pair_is_a_protocol_error():
-    state = OrderedMu2State.initial(np.zeros(1), step_size=0.5, domain=BALL)
-    state = step_ordered_mu2(state, report(2.0, k=1, tau=0))
+    params, state = start("ordered_mu2", np.zeros(1), eta=0.5, domain=BALL)
+    state = step_ordered_mu2(params, state, vec(2.0), 1, 0, None)
     with pytest.raises(ProtocolError):
-        step_ordered_mu2(state, report(1.0, k=2, tau=0))
+        step_ordered_mu2(params, state, vec(1.0), 2, 0, None)
 
 
 def test_mu2_projects_the_descent_iterate():
     tight = BallDomain(center=np.zeros(1), radius=0.25)
-    state = OrderedMu2State.initial(np.zeros(1), step_size=1.0, domain=tight)
-    state = step_ordered_mu2(state, report(5.0, k=1, tau=0))
-    assert abs(state.descent_iterate[0]) <= 0.25
-    assert abs(state.averaged_iterate[0]) <= 0.25
+    params, state = start("ordered_mu2", np.zeros(1), eta=1.0, domain=tight)
+    state = step_ordered_mu2(params, state, vec(5.0), 1, 0, None)
+    assert abs(state.descent[0]) <= 0.25
+    assert abs(state.query[0]) <= 0.25
 
 
 def test_mu2_initial_iterate_must_be_inside():
+    config = SimConfig(
+        objective={"family": "quadratic", "dim": 1, "domain": {"center": [0.0], "radius": 10.0}},
+        optimizer={"method": "ordered_mu2", "eta": 0.5},
+        total_iterations=10,
+        num_workers=1,
+        x_init=(20.0,),
+    )
     with pytest.raises(InvalidConfigError) as err:
-        OrderedMu2State.initial(np.array([20.0]), step_size=0.5, domain=BALL)
+        validate_config(config)
     assert "run.x_init" in str(err.value)
 
 
@@ -171,17 +179,29 @@ MINIMAL_VALUES = {
 }
 
 
+def _shape(row, state):
+    """Which optional vectors ``state`` carries, as the row names them."""
+    return (state.buffer is not None, state.descent is not None) == (row.buffer, row.descent)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_method_table_row_matches_its_state_and_step(method):
     row = METHOD_TABLE[method]
-    state = row.build(np.zeros(2), *(MINIMAL_VALUES[name] for name in row.takes))
-    for attr in (row.query, row.applied, row.buffer, row.descent):
-        if attr is not None:
-            assert isinstance(getattr(state, attr), (np.ndarray, int)), attr
+    params = make_params(method, {name: MINIMAL_VALUES[name] for name in row.takes})
+    x1 = np.array([0.25, -0.5])
+    state = row.initial(x1)
+    assert _shape(row, state)
+    assert np.array_equal(state.query, x1)
+    if row.buffer:
+        assert np.array_equal(state.buffer, np.zeros(2))
+    if row.descent:
+        assert np.array_equal(state.descent, x1)
     step = getattr(optimizers, row.step)
-    unpaired = DelayedGradientReport(gradient=np.ones(2), dispatch_iteration=2, delay=1)
+    after = step(params, state, np.ones(2), 1, 0, np.ones(2))
+    assert isinstance(after, State) and after.steps == 1
+    assert _shape(row, after)
     try:
-        step(state, unpaired)
+        step(params, after, np.ones(2), 2, 1, None)
     except ProtocolError:
         refused = True
     else:
@@ -189,11 +209,23 @@ def test_method_table_row_matches_its_state_and_step(method):
     assert refused == row.paired
 
 
+def test_step_names_are_the_ones_the_bench_tracer_wraps():
+    # bench/tracing.py wraps each step function by name; a renamed or split
+    # step would silently drop its optimizers.step spans
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    wrapped = {
+        node.value
+        for node in ast.walk(ast.parse(tracer.read_text()))
+        if isinstance(node, ast.Constant) and str(node.value).startswith("step_")
+    }
+    assert {row.step for row in METHOD_TABLE.values()} == wrapped
+
+
 def test_vanilla_step():
-    state = BaselineState.vanilla(np.array([1.0]), step_size=0.2)
-    state = step_baseline(state, report(1.0, k=1, tau=0))
-    assert state.iterate[0] == pytest.approx(0.8, rel=1e-15)
-    assert state.applied_updates == 1
+    params, state = start("vanilla", np.array([1.0]), eta=0.2)
+    state = step_baseline(params, state, vec(1.0), 1, 0, None)
+    assert state.query[0] == pytest.approx(0.8, rel=1e-15)
+    assert state.applied == 1
 
 
 def test_delay_adaptive_step_size_examples():
@@ -209,9 +241,9 @@ def test_delay_adaptive_uses_per_report_delay():
     constants = AdaptiveConstants(
         lipschitz=1.0, num_workers=4, delta_gap=1.0, sigma=1.0, total_iterations=1
     )
-    state = BaselineState.delay_adaptive(np.array([1.0]), constants)
-    state = step_baseline(state, report(1.0, k=1, tau=10))
-    assert state.iterate[0] == pytest.approx(0.9, rel=1e-15)
+    params, state = start("delay_adaptive", np.array([1.0]), adaptive=constants)
+    state = step_baseline(params, state, vec(1.0), 1, 10, None)
+    assert state.query[0] == pytest.approx(0.9, rel=1e-15)
 
 
 def test_adaptive_constants_validation():
@@ -222,44 +254,46 @@ def test_adaptive_constants_validation():
 
 
 def test_delay_filtered_drops_stale_reports():
-    state = BaselineState.delay_filtered(np.array([1.0]), step_size=0.5, filter_threshold=7.0)
-    stale = step_baseline(state, report(1.0, k=1, tau=9))
-    assert stale.iterate[0] == 1.0
-    assert stale.steps_done == 1 and stale.applied_updates == 0
-    fresh = step_baseline(stale, report(1.0, k=2, tau=7))  # 7 is not > 7
-    assert fresh.iterate[0] == 0.5
-    assert fresh.applied_updates == 1
+    params, state = start("delay_filtered", np.array([1.0]), eta=0.5, tau_filter=7.0)
+    stale = step_baseline(params, state, vec(1.0), 1, 9, None)
+    assert stale.query[0] == 1.0
+    assert stale.steps == 1 and stale.applied == 0
+    fresh = step_baseline(params, stale, vec(1.0), 2, 7, None)  # 7 is not > 7
+    assert fresh.query[0] == 0.5
+    assert fresh.applied == 1
 
 
 def test_naive_momentum_ignores_delay():
-    state = BaselineState.naive_momentum(np.zeros(1), step_size=1.0, momentum_param=0.5)
-    a = step_baseline(state, report(2.0, k=1, tau=0)).momentum[0]
-    b = step_baseline(state, report(2.0, k=1, tau=12)).momentum[0]
+    params, state = start("naive_momentum", np.zeros(1), eta=1.0, beta=0.5)
+    a = step_baseline(params, state, vec(2.0), 1, 0, None).buffer[0]
+    b = step_baseline(params, state, vec(2.0), 1, 12, None).buffer[0]
     assert a == b == 1.0  # βg either way — no ordered discount
 
 
 def test_naive_mu2_recursion():
-    state = BaselineState.naive_mu2(
-        np.zeros(1), step_size=0.5, momentum_param=0.25, query_momentum=0.5
-    )
-    state = step_baseline(state, report(2.0, k=1, tau=0, pair=2.0))
+    params, state = start("naive_mu2", np.zeros(1), eta=0.5, beta=0.25, gamma=0.5)
+    state = step_baseline(params, state, vec(2.0), 1, 0, vec(2.0))
     # d₁ = g + (1−β)(0 − g̃) = 2 + 0.75·(−2) = 0.5; w = −0.25; x = γw
-    assert state.correction[0] == 0.5
-    assert state.descent_iterate[0] == -0.25
-    assert state.iterate[0] == -0.125
+    assert state.buffer[0] == 0.5
+    assert state.descent[0] == -0.25
+    assert state.query[0] == -0.125
     with pytest.raises(ProtocolError):
-        step_baseline(state, report(1.0, k=2, tau=0))
+        step_baseline(params, state, vec(1.0), 2, 0, None)
 
 
 def test_baseline_validation():
-    with pytest.raises(InvalidConfigError):
-        BaselineState.vanilla(np.zeros(1), step_size=0.0)
-    with pytest.raises(InvalidConfigError):
-        BaselineState.delay_filtered(np.zeros(1), step_size=0.1, filter_threshold=0.0)
-    with pytest.raises(InvalidConfigError):
-        BaselineState.naive_momentum(np.zeros(1), step_size=0.1, momentum_param=1.5)
-    with pytest.raises(InvalidConfigError):
-        BaselineState.naive_mu2(np.zeros(1), step_size=0.1, momentum_param=0.5, query_momentum=0.0)
+    cases = [
+        ("vanilla", {"eta": 0.0}, "optimizer.eta"),
+        ("delay_filtered", {"eta": 0.1, "tau_filter": 0.0}, "optimizer.tau_filter"),
+        ("naive_momentum", {"eta": 0.1, "beta": 1.5}, "optimizer.beta"),
+        ("naive_mu2", {"eta": 0.1, "beta": 0.5, "gamma": 0.0}, "optimizer.gamma"),
+        # ranges are checked in ``takes`` order: eta before beta before gamma
+        ("naive_mu2", {"eta": -1.0, "beta": 2.0, "gamma": 0.0}, "optimizer.eta"),
+    ]
+    for method, values, field in cases:
+        with pytest.raises(InvalidConfigError) as err:
+            make_params(method, values)
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------- theory params

@@ -304,7 +304,7 @@ def test_paired_mixture_run_reuses_x_prev_after_a_same_component_dispatch(monkey
             seed=3,
         )
     )
-    components = [ticket.component for ticket in tickets]
+    components = [component for _, component in tickets]
     initial, later = set(components[:M]), components[M:]
     assert len(later) == T
     changes = (later[0] not in initial) + sum(a != b for a, b in zip(later, later[1:]))
