@@ -11,9 +11,16 @@ it × M ∈ {1, 4, 7}, at T = 300 and one fixed seed.  Each run records
   columns;
 * ``final_iterate``.
 
+A second section, ``cli``, pins the summary files the command line writes:
+``stalegrad run configs/minimal.yaml`` and ``stalegrad sweep`` on
+``configs/bias_comparison.yaml`` and ``configs/robustness_window.yaml``
+(shortened to T = 300, one seed, one process).  Each file records its
+SHA-256 and its parsed values.
+
 The file also records an environment stamp.  ``test_golden.py`` compares
 bytes exactly when the stamp matches and falls back to the schedule digest
-plus a relative tolerance on the floats otherwise.
+plus a relative tolerance on the floats otherwise (for a CLI file: its parsed
+values, floats within the tolerance and everything else exactly).
 
 Regenerate only when a change of the numbers is intended::
 
@@ -27,8 +34,11 @@ hold).  It refuses to write, and exits nonzero, when any run's
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import ctypes
 import hashlib
+import io
 import json
 import math
 import platform
@@ -36,13 +46,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from stalegrad import cli
+from stalegrad.config import apply_override, load_document
 from stalegrad.errors import InvalidConfigError
 from stalegrad.optimizers import METHODS
 from stalegrad.simulation import SimConfig, run, validate_config
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 ITERATIONS = 300
 WORKERS = (1, 4, 7)
@@ -86,6 +99,16 @@ FAMILIES = {
 
 #: one hyperparameter set shared by every method; each method reads what it needs
 OPTIMIZER = {"eta": 0.05, "beta": 0.2, "gamma": 0.5, "tau_filter": 3}
+
+_SWEEP_FILES = ("runs.csv", "robustness.csv", "summary.json")
+_SHORT_SWEEP = {"run.iterations": ITERATIONS, "sweep.seeds.count": 1, "sweep.parallelism": 1}
+
+#: name -> (subcommand, config under ``configs/``, overrides, files written)
+CLI_RUNS = {
+    "run/minimal": ("run", "minimal.yaml", {}, ("run_summary.json", "run_s0.csv")),
+    "sweep/bias_comparison": ("sweep", "bias_comparison.yaml", _SHORT_SWEEP, _SWEEP_FILES),
+    "sweep/robustness_window": ("sweep", "robustness_window.yaml", _SHORT_SWEEP, _SWEEP_FILES),
+}
 
 SCHEDULE_COLUMNS = ("t", "worker_id", "dispatch_iteration", "tau", "pending_size", "waiting_time")
 
@@ -164,6 +187,46 @@ def record(config: SimConfig) -> dict:
     }
 
 
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_output(name: str, text: str):
+    """A CLI output file's values: the JSON document, or the CSV rows with numbers parsed."""
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_cell(cell) for cell in row] for row in csv.reader(io.StringIO(text))]
+
+
+def cli_outputs() -> dict:
+    """``{"<run>/<file>": {"sha256", "values"}}`` for every file :data:`CLI_RUNS` writes."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, config, overrides, files) in CLI_RUNS.items():
+            doc = load_document(CONFIG_DIR / config)
+            for path, value in overrides.items():
+                doc = apply_override(doc, path, value)
+            config_path = Path(tmp) / config
+            config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+            directory = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main([command, str(config_path), "--output-dir", str(directory)])
+            if status != 0:
+                raise RuntimeError(f"stalegrad {command} {config} exited with {status}")
+            for file in files:
+                data = (directory / file).read_bytes()
+                out[f"{name}/{file}"] = {
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "values": parse_output(file, data.decode()),
+                }
+    return out
+
+
 def _relative_change(new: float, old: float) -> float:
     if new == old:
         return 0.0
@@ -199,9 +262,10 @@ def main() -> None:
         "iterations": ITERATIONS,
         "seed": SEED,
         "runs": runs,
+        "cli": cli_outputs(),
     }
     GOLDEN_PATH.write_text(json.dumps(document, indent=1) + "\n")
-    print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")
+    print(f"wrote {len(runs)} runs and {len(document['cli'])} CLI files to {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 In the environment that wrote the file the trace CSV must match byte for
 byte.  Elsewhere numpy, BLAS or the CPU may round differently, so the
 integer schedule must still match exactly and the float checksums and the
-final iterate within ``REL_TOL``.  Perturbing x_init by 1e-13 moves them by
+final iterate within ``REL_TOL``; a pinned CLI file must then parse to the
+same values, floats within ``REL_TOL`` and everything else exactly.  Perturbing x_init by 1e-13 moves them by
 at most 3e-11 relative, so ``REL_TOL`` leaves room for rounding drift while
 still catching any change of the numbers.
 """
@@ -44,6 +45,47 @@ def test_run_matches_golden(key):
         assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-12)
     if SAME_ENVIRONMENT:
         assert actual == expected
+
+
+def _agrees(actual, expected) -> bool:
+    """Equal values, floats within ``REL_TOL``; containers compared entry by entry."""
+    if type(actual) is not type(expected):
+        return False
+    if isinstance(expected, float):
+        return math.isclose(actual, expected, rel_tol=REL_TOL)
+    if isinstance(expected, list):
+        return len(actual) == len(expected) and all(map(_agrees, actual, expected))
+    if isinstance(expected, dict):
+        return actual.keys() == expected.keys() and all(
+            _agrees(actual[key], expected[key]) for key in expected
+        )
+    return actual == expected
+
+
+@pytest.fixture(scope="module")
+def cli_outputs():
+    return make_golden.cli_outputs()
+
+
+def test_cli_files_match_the_recorded_ones(cli_outputs):
+    assert sorted(cli_outputs) == sorted(GOLDEN["cli"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["cli"]))
+def test_cli_output_matches_golden(name, cli_outputs):
+    expected, actual = GOLDEN["cli"][name], cli_outputs[name]
+    if SAME_ENVIRONMENT:
+        assert actual["sha256"] == expected["sha256"]
+    assert _agrees(actual["values"], expected["values"])
+
+
+def test_cli_comparison_tolerates_rounding_only():
+    expected = {"a": [1, "x", 0.5], "b": None}
+    assert _agrees({"a": [1, "x", 0.5 * (1 + 1e-12)], "b": None}, expected)
+    assert not _agrees({"a": [1, "x", 0.5 * (1 + 1e-6)], "b": None}, expected)
+    assert not _agrees({"a": [1.0, "x", 0.5], "b": None}, expected)
+    assert not _agrees({"a": [1, "x"], "b": None}, expected)
+    assert not _agrees({"a": [1, "x", 0.5]}, expected)
 
 
 def test_stamp_tells_openblas_kernels_apart():
