@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTraceError, InvalidComparisonError
-from .objectives import FAST, SLOW
+from .objectives import COMPONENT_INDEX, FAST, SLOW
 from .simulation import RunTrace
 
 Array = np.ndarray
@@ -51,14 +51,13 @@ class ErrorDecomposition:
     bias: Array
 
 
-def error_decomposition_series(trace: RunTrace, objective, beta: float | None = None) -> list[ErrorDecomposition]:
-    """Per-step decomposition for an ordered-momentum trace."""
+def error_decomposition_series(trace: RunTrace, objective) -> list[ErrorDecomposition]:
+    """Per-step decomposition for an ordered-momentum trace, with its recorded β."""
     if trace.buffers is None or trace.pre_iterates is None:
         raise InsufficientTraceError("the run did not record buffers and iterates")
+    beta = trace.resolved_params.get("beta")
     if beta is None:
-        beta = trace.resolved_params.get("beta")
-        if beta is None:
-            raise InsufficientTraceError("no momentum parameter recorded for this trace")
+        raise InsufficientTraceError("no momentum parameter recorded for this trace")
     out = []
     for i, pend in enumerate(pending_sets(trace)):
         t = int(trace.t[i])
@@ -80,7 +79,6 @@ class MetricSeries:
     final_loss: float
     final_excess: float | None
     final_distance: float | None
-    confusion: dict[str, Array] | None = None
 
     @property
     def final_avg_sq_grad_norm(self) -> float:
@@ -92,7 +90,7 @@ def confusion_counts(objective, x: Array) -> dict[str, Array]:
     predicted = objective.predictions(x)
     c = objective.num_classes
     out: dict[str, Array] = {}
-    for tag, group in ((SLOW, 0), (FAST, 1), ("pooled", None)):
+    for tag, group in (*COMPONENT_INDEX.items(), ("pooled", None)):
         rows = slice(None) if group is None else objective.group_of == group
         matrix = np.zeros((c, c), dtype=np.int64)
         np.add.at(matrix, (objective.labels[rows], predicted[rows]), 1)
@@ -114,17 +112,11 @@ def convergence_metrics(trace: RunTrace, objective) -> MetricSeries:
         if constants.minimizer is None
         else float(np.linalg.norm(trace.final_iterate - constants.minimizer))
     )
-    confusion = (
-        confusion_counts(objective, trace.final_iterate)
-        if hasattr(objective, "predictions")
-        else None
-    )
     return MetricSeries(
         avg_sq_grad_norm=avg_sq,
         final_loss=final_loss,
         final_excess=final_excess,
         final_distance=final_distance,
-        confusion=confusion,
     )
 
 
@@ -169,11 +161,11 @@ class GofResult:
     pvalue: float
 
 
-def waiting_time_gof(waits, p: float, min_expected: float = 5.0) -> GofResult:
+def waiting_time_gof(waits, p: float) -> GofResult:
     """Pearson chi-square of observed waits against Geometric(p) on {1,2,...}.
 
     Cells are 1, 2, ..., k plus a pooled tail, with k chosen so every
-    expected count stays above ``min_expected``.
+    expected count is at least 5.
     """
     waits = np.asarray(waits, dtype=np.int64)
     n = waits.shape[0]
@@ -181,7 +173,7 @@ def waiting_time_gof(waits, p: float, min_expected: float = 5.0) -> GofResult:
     while True:
         cell = n * p * (1.0 - p) ** k  # expected count of wait == k+1
         tail = n * (1.0 - p) ** (k + 1)
-        if cell < min_expected or tail < min_expected:
+        if cell < 5.0 or tail < 5.0:
             break
         k += 1
     if k < 1:
@@ -208,14 +200,16 @@ def delay_separation(trace: RunTrace) -> tuple[float, float]:
     return float(slow.mean()), float(fast.mean())
 
 
-def verify_trace_invariants(trace: RunTrace, objective, domain=None, tol: float = 1e-9) -> list[str]:
+def verify_trace_invariants(trace: RunTrace, objective, domain=None) -> list[str]:
     """Re-derive the structural invariants from the trace; returns failures.
 
     Covers the pending-set bound, staleness consistency, the smoothness
     consequence ‖∇f‖² ≤ 2L(f−f*), and — for an ``ordered_mu2`` trace with
     its dense iterate recordings — the averaged method's weighted-average
-    identity and its successive-query contraction.
+    identity and its successive-query contraction.  The float checks allow
+    a relative slack of 1e-9.
     """
+    tol = 1e-9
     failures: list[str] = []
     T = len(trace)
     M = trace.config.num_workers

@@ -34,8 +34,8 @@ def _ensure(condition: bool, detail: str) -> None:
         raise Failure(detail)
 
 
-def _close(a, b, rel=1e-12, detail="values differ") -> None:
-    _ensure(math.isclose(a, b, rel_tol=rel), f"{detail}: {a!r} vs {b!r}")
+def _close(a, b, detail="values differ") -> None:
+    _ensure(math.isclose(a, b, rel_tol=1e-12), f"{detail}: {a!r} vs {b!r}")
 
 
 _QUAD_SPEC = {
@@ -307,14 +307,14 @@ def _check_zero_rule() -> None:
     row = optimizers.METHOD_TABLE["ordered_momentum"]
     params = optimizers.make_params("ordered_momentum", {"eta": 1.0, "beta": 0.5})
     step = optimizers.step_ordered_momentum
-    state = step(params, row.initial(np.array([0.0])), np.array([1.0]), 1, 0, None)
+    state = step(params, row.initial(np.array([0.0])), np.array([1.0]), 1, 1, 0, None)
     _ensure(state.buffer[0] == 0.5 and state.query[0] == -0.5, "plain first step")
-    after = step(params, state, np.array([100.0]), 1, 1, None)
+    after = step(params, state, np.array([100.0]), 2, 1, 1, None)
     _ensure(
         after.buffer[0] == 0.25 and after.query[0] == -0.75,
         "a re-arrival of dispatch index 1 must contribute a zero gradient",
     )
-    third = step(params, after, np.array([2.0]), 2, 1, None)
+    third = step(params, after, np.array([2.0]), 3, 2, 1, None)
     _close(third.buffer[0], 0.5 * 0.5 * 2.0 + 0.5 * 0.25, detail="discounted late gradient")
 
 

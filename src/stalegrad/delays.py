@@ -65,7 +65,6 @@ def assign_component(ticket_wait: int, threshold: float) -> str:
 class DelayModel:
     """Immutable description of the worker pool; shareable across runs."""
 
-    num_workers: int
     arrival_probs: np.ndarray
     thresholds: np.ndarray
 
@@ -76,7 +75,7 @@ class DelayModel:
         thresholds = np.asarray(self.thresholds, dtype=np.float64)
         thresholds.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
-        if probs.shape != (self.num_workers,) or thresholds.shape != (self.num_workers,):
+        if probs.ndim != 1 or thresholds.shape != probs.shape:
             raise InvalidConfigError("per-worker vectors must have one entry per worker")
         # (p, threshold) per worker as Python floats, read once per ticket
         object.__setattr__(self, "_per_worker", tuple(zip(probs.tolist(), thresholds.tolist())))
@@ -97,7 +96,7 @@ class DelayModel:
         thresholds = np.array(
             [delay_threshold(slow_weight, p) if p < 1.0 else math.inf for p in probs]
         )
-        return cls(num_workers=num_workers, arrival_probs=probs, thresholds=thresholds)
+        return cls(arrival_probs=probs, thresholds=thresholds)
 
     def draw_ticket(self, worker_id: int, rng: np.random.Generator) -> tuple[int, str]:
         """Draw one ticket, ``(wait, component)``; the single draw fixes both."""

@@ -11,11 +11,12 @@ Four families are provided, all cheap enough to evaluate exactly:
   with samples split into a slow and a fast group.
 
 Stochastic gradients follow one sampling scheme everywhere: the delay model
-fixes the component tag, the objective adds isotropic Gaussian noise with
-per-coordinate standard deviation ``noise_sigma/√d`` (so the expected
-squared noise norm is exactly ``noise_sigma²``).  When an update rule needs
-gradients at two points from one sample, both evaluations share the same
-component and the same noise vector, so their difference is noise-free.
+fixes the component tag (:data:`COMPONENT_INDEX` gives its index), the
+objective adds isotropic Gaussian noise with per-coordinate standard
+deviation ``noise_sigma/√d`` (so the expected squared noise norm is exactly
+``noise_sigma²``).  When an update rule needs gradients at two points from
+one sample, both evaluations share the same component and the same noise
+vector, so their difference is noise-free.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ Array = np.ndarray
 
 #: component tags used by the delay model and recorded in traces
 SLOW, FAST = "slow", "fast"
+#: the component index a tag selects: a mixture's component or a logistic
+#: group; the single-component families ignore it
+COMPONENT_INDEX = {SLOW: 0, FAST: 1}
 
 
 def _freeze(a: Array) -> Array:
@@ -185,19 +189,11 @@ class BallDomain:
 class _NoiseModel:
     """Shared stochastic-gradient scheme; see the module docstring."""
 
-    # subclasses provide: dim, noise_sigma, component_grad, num_components
+    # subclasses provide: dim, noise_sigma, component_grad
 
     def _check_noise_sigma(self) -> None:
         if not self.noise_sigma >= 0:
             raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
-
-    def component_for(self, tag: str) -> int:
-        """Map a delay-model component tag to a component index."""
-        if tag not in (SLOW, FAST):
-            raise ContractViolationError(f"unknown component tag {tag!r}")
-        if self.num_components == 1:
-            return 0
-        return 0 if tag == SLOW else 1
 
     def _noise(self, rng: np.random.Generator) -> Array:
         if self.noise_sigma == 0.0:
@@ -214,7 +210,7 @@ class _NoiseModel:
         """Gradients at x and x_prev sharing one sample (component and noise).
 
         x_prev goes first: it is the point the previous dispatch evaluated
-        last, so a memo still holds it, and evaluating x then keeps both.
+        last, so a memo still holds it.
         """
         noise = self._noise(rng)
         g_prev = self.component_grad(x_prev, component) + noise
@@ -243,10 +239,10 @@ def _as_matrix(curvature: Any, dim: int) -> Array:
 class Quadratic(_NoiseModel):
     """f(x) = ½xᵀAx − bᵀx with symmetric positive definite A.
 
-    ``grad`` memoizes its last two points, keyed on their exact bytes: a
-    step's monitoring re-evaluates the point the previous dispatch
-    differentiated at, and a paired dispatch differentiates at the previous
-    query point again.  The arrays it returns are read-only.
+    ``grad`` memoizes its last point, keyed on its exact bytes: a step's
+    monitoring re-evaluates the point the previous dispatch differentiated
+    at, and a paired dispatch differentiates at the previous query point
+    first.  The arrays it returns are read-only.
     """
 
     matrix: Array
@@ -257,15 +253,11 @@ class Quadratic(_NoiseModel):
         object.__setattr__(self, "offset", _freeze(np.atleast_1d(self.offset)))
         object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, self.offset.shape[0])))
         self._check_noise_sigma()
-        object.__setattr__(self, "_memo", ((None, None), (None, None)))
+        object.__setattr__(self, "_memo", (None, None))
 
     @cached_property
     def dim(self) -> int:
         return self.offset.shape[0]
-
-    @property
-    def num_components(self) -> int:
-        return 1
 
     def loss(self, x: Array) -> float:
         # ndarray.dot rather than @, without matmul's per-call dispatch cost.
@@ -276,13 +268,11 @@ class Quadratic(_NoiseModel):
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
         key = x.tobytes()
-        newest, older = self._memo
-        if newest[0] == key:
-            return newest[1]
-        if older[0] == key:
-            return older[1]
+        memo = self._memo
+        if memo[0] == key:
+            return memo[1]
         g = _read_only(self._evaluate_grad(x))
-        object.__setattr__(self, "_memo", ((key, g), newest))
+        object.__setattr__(self, "_memo", (key, g))
         return g
 
     def _evaluate_grad(self, x: Array) -> Array:
@@ -343,10 +333,6 @@ class Mixture(_NoiseModel):
     @cached_property
     def dim(self) -> int:
         return self.components[0].dim
-
-    @property
-    def num_components(self) -> int:
-        return 2
 
     def loss(self, x: Array) -> float:
         return self.mean.loss(x)
@@ -440,10 +426,6 @@ class NonconvexQuadratic(_NoiseModel):
         return self.base.dim
 
     @property
-    def num_components(self) -> int:
-        return 1
-
-    @property
     def minimizer(self) -> Array:
         return self.base.minimizer
 
@@ -518,7 +500,7 @@ class Logistic(_NoiseModel):
             raise InvalidConfigError("group weights must be positive and sum to 1")
         self._check_noise_sigma()
         groups = []
-        for c in range(self.num_components):
+        for c in (0, 1):
             rows = np.flatnonzero(self.group_of == c)
             groups.append(
                 _Group(
@@ -538,10 +520,6 @@ class Logistic(_NoiseModel):
     @cached_property
     def dim(self) -> int:
         return self.num_classes * self.feature_dim
-
-    @property
-    def num_components(self) -> int:
-        return 2
 
     def _log_softmax(self, x: Array) -> Array:
         weights = x.reshape(self.num_classes, self.feature_dim)

@@ -1,14 +1,16 @@
 """Update rules as pure step functions over one immutable state type.
 
-Every rule is ``step(params, state, g, k, tau, g_prev)``: the run's
-constants, the current :class:`State`, the arriving gradient ``g``, its
-dispatch index ``k``, its delay ``tau`` and, for the paired rules, the
-same-sample gradient ``g_prev`` at the previous query point.  It returns a
-fresh state; nothing is mutated, so trajectories can be replayed and
-golden-traced.  The delay and the dispatch index are treated as
-independent facts: the staleness discount uses the delay, the
-first-dispatch zero rule keys on the dispatch index, and neither is ever
-recomputed from the other.
+Every rule is ``step(params, state, g, t, k, tau, g_prev)``: the run's
+constants, the current :class:`State`, the arriving gradient ``g``, the
+iteration ``t`` it is applied at, its dispatch index ``k``, its delay
+``tau`` and, for the paired rules, the same-sample gradient ``g_prev`` at
+the previous query point.  It returns a fresh state, or the state it was
+given when the rule drops the report; nothing is mutated, so trajectories
+can be replayed and golden-traced.  The iteration, the delay and the
+dispatch index are treated as independent facts: the caller owns the
+iteration count, the staleness discount uses the delay, the first-dispatch
+zero rule keys on the dispatch index, and none is ever recomputed from the
+others.
 
 The state stays immutable (a frozen, slotted dataclass), and each rule builds
 the next one directly with its constructor rather than through
@@ -100,15 +102,12 @@ class State:
     ``query`` is the point workers differentiate at.  ``buffer`` is the
     rule's one running vector (momentum, q_{t−1} = α_{t−1}·d_{t−1}, or the
     naive correction d_{t−1}) and ``descent`` its descent iterate w_t; each
-    is ``None`` for a rule without one.  ``steps`` counts the reports
-    consumed and ``applied`` those that moved the state.
+    is ``None`` for a rule without one.
     """
 
     query: Array
     buffer: Array | None
     descent: Array | None
-    steps: int = 0
-    applied: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +127,7 @@ class Params:
 
 
 def step_ordered_momentum(
-    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+    params: Params, state: State, g: Array, t: int, k: int, tau: int, g_prev: Array | None
 ) -> State:
     """m ← β(1−β)^τ·g + (1−β)·m, then x ← x − η·m.
 
@@ -136,18 +135,17 @@ def step_ordered_momentum(
     index 1 is a duplicate of the initial dispatch and its gradient is
     replaced by zero.
     """
-    t = state.steps + 1
     beta = params.beta
     if k == 1 and t > 1:
         weighted = np.zeros_like(state.buffer)
     else:
         weighted = ordered_weight(beta, tau) * g
     momentum = weighted + (1.0 - beta) * state.buffer
-    return State(state.query - params.eta * momentum, momentum, None, t, t)
+    return State(state.query - params.eta * momentum, momentum, None)
 
 
 def step_ordered_mu2(
-    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+    params: Params, state: State, g: Array, t: int, k: int, tau: int, g_prev: Array | None
 ) -> State:
     """Accumulate s_k = α_k·g − α_{k−1}·g̃, project, and re-average.
 
@@ -163,31 +161,33 @@ def step_ordered_mu2(
         increment = increment - float(k - 1) * g_prev
     weighted_momentum = state.buffer + increment
     descent = params.domain.project(state.descent - params.eta * weighted_momentum)
-    t = state.steps + 1
     alpha_next = float(t + 1)
     alpha_cumulative = (t + 1) * (t + 2) / 2.0
     averaged = state.query + (alpha_next / alpha_cumulative) * (descent - state.query)
-    return State(averaged, weighted_momentum, descent, t, t)
+    return State(averaged, weighted_momentum, descent)
 
 
 def step_baseline(
-    params: Params, state: State, g: Array, k: int, tau: int, g_prev: Array | None
+    params: Params, state: State, g: Array, t: int, k: int, tau: int, g_prev: Array | None
 ) -> State:
-    """Advance whichever baseline ``params.method`` names."""
+    """Advance whichever baseline ``params.method`` names.
+
+    ``delay_filtered`` drops a report older than ``tau_filter`` by returning
+    ``state`` itself.
+    """
     method = params.method
-    t = state.steps + 1
     if method == "vanilla":
-        return State(state.query - params.eta * g, None, None, t, state.applied + 1)
+        return State(state.query - params.eta * g, None, None)
     if method == "delay_adaptive":
         eta = delay_adaptive_step_size(params.adaptive, tau)
-        return State(state.query - eta * g, None, None, t, state.applied + 1)
+        return State(state.query - eta * g, None, None)
     if method == "delay_filtered":
         if tau > params.tau_filter:
-            return State(state.query, None, None, t, state.applied)
-        return State(state.query - params.eta * g, None, None, t, state.applied + 1)
+            return state
+        return State(state.query - params.eta * g, None, None)
     if method == "naive_momentum":
         momentum = params.beta * g + (1.0 - params.beta) * state.buffer
-        return State(state.query - params.eta * momentum, momentum, None, t, state.applied + 1)
+        return State(state.query - params.eta * momentum, momentum, None)
     if method == "naive_mu2":
         if g_prev is None:
             raise ProtocolError(
@@ -197,7 +197,7 @@ def step_baseline(
         descent = state.descent - params.eta * correction
         gamma = params.gamma
         query = gamma * descent + (1.0 - gamma) * state.query
-        return State(query, correction, descent, t, state.applied + 1)
+        return State(query, correction, descent)
     raise InvalidConfigError(f"unknown baseline {method!r}", field="optimizer.method")
 
 
@@ -237,16 +237,6 @@ class StepWindow:
 
     eta_min: float
     eta_max: float
-
-    @property
-    def ratio(self) -> float:
-        return self.eta_max / self.eta_min
-
-    def grid(self, points: int) -> np.ndarray:
-        """Log-spaced grid spanning the window, endpoints included."""
-        if points < 2:
-            raise InvalidConfigError("a grid needs at least two points")
-        return np.geomspace(self.eta_min, self.eta_max, points)
 
 
 def theorem2_step_window(

@@ -12,6 +12,10 @@ once, which keeps |pending| ≤ M−1 at every update.  A worker computes its
 gradient against the snapshot it was handed (the draw happens at dispatch
 time, which is what makes runs replayable), and is immediately re-dispatched
 with the newest point after its update is applied.
+
+The loop owns the per-step facts: it hands the update rule t, the dispatch
+index and τ, and records an update as not applied when the rule returns the
+state it was given.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from .objectives import FAST, SLOW, euclidean_norm, integer_at_least, known_keys, true_or_false
+from .objectives import COMPONENT_INDEX, euclidean_norm, integer_at_least, known_keys, true_or_false
 from .objectives import finite_number as _number
 
 logger = logging.getLogger(__name__)
@@ -160,7 +164,6 @@ class RunTrace:
     snapshot_steps: Array
     snapshots: Array
     final_iterate: Array
-    seed: int
     config_hash: str
     config: SimConfig
     resolved_params: Mapping[str, Any]
@@ -320,13 +323,12 @@ def run(config: SimConfig) -> RunTrace:
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
     draw_ticket = model.draw_ticket
-    component_index = {tag: objective.component_for(tag) for tag in (SLOW, FAST)}
     needs_pair = method.paired
     oracle, oracle_pair = objective.stochastic_grad, objective.stochastic_grad_pair
 
     def dispatch(worker: int, index: int, x: Array, x_prev: Array, clock: float) -> None:
         wait, tag = draw_ticket(worker, rng)
-        comp = component_index[tag]
+        comp = COMPONENT_INDEX[tag]
         if needs_pair:
             g, g_prev = oracle_pair(x, x_prev, comp, rng)
         else:
@@ -360,9 +362,9 @@ def run(config: SimConfig) -> RunTrace:
             snapshot_steps.append(t)
             snapshots.append(np.array(query))
 
-        applied_before = state.applied
-        state = step(params, state, g, k, tau, g_prev)
-        if state.applied == applied_before:
+        before = state
+        state = step(params, state, g, t, k, tau, g_prev)
+        if state is before:  # the rule dropped the report
             applied_col[row] = False
 
         new_query = state.query
@@ -395,7 +397,6 @@ def run(config: SimConfig) -> RunTrace:
         snapshot_steps=np.array(snapshot_steps, dtype=np.int64),
         snapshots=np.array(snapshots),
         final_iterate=np.array(query),
-        seed=config.seed,
         config_hash=config_hash(config),
         config=config,
         resolved_params=prep.resolved,
@@ -453,8 +454,8 @@ def replay_check(trace: RunTrace, config: SimConfig) -> bool:
     first = replay_compare(trace, config)
     if first is None:
         return True
-    if config.seed == trace.seed:
+    if config.seed == trace.config.seed:
         raise ReplayDivergenceError(first)
     logger.info("replay under seed %d diverged from seed %d at iteration %d",
-                config.seed, trace.seed, first)
+                config.seed, trace.config.seed, first)
     return False

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stalegrad.errors import ContractViolationError, InvalidConfigError
+from stalegrad.errors import InvalidConfigError
 from stalegrad.objectives import (
+    COMPONENT_INDEX,
     FAST,
     SLOW,
     BallDomain,
@@ -250,11 +251,13 @@ def test_mixture_gradients_are_read_only():
 
 
 def test_component_tags():
-    assert MIXTURE.component_for(SLOW) == 0
-    assert MIXTURE.component_for(FAST) == 1
-    assert QUAD.component_for(SLOW) == 0 and QUAD.component_for(FAST) == 0
-    with pytest.raises(ContractViolationError):
-        MIXTURE.component_for("lazy")
+    """The slow tag selects a mixture's first component, the fast tag its second;
+    a single-component family gives the same gradient for either."""
+    x = np.array([0.3, -0.2])
+    for tag, component in zip((SLOW, FAST), MIXTURE.components):
+        assert np.array_equal(MIXTURE.component_grad(x, COMPONENT_INDEX[tag]), component.grad(x))
+    slow, fast = (QUAD.component_grad(x, COMPONENT_INDEX[tag]) for tag in (SLOW, FAST))
+    assert np.array_equal(slow, fast)
 
 
 def test_component_frequency_and_unbiasedness():
@@ -263,7 +266,7 @@ def test_component_frequency_and_unbiasedness():
     rng = np.random.default_rng(5)
     n = 100_000
     tags = np.where(rng.random(n) < 0.1, SLOW, FAST)
-    comps = np.array([MIXTURE.component_for(t) for t in tags])
+    comps = np.array([COMPONENT_INDEX[t] for t in tags])
     freq = float(np.mean(comps == 0))
     assert 0.096 <= freq <= 0.104
 
@@ -335,7 +338,7 @@ def test_logistic_shapes_and_groups():
     assert n_slow == 6  # round(60 · 0.1)
     assert np.all(LOGISTIC.labels[LOGISTIC.group_of == 0] == 2)
     assert LOGISTIC.group_weights == (0.1, 0.9)
-    assert LOGISTIC.component_for(SLOW) == 0 and LOGISTIC.component_for(FAST) == 1
+    assert COMPONENT_INDEX[SLOW] == 0 and COMPONENT_INDEX[FAST] == 1  # group_of's tags
 
 
 def test_logistic_loss_finite_and_constants():
@@ -425,8 +428,8 @@ def _fresh(q: Quadratic) -> Quadratic:
 
 
 def test_quadratic_memo_follows_the_point_bytes():
-    """Two points are memoized: three interleaved points and a point mutated in
-    place still get a fresh objective's gradient, and no gradient is writable."""
+    """The last point is memoized: three interleaved points and a point mutated
+    in place still get a fresh objective's gradient, and no gradient is writable."""
     objective = Quadratic(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -3.0]))
     points = np.random.default_rng(22).standard_normal((3, 2))
     for i in (0, 1, 0, 2, 1, 0, 2, 2):
@@ -459,7 +462,7 @@ def test_quadratic_memo_serves_mixtures_and_the_nonconvex_base():
     for objective, fresh in ((MIXTURE, fresh_mixture), (NONCONVEX, fresh_nonconvex)):
         for i in (0, 1, 1, 2, 0):
             assert np.array_equal(objective.grad(points[i]), fresh.grad(points[i]))
-            for c in range(objective.num_components):
+            for c in (0, 1):
                 expected = fresh.component_grad(points[i], c)
                 assert np.array_equal(objective.component_grad(points[i], c), expected)
 

@@ -17,7 +17,9 @@ from stalegrad.optimizers import theorem1_params
 from stalegrad.simulation import (
     SimConfig,
     _all_finite,
+    config_hash,
     replay_check,
+    replay_compare,
     run,
     validate_config,
 )
@@ -83,6 +85,15 @@ def test_diverged_run_error_carries_context():
         run(config)
     assert 1 <= err.value.step <= 50
     assert np.all(np.isfinite(err.value.last_iterate))
+
+
+def test_numpy_scalars_hash_and_run_like_python_numbers():
+    plain = momentum_config(optimizer={"method": "vanilla", "eta": 0.01})
+    scalar = momentum_config(optimizer={"method": "vanilla", "eta": np.float64(0.01)})
+    assert config_hash(scalar) == config_hash(plain)
+    trace = run(plain)
+    assert replay_compare(trace, scalar) is None
+    assert np.array_equal(run(scalar).final_iterate, trace.final_iterate)
 
 
 def test_snapshot_stride():
