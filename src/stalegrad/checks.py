@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, delays, objectives, optimizers, reference
 from .errors import ContractViolationError, InvalidConfigError
 from .objectives import SLOW, BallDomain
-from .simulation import SimConfig, _objective_for, config_hash, replay_check, replay_compare
+from .simulation import SimConfig, config_hash, replay_check, replay_compare
 from .simulation import run as run_simulation
 
 
@@ -340,10 +340,9 @@ def _check_unrolled_equivalence() -> None:
 
 def _check_pending_bound() -> None:
     trace = run_simulation(_UNROLLED_CONFIG)
-    objective = _objective_for(_UNROLLED_CONFIG)
     _ensure(int(trace.pending_size.max()) <= 3, "pending set exceeded M-1")
     _ensure(int(trace.tau.max()) >= 1, "with 4 workers some gradient must arrive late")
-    failures = analysis.verify_trace_invariants(trace, objective)
+    failures = analysis.verify_trace_invariants(trace, trace.objective)
     _ensure(not failures, "; ".join(failures))
 
 
@@ -360,7 +359,7 @@ def _check_sync_momentum_equivalence() -> None:
         x_init=(2.0, -1.0, 1.0),
     )
     trace = run_simulation(config)
-    objective = _objective_for(config)
+    objective = trace.objective
     oracle, _ = reference.classical_momentum(
         objective.matrix, objective.offset, config.x_init, eta, beta,
         _QUAD_SPEC["noise_sigma"], total, seed,
@@ -395,7 +394,7 @@ def _check_sync_mu2_equivalence() -> None:
         x_init=(1.0, -0.5),
     )
     trace = run_simulation(config)
-    objective = _objective_for(config)
+    objective = trace.objective
     ball = _BALL_SPEC["domain"]
     x = reference.anytime_storm(
         objective.matrix, objective.offset, ball["center"], ball["radius"], config.x_init,
@@ -419,9 +418,8 @@ def _check_mu2_identity_contraction() -> None:
         x_init=(1.0, -0.5),
     )
     trace = run_simulation(config)
-    objective = _objective_for(config)
     domain = objectives.domain_from_spec(_BALL_SPEC)
-    failures = analysis.verify_trace_invariants(trace, objective, domain=domain)
+    failures = analysis.verify_trace_invariants(trace, trace.objective, domain=domain)
     _ensure(not failures, "; ".join(failures))
 
 

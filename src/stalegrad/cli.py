@@ -24,7 +24,7 @@ from pathlib import Path
 from . import analysis
 from .config import ExperimentConfig, load_document, parse_sim_config
 from .errors import DivergedRunError, InvalidConfigError, StalegradError
-from .simulation import SimConfig, _jsonable, _objective_for, config_hash
+from .simulation import _jsonable, config_hash
 from .simulation import run as run_simulation
 from .simulation import validate_config
 
@@ -77,8 +77,8 @@ def _write_snapshot_csv(trace, path: Path) -> None:
             writer.writerow([int(step)] + [repr(float(v)) for v in row])
 
 
-def _final_metrics(trace, objective) -> dict:
-    series = analysis.convergence_metrics(trace, objective)
+def _final_metrics(trace) -> dict:
+    series = analysis.convergence_metrics(trace, trace.objective)
     return {
         "final_loss": series.final_loss,
         "final_excess": series.final_excess,
@@ -87,7 +87,7 @@ def _final_metrics(trace, objective) -> dict:
     }
 
 
-def _select_metric(report_section, base_config: SimConfig) -> str:
+def _select_metric(report_section, family: str) -> str:
     explicit = report_section.get("metric")
     if explicit is not None:
         if explicit not in _METRIC_CHOICES:
@@ -96,11 +96,8 @@ def _select_metric(report_section, base_config: SimConfig) -> str:
                 field="report.metric",
             )
         return explicit
-    family = base_config.objective.get("family")
-    if family == "nonconvex":
-        return "avg_sq_grad_norm"
-    constants = _objective_for(base_config).theory_constants()
-    return "final_excess" if constants.f_star is not None else "avg_sq_grad_norm"
+    # excess over a closed-form f*; nonconvex (which has one) and logistic use the gradient norm
+    return "final_excess" if family in ("quadratic", "mixture") else "avg_sq_grad_norm"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +111,6 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
     validate_config(base)
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    objective = _objective_for(base)
 
     entries = []
     diverged = 0
@@ -136,7 +132,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
                     "diverged": False,
                     "csv": csv_path.name,
                     "resolved_params": _jsonable(trace.resolved_params),
-                    "metrics": _jsonable(_final_metrics(trace, objective)),
+                    "metrics": _jsonable(_final_metrics(trace)),
                 }
             )
             if config.snapshot_stride is not None:
@@ -185,9 +181,8 @@ def _sweep_worker(expanded) -> dict:
     except StalegradError as exc:
         result["error"] = str(exc)
         return result
-    objective = _objective_for(config)
     result["eta"] = _jsonable(trace.resolved_params.get("eta"))
-    result["metrics"] = _jsonable(_final_metrics(trace, objective))
+    result["metrics"] = _jsonable(_final_metrics(trace))
     return result
 
 
@@ -288,7 +283,7 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
     expanded = experiment.expand()
     for item in expanded:
         validate_config(item.config)
-    metric = _select_metric(experiment.report, expanded[0].config)
+    metric = _select_metric(experiment.report, expanded[0].config.objective.get("family"))
 
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -663,6 +663,8 @@ def _quadratic_from_spec(
     key = "offset" if "offset" in spec else "minimizer" if "minimizer" in spec else None
     if key is not None:
         vector = finite_vector(spec[key], f"{path}.{key}")
+        if vector.ndim != 1 or vector.size == 0:
+            raise InvalidConfigError("must be a non-empty list of numbers", field=f"{path}.{key}")
         if dim is not None and vector.shape != (dim,):
             raise InvalidConfigError(f"{key} has {vector.size} entries, not {dim}", field=f"{path}.dim")
     elif dim is not None:
@@ -670,7 +672,12 @@ def _quadratic_from_spec(
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
     matrix = _as_matrix(curvature, vector.shape[0])
-    offset = matrix @ vector if key == "minimizer" else vector
+    offset = vector
+    if key == "minimizer":
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            offset = matrix @ vector
+        if not np.all(np.isfinite(offset)):
+            raise InvalidConfigError("curvature·minimizer overflows", field=f"{path}.minimizer")
     return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
 
 

@@ -101,11 +101,6 @@ class SimConfig:
             object.__setattr__(self, "x_init", tuple(_number(v, "run.x_init") for v in self.x_init))
 
 
-def _objective_for(config: SimConfig):
-    """The objective ``config`` describes, built without the run's checks."""
-    return objectives.from_spec(config.objective, float(config.delay["slow_weight"]))
-
-
 def _jsonable(value: Any) -> Any:
     """Coerce config entries (possibly numpy scalars/arrays) to JSON types."""
     if isinstance(value, Mapping):
@@ -146,9 +141,10 @@ class RunTrace:
     """Complete record of one run; one row per applied update.
 
     Scalars are recorded for every iteration at the pre-update point x_t;
-    iterate snapshots are strided.  The optional dense arrays (gradients,
-    buffers, per-step iterates) exist only when the config asked for them —
-    they are what the reconstruction oracles consume.
+    iterate snapshots are strided; ``objective`` is the one the run built and
+    evaluated.  The optional dense arrays (gradients, buffers, per-step
+    iterates) exist only when the config asked for them — they are what the
+    reconstruction oracles consume.
     """
 
     t: Array
@@ -167,6 +163,7 @@ class RunTrace:
     config_hash: str
     config: SimConfig
     resolved_params: Mapping[str, Any]
+    objective: Any
     gradients: Array | None = None
     buffers: Array | None = None
     pre_iterates: Array | None = None
@@ -400,6 +397,7 @@ def run(config: SimConfig) -> RunTrace:
         config_hash=config_hash(config),
         config=config,
         resolved_params=prep.resolved,
+        objective=objective,
         gradients=gradients,
         buffers=buffers,
         pre_iterates=pre_iterates,

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import reference
 from conftest import record_acceptance
+from stalegrad import reference
 from stalegrad.analysis import (
     convergence_metrics,
     delay_separation,

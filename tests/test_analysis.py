@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import reference
+from stalegrad import reference
 from stalegrad.analysis import (
     confusion_counts,
     convergence_metrics,

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stalegrad.cli as cli
+import stalegrad.objectives as objectives
 from stalegrad.config import (
     ExperimentConfig,
     apply_override,
@@ -368,6 +369,20 @@ _LOGISTIC = {"family": "logistic"}
             {"objective": _QUAD_2D, "run": {"workers": 2, "iterations": 9_000_000, "record_gradients": True}},
             "run.iterations",
         ),
+        ({"objective": {"family": "quadratic", "minimizer": [[1.0, 2.0], [3.0, 4.0]]}}, "objective.minimizer"),
+        ({"objective": {"family": "quadratic", "minimizer": []}}, "objective.minimizer"),
+        ({"objective": {"family": "quadratic", "offset": [[1.0], [2.0]]}}, "objective.offset"),
+        ({"objective": {"family": "quadratic", "offset": []}}, "objective.offset"),
+        (
+            {"objective": dict(_MIXTURE_2D, components=[{"minimizer": [[1.0, 0.0]]}, {"minimizer": [-1.0, 0.0]}])},
+            "objective.components.0.minimizer",
+        ),
+        ({"objective": dict(_MIXTURE_2D, components=[{"dim": 2}, {"offset": []}])}, "objective.components.1.offset"),
+        pytest.param(
+            {"objective": {"family": "quadratic", "curvature": 1.0e308, "minimizer": [1.0e308, 1.0]}},
+            "objective.minimizer",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -376,6 +391,8 @@ _LOGISTIC = {"family": "logistic"}
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
         "dim-true", "feature_dim-true", "feature_dim-zero", "output-key", "report-key", "seeds-key",
         "output-scalar", "report-list", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
+        "nested-minimizer", "empty-minimizer", "nested-offset", "empty-offset",
+        "nested-component-minimizer", "empty-component-offset", "overflowing-minimizer",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -386,6 +403,37 @@ def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, secti
     assert cli.main([command, path, "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [_QUAD_2D, _MIXTURE_2D, {"family": "nonconvex", "dim": 2}, _LOGISTIC],
+    ids=["quadratic", "mixture", "nonconvex", "logistic"],
+)
+def test_default_metric_is_the_excess_where_the_family_has_a_closed_form_optimum(objective):
+    metric = cli._select_metric({}, objective["family"])
+    has_f_star = objectives.from_spec(objective, 0.1).theory_constants().f_star is not None
+    if objective["family"] == "nonconvex":  # judged by its gradient norm despite its f*
+        assert has_f_star and metric == "avg_sq_grad_norm"
+    else:
+        assert metric == ("final_excess" if has_f_star else "avg_sq_grad_norm")
+
+
+def test_commands_build_each_objective_only_to_validate_and_to_run(tmp_path, monkeypatch):
+    builds = []
+    build = objectives.from_spec
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(objectives, "from_spec", counted)
+    assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(tmp_path / "sweep")]) == 0
+    assert len(builds) == 2 * 4  # 2 grid points × 2 seeds, each validated then run
+    builds.clear()
+    doc = dict(BASE_DOC, sweep={"seeds": {"count": 2}})
+    assert cli.main(["run", write_doc(tmp_path, doc, "run.yaml"), "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(builds) == 1 + 2  # the base config validated once, then 2 seeds run
 
 
 THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.2})

@@ -274,6 +274,11 @@ def test_logistic_run_takes_two_group_gradients_per_step(monkeypatch, method):
     assert 0 < len(group_grads) <= 2 * T + 1
 
 
+def test_trace_carries_the_objective_built_from_the_delay_weight():
+    config = momentum_config(objective=MIXTURE_SPEC, delay={"slow_weight": 0.3}, total_iterations=10)
+    assert run(config).objective.weights == (0.3, 0.7)
+
+
 def test_unpaired_mixture_run_evaluates_each_point_once_per_quadratic(monkeypatch):
     """The mean quadratic takes the T monitored points, each dispatch's component
     its new point, and the initial dispatches share x_1 (one component here)."""
