@@ -470,7 +470,7 @@ def _check_config_hash_properties() -> None:
     other = replace(base, optimizer={"method": "ordered_momentum", "eta": 0.004, "beta": 0.05})
     _ensure(digest != config_hash(other), "hash must track the experiment")
     _ensure(digest != config_hash(replace(base, total_iterations=301)), "hash must track T")
-    _ensure(run_simulation(base).config_hash == digest, "a run must carry its config's hash")
+    _ensure(config_hash(run_simulation(base).config) == digest, "a run must carry its config's hash")
 
 
 def _check_f1_scores() -> None:

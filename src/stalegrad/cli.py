@@ -95,6 +95,9 @@ def _select_metric(report_section, family: str) -> str:
                 f"unknown metric {explicit!r}; choose one of {', '.join(_METRIC_CHOICES)}",
                 field="report.metric",
             )
+        if family == "logistic" and explicit in ("final_excess", "final_distance"):
+            message = f"{explicit} needs a closed-form optimum, which the logistic family lacks"
+            raise InvalidConfigError(message, field="report.metric")
         return explicit
     # excess over a closed-form f*; nonconvex (which has one) and logistic use the gradient norm
     return "final_excess" if family in ("quadratic", "mixture") else "avg_sq_grad_norm"
@@ -112,12 +115,13 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
+    digest = config_hash(base)  # the hash leaves out the seed, so it is every seed's
     entries = []
     diverged = 0
     for index in range(experiment.seed_count):
         seed = experiment.seed_base + index
         config = replace(base, seed=seed)
-        entry: dict = {"seed": seed, "config_hash": config_hash(config)}
+        entry: dict = {"seed": seed, "config_hash": digest}
         try:
             trace = run_simulation(config)
         except DivergedRunError as exc:
@@ -143,7 +147,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
         entries.append(entry)
 
     summary = {
-        "config_hash": config_hash(base),
+        "config_hash": digest,
         "runs": entries,
         "diverged_total": diverged,
         "seed_count": experiment.seed_count,

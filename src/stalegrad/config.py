@@ -20,7 +20,6 @@ every grid point sees the same seed battery.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 from collections.abc import Mapping, Sequence
@@ -105,6 +104,9 @@ def check_document(doc: Mapping) -> None:
         if not isinstance(grid, Mapping):
             raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
         for path, values in grid.items():
+            if path == "run.seed":
+                message = "seeds come from sweep.seeds, not a grid axis"
+                raise InvalidConfigError(message, field="sweep.grid.run.seed")
             if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
                 raise InvalidConfigError(
                     "axis must be a nonempty list", field=f"sweep.grid.{path}"
@@ -132,16 +134,16 @@ def parse_sim_config(doc: Mapping) -> SimConfig:
 
 
 def apply_override(doc: Mapping, dotted_path: str, value) -> dict:
-    """New document with the value at the dotted path replaced."""
+    """A new document with ``value`` at the dotted path; only the mappings on it are copied."""
+    field = f"sweep.grid.{dotted_path}"
     parts = dotted_path.split(".")
     if not all(parts):
-        raise InvalidConfigError("empty segment in grid path", field=f"sweep.grid.{dotted_path}")
-    out = copy.deepcopy(dict(doc))
-    node = out
+        raise InvalidConfigError("empty segment in grid path", field=field)
+    out = node = dict(doc)
     for part in parts[:-1]:
-        child = node.get(part)
-        if not isinstance(child, (dict, Mapping)):
-            child = {}
+        child = node.get(part, {})  # a missing section is created
+        if not isinstance(child, Mapping):
+            raise InvalidConfigError(f"the path runs through {part!r}, which is not a mapping", field=field)
         node[part] = dict(child)
         node = node[part]
     node[parts[-1]] = value

@@ -218,7 +218,7 @@ class _NoiseModel:
 
 
 def _as_matrix(curvature: Any, dim: int) -> Array:
-    """Build a symmetric PD curvature matrix from a scalar, diagonal, or full form."""
+    """Expand a scalar, diagonal, or full curvature to a dim×dim matrix."""
     a = np.asarray(curvature, dtype=np.float64)
     if a.ndim == 0:
         a = float(a) * np.eye(dim)
@@ -228,10 +228,6 @@ def _as_matrix(curvature: Any, dim: int) -> Array:
         a = np.diag(a)
     elif a.shape != (dim, dim):
         raise InvalidConfigError(f"curvature matrix must be {dim}x{dim}, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12):
-        raise InvalidConfigError("curvature matrix must be symmetric")
-    if np.linalg.eigvalsh(a)[0] <= 0:
-        raise InvalidConfigError("curvature matrix must be positive definite")
     return a
 
 
@@ -239,10 +235,12 @@ def _as_matrix(curvature: Any, dim: int) -> Array:
 class Quadratic(_NoiseModel):
     """f(x) = ½xᵀAx − bᵀx with symmetric positive definite A.
 
-    ``grad`` memoizes its last point, keyed on its exact bytes: a step's
-    monitoring re-evaluates the point the previous dispatch differentiated
-    at, and a paired dispatch differentiates at the previous query point
-    first.  The arrays it returns are read-only.
+    Building one checks A; the eigendecomposition that checks it also gives
+    ``max_eigenvalue``, λ_max(A).  ``grad`` memoizes its last point, keyed
+    on its exact bytes: a step's monitoring re-evaluates the point the
+    previous dispatch differentiated at, and a paired dispatch
+    differentiates at the previous query point first.  The arrays it
+    returns are read-only.
     """
 
     matrix: Array
@@ -252,6 +250,12 @@ class Quadratic(_NoiseModel):
     def __post_init__(self):
         object.__setattr__(self, "offset", _freeze(np.atleast_1d(self.offset)))
         object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, self.offset.shape[0])))
+        if not np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-12):
+            raise InvalidConfigError("curvature matrix must be symmetric")
+        eigenvalues = np.linalg.eigvalsh(self.matrix)
+        if eigenvalues[0] <= 0:
+            raise InvalidConfigError("curvature matrix must be positive definite")
+        object.__setattr__(self, "max_eigenvalue", float(eigenvalues[-1]))
         self._check_noise_sigma()
         object.__setattr__(self, "_memo", (None, None))
 
@@ -290,7 +294,7 @@ class Quadratic(_NoiseModel):
         m = self.minimizer
         f_star = self.loss(m)
         return TheoryConstants(
-            lipschitz=float(np.linalg.eigvalsh(self.matrix)[-1]),
+            lipschitz=self.max_eigenvalue,
             sigma=self.noise_sigma,
             sigma_l=0.0,
             delta_gap=self.loss(x1) - f_star,
@@ -362,7 +366,7 @@ class Mixture(_NoiseModel):
         # The sample functions must be as smooth as the mean, so the
         # certificate is the largest component curvature (it dominates the
         # weighted average).
-        lipschitz = max(float(np.linalg.eigvalsh(c.matrix)[-1]) for c in self.components)
+        lipschitz = max(c.max_eigenvalue for c in self.components)
         equal_curvature = all(
             np.allclose(c.matrix, self.components[0].matrix, rtol=0, atol=1e-12)
             for c in self.components
@@ -445,7 +449,7 @@ class NonconvexQuadratic(_NoiseModel):
         m = self.minimizer
         f_star = self.base.loss(m)
         return TheoryConstants(
-            lipschitz=float(np.linalg.eigvalsh(self.base.matrix)[-1]) + 2.0 * self.squash_scale,
+            lipschitz=self.base.max_eigenvalue + 2.0 * self.squash_scale,
             sigma=self.noise_sigma,
             sigma_l=0.0,
             delta_gap=self.loss(x1) - f_star,

@@ -160,7 +160,6 @@ class RunTrace:
     snapshot_steps: Array
     snapshots: Array
     final_iterate: Array
-    config_hash: str
     config: SimConfig
     resolved_params: Mapping[str, Any]
     objective: Any
@@ -394,7 +393,6 @@ def run(config: SimConfig) -> RunTrace:
         snapshot_steps=np.array(snapshot_steps, dtype=np.int64),
         snapshots=np.array(snapshots),
         final_iterate=np.array(query),
-        config_hash=config_hash(config),
         config=config,
         resolved_params=prep.resolved,
         objective=objective,
@@ -423,7 +421,7 @@ def replay_compare(trace: RunTrace, config: SimConfig) -> int | None:
     Returns ``None`` when every record matches bit-for-bit.  Precondition:
     the trace must come from the same experiment (matching config hash).
     """
-    if trace.config_hash != config_hash(config):
+    if config_hash(trace.config) != config_hash(config):
         raise ContractViolationError("trace was recorded under a different config (hash mismatch)")
     fresh = run(config)
     first: int | None = None

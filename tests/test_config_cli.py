@@ -25,7 +25,7 @@ from stalegrad.config import (
     parse_sim_config,
 )
 from stalegrad.errors import DivergedRunError, InvalidConfigError
-from stalegrad.simulation import config_hash, run
+from stalegrad.simulation import config_hash, run, validate_config
 
 BASE_DOC = {
     "objective": {
@@ -112,6 +112,15 @@ def test_apply_override_leaves_the_document_alone():
     assert out["optimizer"]["eta"] == 0.01
 
 
+def test_apply_override_refuses_a_path_through_a_list_and_creates_a_missing_section():
+    doc = {"objective": {"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]}}
+    with pytest.raises(InvalidConfigError) as err:
+        apply_override(doc, "objective.components.0.curvature", 2.0)
+    assert err.value.field == "sweep.grid.objective.components.0.curvature"
+    out = apply_override(doc, "delay.slow_weight", 0.2)
+    assert out["delay"] == {"slow_weight": 0.2} and "delay" not in doc
+
+
 @pytest.mark.parametrize("text", ["1e-5", "1E-5", "+1e-5", "1.0e-5", "10e-6", ".01e-3"])
 def test_exponent_floats_hash_like_decimals(tmp_path, text):
     """YAML 1.1 reads ``1e-5`` as a string; the loader reads it as the float it spells."""
@@ -161,6 +170,17 @@ def test_expansion_is_grid_major_seed_minor():
     assert all(e.config.seed == 3 + e.seed_index for e in expanded)
     # the overrides really landed in the expanded configs
     assert expanded[7].config.optimizer["beta"] == 0.2
+
+
+def test_expansion_shares_the_document_and_leaves_it_alone():
+    doc = copy.deepcopy(BASE_DOC)
+    doc["objective"]["curvature"] = [[2.0, 0.5], [0.5, 1.0]]
+    doc["sweep"] = {"grid": {"optimizer.eta": [0.05, 0.02], "delay.slow_weight": [0.1, 0.2]}, "seeds": {"count": 2}}
+    pristine = copy.deepcopy(doc)
+    expanded = ExperimentConfig.from_document(doc).expand()
+    assert doc == pristine
+    assert [e.config.delay["slow_weight"] for e in expanded[::2]] == [0.1, 0.2, 0.1, 0.2]
+    assert all(e.config.objective["curvature"] is doc["objective"]["curvature"] for e in expanded)
 
 
 # ---------------------------------------------------------------- run command
@@ -303,6 +323,12 @@ def test_nonconvex_sweep_defaults_to_the_gradient_norm_metric(tmp_path):
     assert _swept_metric(tmp_path, dict(sweep_doc(), objective=objective)) == "avg_sq_grad_norm"
 
 
+@pytest.mark.parametrize("metric", ["final_loss", "avg_sq_grad_norm"])
+def test_logistic_sweep_reports_the_metrics_that_need_no_optimum(tmp_path, metric):
+    objective = {"family": "logistic", "classes": 2, "feature_dim": 2, "samples": 20}
+    assert _swept_metric(tmp_path, dict(sweep_doc(), objective=objective, report={"metric": metric})) == metric
+
+
 @pytest.mark.parametrize("value", ["fast", math.inf, math.nan], ids=["word", "inf", "nan"])
 @pytest.mark.parametrize(
     "field",
@@ -343,6 +369,15 @@ _LOGISTIC = {"family": "logistic"}
         ({"run": {"workers": 2, "iterations": 40, "x_init": [0.0]}}, "run.x_init"),
         ({"optimizer": {"method": "vanilla", "eta": 0.05, "theory": True}}, "optimizer.theory"),
         ({"report": {"metric": "accuracy"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}}, "report.metric"),
+        (
+            {"objective": _LOGISTIC, "report": {"metric": "final_excess"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}},
+            "report.metric",
+        ),
+        (
+            {"objective": _LOGISTIC, "report": {"metric": "final_distance"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}},
+            "report.metric",
+        ),
+        ({"sweep": {"grid": {"run.seed": [1, 2, 3]}}}, "sweep.grid.run.seed"),
         ({"objective": dict(_MIXTURE_2D, weights=[0.1, 0.9])}, "objective.weights"),
         ({"objective": dict(_MIXTURE_2D, components=_MIXTURE_2D["components"] * 2)}, "objective.components"),
         ({"objective": {"family": "quadratic", "matrix": 2.0, "minimizer": [1.0, -1.0]}}, "objective.matrix"),
@@ -387,6 +422,7 @@ _LOGISTIC = {"family": "logistic"}
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
         "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
+        "logistic-excess", "logistic-distance", "seed-axis",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
         "dim-true", "feature_dim-true", "feature_dim-zero", "output-key", "report-key", "seeds-key",
@@ -434,6 +470,22 @@ def test_commands_build_each_objective_only_to_validate_and_to_run(tmp_path, mon
     doc = dict(BASE_DOC, sweep={"seeds": {"count": 2}})
     assert cli.main(["run", write_doc(tmp_path, doc, "run.yaml"), "--output-dir", str(tmp_path / "run")]) == 0
     assert len(builds) == 1 + 2  # the base config validated once, then 2 seeds run
+
+
+def test_commands_hash_a_config_only_where_the_hash_is_written(tmp_path, monkeypatch):
+    hashes = []
+
+    def counted(config):
+        hashes.append(config)
+        return config_hash(config)
+
+    monkeypatch.setattr("stalegrad.simulation.config_hash", counted)
+    monkeypatch.setattr(cli, "config_hash", counted)
+    assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(tmp_path / "sweep")]) == 0
+    assert hashes == []  # 2 grid points × 2 seeds, and a sweep writes no hash
+    doc = dict(BASE_DOC, sweep={"seeds": {"count": 2}})
+    assert cli.main(["run", write_doc(tmp_path, doc, "run.yaml"), "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(hashes) == 1  # one hash for the summary and both seeds' entries
 
 
 THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.2})
@@ -570,12 +622,9 @@ _JUNK = st.one_of(
 )
 
 
-# a diverging run (say, eta: 1e308) warns of overflow before it raises
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_documents_run_or_name_a_field(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
+def _mutated(data, docs) -> dict:
+    """One of ``docs`` with one key deleted or set to junk."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
     path = data.draw(st.sampled_from(sorted(_paths(doc), key=str)))
     parent = doc
     for key in path[:-1]:
@@ -584,12 +633,60 @@ def test_mutated_documents_run_or_name_a_field(data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_JUNK)
+    return doc
+
+
+# a diverging run (say, eta: 1e308) warns of overflow before it raises
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_run_or_name_a_field(data):
+    doc = _mutated(data, _VALID_DOCS)
     try:
         run(parse_sim_config(doc))
     except InvalidConfigError as exc:
         assert exc.field, f"{exc} names no field"
     except DivergedRunError:
         pass  # a run that blows up still ran
+
+
+_SWEEP_DOCS = [
+    dict(
+        _VALID_DOCS[2],
+        sweep={
+            "grid": {"optimizer.method": ["ordered_mu2", "vanilla"], "objective.domain.radius": [1.0, 2.0]},
+            "seeds": {"base": 1, "count": 2},
+            "parallelism": 2,
+        },
+        report={"metric": "final_excess"},
+        output={"dir": "out/mutated"},
+    ),
+    dict(_VALID_DOCS[3], sweep={"grid": {"delay.slow_weight": [0.1, 0.3]}}, report={"metric": "final_distance"}),
+    dict(_VALID_DOCS[5], sweep={"grid": {"optimizer.tau_filter": [1, 2]}, "seeds": {"count": 2}}, report={}),
+]
+
+
+def _prepare_sweep(doc) -> list:
+    """What ``stalegrad sweep`` does before it runs anything: expand, validate, pick the metric."""
+    experiment = ExperimentConfig.from_document(doc)
+    expanded = experiment.expand()
+    for item in expanded:
+        validate_config(item.config)
+    cli._select_metric(experiment.report, expanded[0].config.objective.get("family"))
+    return expanded
+
+
+def test_sweep_mutation_base_documents_expand():
+    assert [len(_prepare_sweep(doc)) for doc in _SWEEP_DOCS] == [8, 2, 4]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_sweep_documents_expand_or_name_a_field(data):
+    try:
+        _prepare_sweep(_mutated(data, _SWEEP_DOCS))
+    except InvalidConfigError as exc:
+        assert exc.field, f"{exc} names no field"
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -92,6 +92,38 @@ def test_lipschitz_is_largest_eigenvalue():
         assert v @ QUAD.matrix @ v <= 4.0 + 1e-12
 
 
+_FULL_CURVATURE = {"curvature": [[2.0, 0.5], [0.5, 1.0]], "minimizer": [1.0, -1.0]}
+
+
+@pytest.mark.parametrize(
+    "spec, builds, constants",
+    [
+        (dict(_FULL_CURVATURE, family="quadratic"), 1, 0),
+        (dict(_FULL_CURVATURE, family="nonconvex", squash_scale=0.5), 1, 0),
+        ({"family": "mixture", "components": [_FULL_CURVATURE, {"curvature": [1.0, 3.0], "dim": 2}]}, 3, 1),
+    ],
+    ids=["quadratic", "nonconvex", "mixture"],
+)
+def test_each_quadratic_decomposes_its_curvature_once(monkeypatch, spec, builds, constants):
+    """Building a quadratic checks A and keeps λ_max(A); theory constants reuse it."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    objective = from_spec(spec, 0.1)
+    assert len(calls) == builds  # one per component and one for the mixture's mean
+    calls.clear()
+    lipschitz = objective.theory_constants().lipschitz
+    assert len(calls) == constants  # the mixture's sigma_l
+    monkeypatch.undo()
+    quadratics = getattr(objective, "components", (getattr(objective, "base", objective),))
+    top = max(float(np.linalg.eigvalsh(q.matrix)[-1]) for q in quadratics)
+    assert lipschitz == top + 2.0 * getattr(objective, "squash_scale", 0.0)
+
+
 # ---------------------------------------------------------------- mixture
 
 
