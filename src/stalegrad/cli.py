@@ -287,7 +287,13 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
     expanded = experiment.expand()
     for item in expanded:
         validate_config(item.config)
-    metric = _select_metric(experiment.report, expanded[0].config.objective.get("family"))
+    families = {item.config.objective.get("family") for item in expanded}
+    metrics = {_select_metric(experiment.report, family) for family in families}
+    if len(metrics) > 1:  # an explicit report.metric is the same at every point
+        listed = ", ".join(sorted(metrics))
+        message = f"grid points default to different metrics ({listed}); set report.metric"
+        raise InvalidConfigError(message, field="sweep.grid.objective.family")
+    (metric,) = metrics
 
     out = Path(output_dir) if output_dir else experiment.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -459,11 +459,11 @@ class NonconvexQuadratic(_NoiseModel):
 
 
 class _Group(NamedTuple):
-    """One sample group's rows, precomputed once per objective."""
+    """One sample group, precomputed once per objective."""
 
     rows: Array  # sample indices of the group
-    positions: Array  # 0..len(rows)-1
-    labels: Array  # labels[rows]
+    picks: Array  # rows·C + labels[rows]: each row's true class in the flat n×C array
+    onehot: Array  # n_g×C, 1.0 at each row's label
     features: Array  # features[rows]
 
 
@@ -506,11 +506,12 @@ class Logistic(_NoiseModel):
         groups = []
         for c in (0, 1):
             rows = np.flatnonzero(self.group_of == c)
+            labels = self.labels[rows]
             groups.append(
                 _Group(
                     rows=_read_only(rows),
-                    positions=_read_only(np.arange(rows.shape[0])),
-                    labels=_read_only(self.labels[rows]),
+                    picks=_read_only(rows * self.num_classes + labels),
+                    onehot=_read_only(np.eye(self.num_classes)[labels]),
                     features=_read_only(self.features[rows]),
                 )
             )
@@ -527,9 +528,13 @@ class Logistic(_NoiseModel):
 
     def _log_softmax(self, x: Array) -> Array:
         weights = x.reshape(self.num_classes, self.feature_dim)
-        logits = self.features @ weights.T
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        out = self.features @ weights.T  # the logits, shifted and normalized in place
+        # The row max taken down the contiguous transpose: a reduction along
+        # a short inner axis costs several times more, and a max rounds
+        # nothing.  The sum stays along axis 1: its pairwise order sets the bits.
+        out -= np.ascontiguousarray(out.T).max(axis=0)[:, None]
+        out -= np.log(np.exp(out).sum(axis=1, keepdims=True))
+        return out
 
     def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
         """The memo of x: its key, the read-only log-probabilities and
@@ -549,10 +554,11 @@ class Logistic(_NoiseModel):
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        log_probs = self._memo_at(x)[1]
+        log_probs = self._memo_at(x)[1].ravel()
+        # sum / n is the bits of .mean(), without its Python-level overhead
         return float(
             sum(
-                w * (-log_probs[g.rows, g.labels]).mean()
+                w * ((-log_probs.take(g.picks)).sum() / g.rows.shape[0])
                 for g, w in zip(self._groups, self.group_weights)
             )
         )
@@ -566,8 +572,8 @@ class Logistic(_NoiseModel):
 
     def _group_grad(self, probs: Array, component: int) -> Array:
         g = self._groups[component]
-        residual = probs[g.rows]
-        residual[g.positions, g.labels] -= 1.0
+        residual = probs.take(g.rows, axis=0)
+        residual -= g.onehot  # p − 0.0 is p; p − 1.0 at the label
         return (residual.T @ g.features / g.rows.shape[0]).ravel()
 
     def grad(self, x: Array) -> Array:

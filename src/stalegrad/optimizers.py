@@ -60,8 +60,8 @@ def require_in_range(value, field: str, upper: float = math.inf, closed: bool = 
 
 def ordered_weight(beta: float, tau: int) -> float:
     """β(1−β)^τ — the discount restoring a late gradient's original weight."""
-    require_in_range(beta, "optimizer.beta", 1.0, closed=False)
-    if tau < 0:
+    if beta is None or not 0.0 < beta < 1.0 or tau < 0:  # checked in full only on a failure
+        require_in_range(beta, "optimizer.beta", 1.0, closed=False)
         raise InvalidConfigError("delay must be nonnegative")
     return beta * (1.0 - beta) ** tau
 

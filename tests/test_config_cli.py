@@ -329,6 +329,12 @@ def test_logistic_sweep_reports_the_metrics_that_need_no_optimum(tmp_path, metri
     assert _swept_metric(tmp_path, dict(sweep_doc(), objective=objective, report={"metric": metric})) == metric
 
 
+def test_a_family_axis_sweeps_under_a_metric_every_family_reports(tmp_path):
+    doc = dict(sweep_doc(), objective={"family": "quadratic", "dim": 3}, report={"metric": "final_loss"})
+    doc["sweep"] = dict(doc["sweep"], grid={"objective.family": ["quadratic", "logistic"]})
+    assert _swept_metric(tmp_path, doc) == "final_loss"
+
+
 @pytest.mark.parametrize("value", ["fast", math.inf, math.nan], ids=["word", "inf", "nan"])
 @pytest.mark.parametrize(
     "field",
@@ -355,6 +361,10 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
 _QUAD_2D = {"family": "quadratic", "dim": 2}
 _MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
 _LOGISTIC = {"family": "logistic"}
+_FAMILY_AXIS = {
+    "objective": {"family": "quadratic", "dim": 3},
+    "sweep": {"grid": {"objective.family": ["quadratic", "logistic"]}},
+}
 
 
 @pytest.mark.parametrize(
@@ -378,6 +388,8 @@ _LOGISTIC = {"family": "logistic"}
             "report.metric",
         ),
         ({"sweep": {"grid": {"run.seed": [1, 2, 3]}}}, "sweep.grid.run.seed"),
+        (_FAMILY_AXIS, "sweep.grid.objective.family"),
+        (dict(_FAMILY_AXIS, report={"metric": "final_excess"}), "report.metric"),
         ({"objective": dict(_MIXTURE_2D, weights=[0.1, 0.9])}, "objective.weights"),
         ({"objective": dict(_MIXTURE_2D, components=_MIXTURE_2D["components"] * 2)}, "objective.components"),
         ({"objective": {"family": "quadratic", "matrix": 2.0, "minimizer": [1.0, -1.0]}}, "objective.matrix"),
@@ -422,7 +434,7 @@ _LOGISTIC = {"family": "logistic"}
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
         "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
-        "logistic-excess", "logistic-distance", "seed-axis",
+        "logistic-excess", "logistic-distance", "seed-axis", "family-axis", "family-axis-excess",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
         "dim-true", "feature_dim-true", "feature_dim-zero", "output-key", "report-key", "seeds-key",

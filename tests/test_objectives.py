@@ -16,6 +16,7 @@ from stalegrad.objectives import (
     FAST,
     SLOW,
     BallDomain,
+    Logistic,
     Mixture,
     NonconvexQuadratic,
     Quadratic,
@@ -421,6 +422,54 @@ def test_logistic_memo_follows_the_point_bytes():
     _, log_probs, probs, group_grads = LOGISTIC._memo_at(x)
     assert sorted(group_grads) == [0, 1]
     assert not any(a.flags.writeable for a in (log_probs, probs, *group_grads.values()))
+    for g in LOGISTIC._groups:
+        assert not any(a.flags.writeable for a in (g.picks, g.onehot, g.features, g.rows))
+
+
+def _former_kernels(objective: Logistic, x):
+    """loss, grad and both group gradients by the formulas the kernels replaced:
+    a row max along axis 1, a fancy-indexed mean, 1.0 subtracted at fancy
+    indices, and the weighted group gradients summed into zeros."""
+    logits = objective.features @ x.reshape(objective.num_classes, objective.feature_dim).T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    probs = np.exp(log_probs)
+    loss, group_grads = 0, []
+    for c, w in enumerate(objective.group_weights):
+        rows = np.flatnonzero(objective.group_of == c)
+        labels = objective.labels[rows]
+        loss += w * (-log_probs[rows, labels]).mean()
+        residual = probs[rows]
+        residual[np.arange(rows.shape[0]), labels] -= 1.0
+        group_grads.append((residual.T @ objective.features[rows] / rows.shape[0]).ravel())
+    grad = np.zeros(objective.dim)
+    for w, g in zip(objective.group_weights, group_grads):
+        grad += w * g
+    return float(loss), grad, group_grads
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
+@pytest.mark.parametrize("classes", [2, 3, 8, 9])
+def test_logistic_kernels_keep_the_former_bits(classes, interleaved):
+    """From 8 classes on numpy sums a row pairwise, so a reordered row sum shows here."""
+    rng = np.random.default_rng(classes)
+    n, d = 40, 3
+    group_of = np.arange(n) % 2 if interleaved else (np.arange(n) >= 7).astype(np.int64)
+    objective = Logistic(
+        features=rng.standard_normal((n, d)),
+        labels=rng.integers(0, classes, n),
+        group_of=group_of,
+        group_weights=(0.3, 0.7),
+        num_classes=classes,
+    )
+    for scale in (0.1, 1.0, 30.0):
+        for _ in range(10):
+            x = scale * rng.standard_normal(objective.dim)
+            loss, grad, group_grads = _former_kernels(objective, x)
+            assert objective.loss(x) == loss
+            assert np.array_equal(objective.grad(x), grad)
+            for c in (0, 1):
+                assert np.array_equal(objective.component_grad(x, c), group_grads[c])
 
 
 def _assert_memo_is_safe_across_threads(objective):
