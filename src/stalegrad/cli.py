@@ -24,22 +24,12 @@ from pathlib import Path
 from . import analysis
 from .config import ExperimentConfig, load_document, parse_sim_config
 from .errors import DivergedRunError, InvalidConfigError, StalegradError
-from .simulation import _jsonable, config_hash
+from .simulation import TRACE_COLUMNS, _jsonable, config_hash
 from .simulation import run as run_simulation
 from .simulation import validate_config
 
-TRACE_COLUMNS = (
-    "t",
-    "worker_id",
-    "dispatch_iteration",
-    "tau",
-    "component",
-    "loss",
-    "grad_norm",
-    "pending_size",
-)
-
-_METRIC_CHOICES = ("final_excess", "avg_sq_grad_norm", "final_loss", "final_distance")
+#: the run metrics a sweep can report, in ``runs.csv`` column order
+METRICS = ("final_loss", "final_excess", "final_distance", "avg_sq_grad_norm")
 
 
 #: rows the trace writer converts to Python objects at a time; small enough
@@ -47,25 +37,23 @@ _METRIC_CHOICES = ("final_excess", "avg_sq_grad_norm", "final_loss", "final_dist
 _CSV_CHUNK = 256
 
 
+def _cells(column):
+    """A chunk of one trace column as CSV cells: floats through ``repr``, ints and tags as they are."""
+    if not hasattr(column, "dtype"):  # the component tags, a tuple of str
+        return column
+    values = column.tolist()
+    return map(repr, values) if column.dtype.kind == "f" else values
+
+
 def _write_trace_csv(trace, path: Path) -> None:
     """One row per step; columns are converted with ``tolist`` a chunk at a time."""
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for start in range(0, len(trace), _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
-            writer.writerows(
-                zip(
-                    trace.t[rows].tolist(),
-                    trace.worker_id[rows].tolist(),
-                    trace.dispatch_iteration[rows].tolist(),
-                    trace.tau[rows].tolist(),
-                    trace.component[rows],
-                    map(repr, trace.loss[rows].tolist()),
-                    map(repr, trace.grad_norm[rows].tolist()),
-                    trace.pending_size[rows].tolist(),
-                )
-            )
+            writer.writerows(zip(*(_cells(column[rows]) for column in columns)))
 
 
 def _write_snapshot_csv(trace, path: Path) -> None:
@@ -79,28 +67,38 @@ def _write_snapshot_csv(trace, path: Path) -> None:
 
 def _final_metrics(trace) -> dict:
     series = analysis.convergence_metrics(trace, trace.objective)
-    return {
-        "final_loss": series.final_loss,
-        "final_excess": series.final_excess,
-        "final_distance": series.final_distance,
-        "avg_sq_grad_norm": series.final_avg_sq_grad_norm,
-    }
+    final = {**vars(series), "avg_sq_grad_norm": series.final_avg_sq_grad_norm}
+    return {name: final[name] for name in METRICS}
+
+
+def _number_cell(value) -> str:
+    """A CSV cell for a number that may be absent: empty, or the float's ``repr``."""
+    return "" if value is None else repr(float(value))
 
 
 def _select_metric(report_section, family: str) -> str:
     explicit = report_section.get("metric")
     if explicit is not None:
-        if explicit not in _METRIC_CHOICES:
-            raise InvalidConfigError(
-                f"unknown metric {explicit!r}; choose one of {', '.join(_METRIC_CHOICES)}",
-                field="report.metric",
-            )
+        if explicit not in METRICS:
+            message = f"unknown metric {explicit!r}; choose one of {', '.join(METRICS)}"
+            raise InvalidConfigError(message, field="report.metric")
         if family == "logistic" and explicit in ("final_excess", "final_distance"):
             message = f"{explicit} needs a closed-form optimum, which the logistic family lacks"
             raise InvalidConfigError(message, field="report.metric")
         return explicit
     # excess over a closed-form f*; nonconvex (which has one) and logistic use the gradient norm
     return "final_excess" if family in ("quadratic", "mixture") else "avg_sq_grad_norm"
+
+
+def _output_dir(experiment: ExperimentConfig, override: str | None) -> Path:
+    """The output directory, made if missing; ``--output-dir`` overrides ``output.dir``."""
+    out = Path(override) if override else experiment.output_dir
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        message = f"cannot make directory {out}: {exc.strerror}"
+        raise InvalidConfigError(message, field="output.dir") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +110,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
     experiment = ExperimentConfig.from_document(doc)
     base = parse_sim_config(doc)
     validate_config(base)
-    out = Path(output_dir) if output_dir else experiment.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(experiment, output_dir)
 
     digest = config_hash(base)  # the hash leaves out the seed, so it is every seed's
     entries = []
@@ -295,8 +292,7 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
         raise InvalidConfigError(message, field="sweep.grid.objective.family")
     (metric,) = metrics
 
-    out = Path(output_dir) if output_dir else experiment.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(experiment, output_dir)
     if experiment.parallelism > 1 and len(expanded) > 1:
         with ProcessPoolExecutor(max_workers=min(experiment.parallelism, len(expanded))) as pool:
             results = list(pool.map(_sweep_worker, expanded))
@@ -309,38 +305,17 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
 
     with open(out / "runs.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "grid_index",
-                "seed",
-                "method",
-                "eta",
-                "diverged",
-                "final_loss",
-                "final_excess",
-                "final_distance",
-                "avg_sq_grad_norm",
-                "overrides",
-            ]
-        )
+        writer.writerow(["grid_index", "seed", "method", "eta", "diverged", *METRICS, "overrides"])
         for row in sorted(results, key=lambda r: (r["grid_index"], r["seed_index"])):
             metrics = row["metrics"] or {}
-
-            def cell(name):
-                value = metrics.get(name)
-                return "" if value is None else repr(float(value))
-
             writer.writerow(
                 [
                     row["grid_index"],
                     row["seed"],
                     row["method"],
-                    "" if row["eta"] is None else repr(float(row["eta"])),
+                    _number_cell(row["eta"]),
                     int(row["diverged"]),
-                    cell("final_loss"),
-                    cell("final_excess"),
-                    cell("final_distance"),
-                    cell("avg_sq_grad_norm"),
+                    *(_number_cell(metrics.get(name)) for name in METRICS),
                     ";".join(f"{path}={value}" for path, value in row["overrides"]),
                 ]
             )
@@ -353,10 +328,10 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
                 writer.writerow(
                     [
                         method,
-                        "" if row["eta"] is None else repr(float(row["eta"])),
+                        _number_cell(row["eta"]),
                         metric,
-                        "" if row["mean"] is None else repr(float(row["mean"])),
-                        "" if row["sd"] is None else repr(float(row["sd"])),
+                        _number_cell(row["mean"]),
+                        _number_cell(row["sd"]),
                         row["diverged"],
                     ]
                 )
@@ -457,12 +432,16 @@ def _agrees(stored, fresh) -> bool:
 
 def cmd_report(directory: str, check: bool = False) -> int:
     out = Path(directory)
-    summary_path = out / "summary.json"
-    if not summary_path.exists():
-        raise InvalidConfigError(f"no summary.json under {out}")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    text = _format_report(summary)
+    summary_path, runs_path = out / "summary.json", out / "runs.csv"
+    for needed in (summary_path, runs_path) if check else (summary_path,):
+        if not needed.exists():
+            raise InvalidConfigError(f"no {needed.name} under {out}")
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        text = _format_report(summary)
+    except (ValueError, LookupError, TypeError) as exc:  # not JSON, or not a sweep summary
+        raise InvalidConfigError(f"{summary_path} is not a sweep summary: {exc!r}") from None
     print(text, end="")
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -470,7 +449,10 @@ def cmd_report(directory: str, check: bool = False) -> int:
         return 0
 
     failures = []
-    recomputed = _reaggregate_from_csv(out / "runs.csv", summary["metric"])
+    try:
+        recomputed = _reaggregate_from_csv(runs_path, summary["metric"])
+    except (ValueError, LookupError) as exc:  # a missing column or a cell that does not parse
+        raise InvalidConfigError(f"{runs_path} is not a sweep's runs table: {exc!r}") from None
     for method, info in summary["methods"].items():
         fresh = recomputed["methods"].get(method)
         if fresh is None:

@@ -22,6 +22,7 @@ vector, so their difference is noise-free.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Collection, Mapping, NamedTuple
@@ -108,6 +109,19 @@ def known_keys(section: Any, allowed: Collection[str], path: str) -> None:
     if unknown:
         message = f"unknown key; expected one of {', '.join(sorted(allowed))}"
         raise InvalidConfigError(message, field=f"{path}.{unknown[0]}")
+
+
+@contextmanager
+def blame(field: str):
+    """Name ``field`` on errors from building what that config section describes."""
+    try:
+        yield
+    except InvalidConfigError as exc:
+        if exc.field:
+            raise
+        raise InvalidConfigError(str(exc), field=field) from None
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
 
 
 def true_or_false(value: Any, field: str) -> bool:
@@ -681,14 +695,15 @@ def _quadratic_from_spec(
         vector = np.zeros(dim)
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
-    matrix = _as_matrix(curvature, vector.shape[0])
-    offset = vector
-    if key == "minimizer":
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            offset = matrix @ vector
-        if not np.all(np.isfinite(offset)):
-            raise InvalidConfigError("curvature·minimizer overflows", field=f"{path}.minimizer")
-    return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
+    with blame(f"{path}.curvature"):  # the shape and definiteness checks name no field
+        matrix = _as_matrix(curvature, vector.shape[0])
+        offset = vector
+        if key == "minimizer":
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+                offset = matrix @ vector
+            if not np.all(np.isfinite(offset)):
+                raise InvalidConfigError("curvature·minimizer overflows", field=f"{path}.minimizer")
+        return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
 
 
 def from_spec(spec: Mapping[str, Any], slow_weight: float):

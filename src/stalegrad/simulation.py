@@ -25,7 +25,6 @@ import heapq
 import json
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -38,7 +37,7 @@ from .errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from .objectives import COMPONENT_INDEX, euclidean_norm, integer_at_least, known_keys, true_or_false
+from .objectives import COMPONENT_INDEX, blame, euclidean_norm, integer_at_least, known_keys, true_or_false
 from .objectives import finite_number as _number
 
 logger = logging.getLogger(__name__)
@@ -136,6 +135,12 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: the trace CSV's per-step columns, in header order; each names a ``RunTrace`` field
+TRACE_COLUMNS = (
+    "t", "worker_id", "dispatch_iteration", "tau", "component", "loss", "grad_norm", "pending_size"
+)
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """Complete record of one run; one row per applied update.
@@ -183,19 +188,6 @@ class _Prepared:
     resolved: dict[str, Any]
 
 
-@contextmanager
-def _blame(field: str):
-    """Name ``field`` on errors from building what that config section describes."""
-    try:
-        yield
-    except InvalidConfigError as exc:
-        if exc.field:
-            raise
-        raise InvalidConfigError(str(exc), field=field) from None
-    except (TypeError, ValueError, LookupError, AttributeError) as exc:
-        raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
-
-
 def _adaptive_constants(objective, x1: Array, T: int, M: int, resolved: dict):
     """Delay-adaptive constants: the objective's closed-form L, Δ and σ."""
     constants = objective.theory_constants(x_init=x1)
@@ -213,14 +205,14 @@ def _adaptive_constants(objective, x1: Array, T: int, M: int, resolved: dict):
 def _prepare(config: SimConfig) -> _Prepared:
     """Build every object a run needs; the run fields were checked in ``SimConfig``."""
     T, M = config.total_iterations, config.num_workers
-    with _blame("delay"):
+    with blame("delay"):
         known_keys(config.delay, ("slow_weight",), "delay")
         if config.delay.get("slow_weight") is None:
             raise InvalidConfigError("missing", field="delay.slow_weight")
         slow_weight = _number(config.delay["slow_weight"], "delay.slow_weight")
         model = delays.DelayModel.build(M, slow_weight)
 
-    with _blame("objective"):
+    with blame("objective"):
         objective = objectives.from_spec(config.objective, slow_weight)
         domain = objectives.domain_from_spec(config.objective)
     if domain is not None and domain.dim != objective.dim:
@@ -248,7 +240,7 @@ def _prepare(config: SimConfig) -> _Prepared:
             raise InvalidConfigError(
                 f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
             )
-        with _blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
+        with blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
             resolved.update(row.theory(objective.theory_constants(x_init=x1), domain, T, M))
     for name in _STEP_KEYS:
         if name in opt:
@@ -403,18 +395,6 @@ def run(config: SimConfig) -> RunTrace:
     )
 
 
-_NUMERIC_FIELDS = (
-    "t",
-    "worker_id",
-    "dispatch_iteration",
-    "tau",
-    "pending_size",
-    "waiting_time",
-    "loss",
-    "grad_norm",
-)
-
-
 def replay_compare(trace: RunTrace, config: SimConfig) -> int | None:
     """Re-run ``config`` and return the first iteration whose record differs.
 
@@ -424,19 +404,11 @@ def replay_compare(trace: RunTrace, config: SimConfig) -> int | None:
     if config_hash(trace.config) != config_hash(config):
         raise ContractViolationError("trace was recorded under a different config (hash mismatch)")
     fresh = run(config)
-    first: int | None = None
-    for name in _NUMERIC_FIELDS:
-        a, b = getattr(trace, name), getattr(fresh, name)
-        diff = np.nonzero(a != b)[0]
-        if diff.size:
-            candidate = int(trace.t[diff[0]])
-            first = candidate if first is None else min(first, candidate)
-    for i, (a, b) in enumerate(zip(trace.component, fresh.component)):
-        if a != b:
-            candidate = int(trace.t[i])
-            first = candidate if first is None else min(first, candidate)
-            break
-    return first
+    differs = np.zeros(len(fresh), dtype=bool)
+    for name in (*TRACE_COLUMNS, "waiting_time"):
+        differs |= np.asarray(getattr(trace, name)) != np.asarray(getattr(fresh, name))
+    rows = np.flatnonzero(differs)
+    return int(fresh.t[rows[0]]) if rows.size else None
 
 
 def replay_check(trace: RunTrace, config: SimConfig) -> bool:

@@ -25,7 +25,9 @@ from stalegrad.config import (
     parse_sim_config,
 )
 from stalegrad.errors import DivergedRunError, InvalidConfigError
-from stalegrad.simulation import config_hash, run, validate_config
+from stalegrad.simulation import TRACE_COLUMNS, config_hash, run, validate_config
+
+MINIMAL_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "minimal.yaml")
 
 BASE_DOC = {
     "objective": {
@@ -50,7 +52,7 @@ def write_doc(tmp_path, doc, name="config.yaml"):
 
 
 def test_minimal_example_config_parses():
-    doc = load_document("configs/minimal.yaml")
+    doc = load_document(MINIMAL_CONFIG)
     config = parse_sim_config(doc)
     assert config.num_workers == 1
     assert config.total_iterations == 10
@@ -188,10 +190,10 @@ def test_expansion_shares_the_document_and_leaves_it_alone():
 
 def test_run_writes_golden_trace(tmp_path):
     out = tmp_path / "a"
-    assert cli.main(["run", "configs/minimal.yaml", "--output-dir", str(out)]) == 0
+    assert cli.main(["run", MINIMAL_CONFIG, "--output-dir", str(out)]) == 0
     with open(out / "run_s0.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == cli.TRACE_COLUMNS
+    assert tuple(rows[0]) == TRACE_COLUMNS
     assert len(rows) == 11  # header + ten iterations
     for row in rows[1:]:
         assert row[4] in ("slow", "fast")
@@ -207,7 +209,7 @@ def _write_trace_csv_row_by_row(trace, path):
     """The trace CSV written one row at a time, converting one cell at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cli.TRACE_COLUMNS)
+        writer.writerow(TRACE_COLUMNS)
         for i in range(len(trace)):
             writer.writerow(
                 [
@@ -717,6 +719,26 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         assert result.stdout.strip() == "False", module
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("given", ["flag", "document"])
+def test_an_output_path_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command, given):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    doc = sweep_doc() if command == "sweep" else dict(BASE_DOC)
+    argv = [command]
+    if given == "flag":
+        argv += [write_doc(tmp_path, doc), "--output-dir", str(taken)]
+    else:
+        argv += [write_doc(tmp_path, dict(doc, output={"dir": str(taken)}))]
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", runs.append)
+    assert cli.main(argv) == 1
+    assert runs == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: output.dir: ")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_sweep_without_grid_is_an_error(tmp_path, capsys):
     path = write_doc(tmp_path, BASE_DOC)
     assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
@@ -756,6 +778,31 @@ def test_report_check_catches_tampering(tmp_path, capsys):
             csv.writer(fh, lineterminator="\n").writerows(rows)
         assert cli.main(["report", str(out), "--check"]) == 2, tamper.__name__
         assert "CHECK FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["{not json\n", "[]\n"], ids=["not-json", "not-a-summary"])
+def test_report_refuses_a_file_that_is_not_a_sweep_summary(tmp_path, capsys, text):
+    (tmp_path / "summary.json").write_text(text)
+    assert cli.main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "summary.json" in err[0]
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "columns"])
+def test_report_check_refuses_a_missing_or_malformed_runs_table(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(out)]) == 0
+    if damage == "missing":
+        (out / "runs.csv").unlink()
+    else:  # the first three columns only
+        lines = (out / "runs.csv").read_text().splitlines()
+        (out / "runs.csv").write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in lines))
+    capsys.readouterr()
+    assert cli.main(["report", str(out), "--check"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "runs.csv" in err[0]
+    assert (out / "report.txt").exists() == (damage == "columns")  # a missing table is found first
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

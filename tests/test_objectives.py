@@ -757,6 +757,15 @@ def test_domain_from_spec():
         ({"family": "logistic", "feature_dim": True}, "objective.feature_dim"),
         ({"family": "logistic", "feature_dim": 0}, "objective.feature_dim"),
         ({"family": "logistic", "classes": 1}, "objective.classes"),
+        # the shape and definiteness refusals name the curvature too
+        ({"family": "quadratic", "dim": 3, "curvature": [1.0, 2.0]}, "objective.curvature"),
+        ({"family": "quadratic", "dim": 1, "curvature": [[[1.0]]]}, "objective.curvature"),
+        ({"family": "nonconvex", "dim": 2, "curvature": [[1.0, 1.0], [0.0, 1.0]]}, "objective.curvature"),
+        ({"family": "quadratic", "dim": 2, "curvature": 0.0}, "objective.curvature"),
+        (
+            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1, "curvature": -1.0}]},
+            "objective.components.1.curvature",
+        ),
     ],
 )
 def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):

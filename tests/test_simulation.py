@@ -15,6 +15,7 @@ from stalegrad.errors import (
 from stalegrad.objectives import Logistic, Quadratic
 from stalegrad.optimizers import theorem1_params
 from stalegrad.simulation import (
+    TRACE_COLUMNS,
     SimConfig,
     _all_finite,
     config_hash,
@@ -67,13 +68,23 @@ def test_iterations_must_cover_the_initial_broadcast():
     assert "run.iterations" in str(err.value)
 
 
-def test_tampered_trace_raises_divergence():
+@pytest.mark.parametrize("name", [*TRACE_COLUMNS, "waiting_time"])
+def test_tampered_trace_raises_divergence(name):
+    """One changed cell of any compared column is found at its own step."""
     config = momentum_config(seed=11)
     trace = run(config)
-    doctored = dataclasses.replace(trace, loss=trace.loss + 1e-9)
+    row = 36
+    if name == "component":
+        swap = {"slow": "fast", "fast": "slow"}
+        column = tuple(swap[tag] if i == row else tag for i, tag in enumerate(trace.component))
+    else:
+        column = getattr(trace, name).copy()
+        column[row] += 1e-9 if column.dtype.kind == "f" else 1
+    doctored = dataclasses.replace(trace, **{name: column})
+    assert replay_compare(doctored, config) == row + 1 == trace.t[row]
     with pytest.raises(ReplayDivergenceError) as err:
         replay_check(doctored, config)
-    assert err.value.first_index == 1
+    assert err.value.first_index == row + 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
