@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from . import analysis
@@ -108,16 +107,15 @@ def _output_dir(experiment: ExperimentConfig, override: str | None) -> Path:
 def cmd_run(config_path: str, output_dir: str | None = None) -> int:
     doc = load_document(config_path)
     experiment = ExperimentConfig.from_document(doc)
-    base = parse_sim_config(doc)
-    validate_config(base)
+    configs = experiment.seeded(parse_sim_config(doc))
+    validate_config(configs[0])  # validation reads no seed, so this checks every seed's config
     out = _output_dir(experiment, output_dir)
 
-    digest = config_hash(base)  # the hash leaves out the seed, so it is every seed's
+    digest = config_hash(configs[0])  # the hash leaves out the seed, so it is every seed's
     entries = []
     diverged = 0
-    for index in range(experiment.seed_count):
-        seed = experiment.seed_base + index
-        config = replace(base, seed=seed)
+    for config in configs:
+        seed = config.seed
         entry: dict = {"seed": seed, "config_hash": digest}
         try:
             trace = run_simulation(config)
@@ -301,7 +299,7 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
 
     summary = _aggregate(results, metric)
     summary["grid"] = [[path, list(values)] for path, values in experiment.grid]
-    summary["seeds"] = [experiment.seed_base + i for i in range(experiment.seed_count)]
+    summary["seeds"] = [item.config.seed for item in expanded[: experiment.seed_count]]
 
     with open(out / "runs.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

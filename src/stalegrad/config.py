@@ -6,8 +6,7 @@ A document is YAML with nested sections; ``objective``, ``optimizer`` and
     objective:   family + family-specific keys (see objectives.from_spec)
     optimizer:   method, theory, eta, beta, gamma, tau_filter
     delay:       slow_weight (0.1 without a delay section)
-    run:         workers, iterations, seed, snapshot_stride,
-                 record_gradients, x_init
+    run:         the keys of RUN_FIELDS
     sweep:       grid (dotted path -> list of values), seeds {base, count},
                  parallelism
     output:      dir
@@ -23,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -32,12 +31,22 @@ from .errors import InvalidConfigError
 from .objectives import integer_at_least, known_keys
 from .simulation import DEFAULT_DELAY, SimConfig
 
-_RUN_KEYS = {"workers", "iterations", "seed", "snapshot_stride", "record_gradients", "x_init"}
+#: each key of the run section -> the ``SimConfig`` field it sets
+RUN_FIELDS = {
+    "workers": "num_workers",
+    "iterations": "total_iterations",
+    "seed": "seed",
+    "snapshot_stride": "snapshot_stride",
+    "record_gradients": "record_gradients",
+    "x_init": "x_init",
+}
+#: the sections a run reads, so the only ones a grid axis may vary
+_GRID_SECTIONS = {"objective", "optimizer", "delay", "run"}
 _SWEEP_KEYS = {"grid", "seeds", "parallelism"}
 _SEED_KEYS = {"base", "count"}
 _OUTPUT_KEYS = {"dir"}
 _REPORT_KEYS = {"metric"}
-_TOP_KEYS = {"objective", "optimizer", "delay", "run", "sweep", "output", "report"}
+_TOP_KEYS = _GRID_SECTIONS | {"sweep", "output", "report"}
 
 
 class _Loader(yaml.SafeLoader):
@@ -91,45 +100,39 @@ def check_document(doc: Mapping) -> None:
     _expect_mapping(doc, "optimizer", required=True)
     _expect_mapping(doc, "delay", required=False)
     run = _expect_mapping(doc, "run", required=True)
-    known_keys(run, _RUN_KEYS, "run")
-    for key in ("workers", "iterations"):
-        if key not in run:
+    known_keys(run, RUN_FIELDS, "run")
+    required = {f.name for f in fields(SimConfig) if f.default is MISSING}  # no default: must be set
+    for key, name in RUN_FIELDS.items():
+        if name in required and key not in run:
             raise InvalidConfigError("value is required", field=f"run.{key}")
     known_keys(_expect_mapping(doc, "output", required=False), _OUTPUT_KEYS, "output")
     known_keys(_expect_mapping(doc, "report", required=False), _REPORT_KEYS, "report")
-    if "sweep" in doc:
-        sweep = _expect_mapping(doc, "sweep", required=False)
-        known_keys(sweep, _SWEEP_KEYS, "sweep")
-        grid = sweep.get("grid", {})
-        if not isinstance(grid, Mapping):
-            raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
-        for path, values in grid.items():
-            if path == "run.seed":
-                message = "seeds come from sweep.seeds, not a grid axis"
-                raise InvalidConfigError(message, field="sweep.grid.run.seed")
-            if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
-                raise InvalidConfigError(
-                    "axis must be a nonempty list", field=f"sweep.grid.{path}"
-                )
-        seeds = sweep.get("seeds") or {}
-        if not isinstance(seeds, Mapping):
-            raise InvalidConfigError("must be a mapping with base and count", field="sweep.seeds")
-        known_keys(seeds, _SEED_KEYS, "sweep.seeds")
+    sweep = _expect_mapping(doc, "sweep", required=False)
+    known_keys(sweep, _SWEEP_KEYS, "sweep")
+    grid = sweep.get("grid", {})
+    if not isinstance(grid, Mapping):
+        raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
+    for path, values in grid.items():
+        if str(path).split(".")[0] not in _GRID_SECTIONS:
+            message = f"a grid axis varies a key of {', '.join(sorted(_GRID_SECTIONS))}"
+            raise InvalidConfigError(message, field=f"sweep.grid.{path}")
+        if path == "run.seed":
+            message = "seeds come from sweep.seeds, not a grid axis"
+            raise InvalidConfigError(message, field="sweep.grid.run.seed")
+        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
+            raise InvalidConfigError(
+                "axis must be a nonempty list", field=f"sweep.grid.{path}"
+            )
+    known_keys(sweep.get("seeds") or {}, _SEED_KEYS, "sweep.seeds")
 
 
 def parse_sim_config(doc: Mapping) -> SimConfig:
     check_document(doc)
-    run = dict(doc["run"])
     return SimConfig(
         objective=dict(doc["objective"]),
         optimizer=dict(doc["optimizer"]),
-        total_iterations=run["iterations"],
-        num_workers=run["workers"],
         delay=dict(doc.get("delay") or DEFAULT_DELAY),
-        seed=run.get("seed", 0),
-        snapshot_stride=run.get("snapshot_stride"),
-        record_gradients=run.get("record_gradients", False),
-        x_init=run.get("x_init"),
+        **{RUN_FIELDS[key]: value for key, value in doc["run"].items()},
     )
 
 
@@ -193,23 +196,20 @@ class ExperimentConfig:
             report=dict(doc.get("report", {})),
         )
 
+    def seeded(self, config: SimConfig) -> list[SimConfig]:
+        """``config`` at each seed of the battery, base + index in index order."""
+        return [replace(config, seed=self.seed_base + i) for i in range(self.seed_count)]
+
     def expand(self) -> list[ExpandedRun]:
         """All grid points × seeds, in grid-major, seed-minor order."""
         paths = [path for path, _ in self.grid]
         axes = [values for _, values in self.grid]
         runs: list[ExpandedRun] = []
         for grid_index, combo in enumerate(itertools.product(*axes)):
-            doc = dict(self.document)
+            doc = self.document
             for path, value in zip(paths, combo):
                 doc = apply_override(doc, path, value)
-            for seed_index in range(self.seed_count):
-                seeded = apply_override(doc, "run.seed", self.seed_base + seed_index)
-                runs.append(
-                    ExpandedRun(
-                        grid_index=grid_index,
-                        seed_index=seed_index,
-                        overrides=tuple(zip(paths, combo)),
-                        config=parse_sim_config(seeded),
-                    )
-                )
+            overrides = tuple(zip(paths, combo))
+            for seed_index, config in enumerate(self.seeded(parse_sim_config(doc))):
+                runs.append(ExpandedRun(grid_index, seed_index, overrides, config))
         return runs

@@ -56,4 +56,8 @@ class InsufficientTraceError(StalegradError):
 
 
 class InvalidComparisonError(StalegradError):
-    """Traces being compared were not produced under compatible configurations."""
+    """A statistic was given data it cannot compare.
+
+    F1 count vectors that are mismatched in shape or negative, waits too few
+    for goodness-of-fit cells, or a trace that lacks a component group.
+    """

@@ -76,7 +76,7 @@ def finite_number(value: Any, field: str) -> float:
     """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
     if not math.isfinite(out):
         raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
@@ -87,11 +87,19 @@ def finite_vector(value: Any, field: str) -> Array:
     """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
     try:
         out = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
     if not np.all(np.isfinite(out)):
         raise InvalidConfigError("entries must be finite", field=field)
     return out
+
+
+def finite_list(value: Any, field: str) -> Array:
+    """``value`` as a finite 1-D float64 array with at least one entry."""
+    vector = finite_vector(value, field)
+    if vector.ndim != 1 or vector.size == 0:
+        raise InvalidConfigError("must be a non-empty list of numbers", field=field)
+    return vector
 
 
 def integer_at_least(value: Any, field: str, minimum: int) -> int:
@@ -104,8 +112,10 @@ def integer_at_least(value: Any, field: str, minimum: int) -> int:
 
 
 def known_keys(section: Any, allowed: Collection[str], path: str) -> None:
-    """Refuse a key of the mapping ``section`` outside ``allowed`` (a misspelt one, say)."""
-    unknown = sorted(set(section) - set(allowed), key=str) if isinstance(section, Mapping) else ()
+    """Refuse ``section`` unless it is a mapping with no key outside ``allowed`` (a misspelt one, say)."""
+    if not isinstance(section, Mapping):
+        raise InvalidConfigError(f"must be a mapping of {', '.join(sorted(allowed))}", field=path)
+    unknown = sorted(set(section) - set(allowed), key=str)
     if unknown:
         message = f"unknown key; expected one of {', '.join(sorted(allowed))}"
         raise InvalidConfigError(message, field=f"{path}.{unknown[0]}")
@@ -686,9 +696,7 @@ def _quadratic_from_spec(
     dim = None if spec.get("dim") is None else _dimension(spec["dim"], f"{path}.dim")
     key = "offset" if "offset" in spec else "minimizer" if "minimizer" in spec else None
     if key is not None:
-        vector = finite_vector(spec[key], f"{path}.{key}")
-        if vector.ndim != 1 or vector.size == 0:
-            raise InvalidConfigError("must be a non-empty list of numbers", field=f"{path}.{key}")
+        vector = finite_list(spec[key], f"{path}.{key}")
         if dim is not None and vector.shape != (dim,):
             raise InvalidConfigError(f"{key} has {vector.size} entries, not {dim}", field=f"{path}.dim")
     elif dim is not None:
@@ -714,15 +722,15 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
     the objective's weights are the realized sampling proportions.
     """
     family = spec.get("family")
-    if family in _FAMILY_KEYS:
-        known_keys(spec, _FAMILY_KEYS[family] | {"family", "noise_sigma", "dim", "domain"}, "objective")
-        known_keys(spec.get("domain"), ("center", "radius"), "objective.domain")
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        raise InvalidConfigError(f"unknown objective family {family!r}", field="objective.family")
+    known_keys(spec, _FAMILY_KEYS[family] | {"family", "noise_sigma", "dim", "domain"}, "objective")
     noise_sigma = finite_number(spec.get("noise_sigma", 0.0), "objective.noise_sigma")
     if family == "quadratic":
         return _quadratic_from_spec(spec, noise_sigma)
     if family == "mixture":
         raw = spec.get("components")
-        if not raw or len(raw) != 2:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise InvalidConfigError(
                 "a mixture has exactly two components, slow then fast", field="objective.components"
             )
@@ -739,21 +747,19 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
             squash_scale=finite_number(spec.get("squash_scale", 1.0), "objective.squash_scale"),
             noise_sigma=noise_sigma,
         )
-    if family == "logistic":
-        classes = integer_at_least(spec.get("classes", 3), "objective.classes", 2)
-        feature_dim = integer_at_least(spec.get("feature_dim", 4), "objective.feature_dim", 1)
-        samples = integer_at_least(spec.get("samples", 200), "objective.samples", 1)
-        if classes * feature_dim > MAX_DIM:
-            raise InvalidConfigError(
-                f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim"
-            )
-        if samples * max(classes, feature_dim) > MAX_DIM**2:
-            raise InvalidConfigError(
-                f"samples·max(classes, feature_dim) must be at most {MAX_DIM**2}",
-                field="objective.samples",
-            )
-        return make_logistic(classes, feature_dim, samples, slow_weight, noise_sigma)
-    raise InvalidConfigError(f"unknown objective family {family!r}", field="objective.family")
+    classes = integer_at_least(spec.get("classes", 3), "objective.classes", 2)
+    feature_dim = integer_at_least(spec.get("feature_dim", 4), "objective.feature_dim", 1)
+    samples = integer_at_least(spec.get("samples", 200), "objective.samples", 1)
+    if classes * feature_dim > MAX_DIM:
+        raise InvalidConfigError(
+            f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim"
+        )
+    if samples * max(classes, feature_dim) > MAX_DIM**2:
+        raise InvalidConfigError(
+            f"samples·max(classes, feature_dim) must be at most {MAX_DIM**2}",
+            field="objective.samples",
+        )
+    return make_logistic(classes, feature_dim, samples, slow_weight, noise_sigma)
 
 
 def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
@@ -761,6 +767,7 @@ def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
     raw = spec.get("domain")
     if raw is None:
         return None
+    known_keys(raw, ("center", "radius"), "objective.domain")
     if "radius" not in raw:
         raise InvalidConfigError("domain needs a radius", field="objective.domain.radius")
     dim = spec.get("dim")
@@ -773,6 +780,6 @@ def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
             )
         center = np.zeros(_dimension(dim, "objective.dim"))
     return BallDomain(
-        center=finite_vector(center, "objective.domain.center"),
+        center=finite_list(center, "objective.domain.center"),
         radius=finite_number(raw["radius"], "objective.domain.radius"),
     )

@@ -332,8 +332,8 @@ METHOD_TABLE: dict[str, Method] = {
 
 METHODS = tuple(METHOD_TABLE)
 
-#: (upper, closed) of each scalar constant's range, checked by :func:`require_in_range`
-_RANGES = {
+#: each scalar optimizer key -> (upper, closed) of its range, checked by :func:`require_in_range`
+RANGES = {
     "eta": (math.inf, True),
     "beta": (1.0, False),
     "gamma": (1.0, True),
@@ -345,6 +345,6 @@ def make_params(method: str, values: Mapping[str, Any]) -> Params:
     """``method``'s :class:`Params` from ``values``, each range checked in ``takes`` order."""
     takes = METHOD_TABLE[method].takes
     for name in takes:
-        if name in _RANGES:
-            require_in_range(values[name], f"optimizer.{name}", *_RANGES[name])
+        if name in RANGES:
+            require_in_range(values[name], f"optimizer.{name}", *RANGES[name])
     return Params(method, **{name: values[name] for name in takes})

@@ -25,7 +25,7 @@ import heapq
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     ReplayDivergenceError,
 )
 from .objectives import COMPONENT_INDEX, blame, euclidean_norm, integer_at_least, known_keys, true_or_false
+from .objectives import finite_list
 from .objectives import finite_number as _number
 
 logger = logging.getLogger(__name__)
@@ -48,9 +49,8 @@ Array = np.ndarray
 #: the delay section of a config that gives none
 DEFAULT_DELAY: Mapping[str, Any] = {"slow_weight": 0.1}
 
-_STEP_KEYS = ("eta", "beta", "gamma", "tau_filter")
 #: every optimizer key some method reads; a grid sweep shares one section across methods
-_OPTIMIZER_KEYS = frozenset({"method", "theory", *_STEP_KEYS})
+_OPTIMIZER_KEYS = frozenset({"method", "theory", *optimizers.RANGES})
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ class SimConfig:
             integer_at_least(self.snapshot_stride, "run.snapshot_stride", 1)
         true_or_false(self.record_gradients, "run.record_gradients")
         if self.x_init is not None:
-            if isinstance(self.x_init, (str, bytes)) or not np.iterable(self.x_init):
-                raise InvalidConfigError("must be a list of numbers", field="run.x_init")
-            object.__setattr__(self, "x_init", tuple(_number(v, "run.x_init") for v in self.x_init))
+            object.__setattr__(self, "x_init", tuple(finite_list(self.x_init, "run.x_init").tolist()))
 
 
 def _jsonable(value: Any) -> Any:
@@ -121,16 +119,7 @@ def config_hash(config: SimConfig) -> str:
     do not change the realized run but stay in the hash: dropping them would
     re-key every existing output.
     """
-    payload = {
-        "objective": config.objective,
-        "optimizer": config.optimizer,
-        "delay": config.delay,
-        "total_iterations": config.total_iterations,
-        "num_workers": config.num_workers,
-        "snapshot_stride": config.snapshot_stride,
-        "record_gradients": config.record_gradients,
-        "x_init": list(config.x_init) if config.x_init is not None else None,
-    }
+    payload = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "seed"}
     canonical = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -242,7 +231,7 @@ def _prepare(config: SimConfig) -> _Prepared:
             )
         with blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
             resolved.update(row.theory(objective.theory_constants(x_init=x1), domain, T, M))
-    for name in _STEP_KEYS:
+    for name in optimizers.RANGES:
         if name in opt:
             resolved[name] = _number(opt[name], f"optimizer.{name}")
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import stalegrad.cli as cli
 import stalegrad.objectives as objectives
 from stalegrad.config import (
+    RUN_FIELDS,
     ExperimentConfig,
     apply_override,
     check_document,
@@ -337,7 +338,7 @@ def test_a_family_axis_sweeps_under_a_metric_every_family_reports(tmp_path):
     assert _swept_metric(tmp_path, doc) == "final_loss"
 
 
-@pytest.mark.parametrize("value", ["fast", math.inf, math.nan], ids=["word", "inf", "nan"])
+@pytest.mark.parametrize("value", ["fast", math.inf, math.nan, 10**400], ids=["word", "inf", "nan", "huge-int"])
 @pytest.mark.parametrize(
     "field",
     [
@@ -363,6 +364,13 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
 _QUAD_2D = {"family": "quadratic", "dim": 2}
 _MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
 _LOGISTIC = {"family": "logistic"}
+_THEORY_MOMENTUM = {"method": "ordered_momentum", "theory": True}
+# Theorem 1 needs sigma, which a mixture has only when both curvatures are equal
+_UNEQUAL_MIXTURE = dict(
+    _MIXTURE_2D, components=[{"minimizer": [1.0, 0.0], "curvature": [1.0, 2.0]}, {"minimizer": [-1.0, 0.0]}]
+)
+# Theorem 2 needs sigma_l, which the logistic family lacks
+_LOGISTIC_BALL = dict(_LOGISTIC, classes=2, feature_dim=2, domain={"center": [0.0] * 4, "radius": 5.0})
 _FAMILY_AXIS = {
     "objective": {"family": "quadratic", "dim": 3},
     "sweep": {"grid": {"objective.family": ["quadratic", "logistic"]}},
@@ -432,6 +440,19 @@ _FAMILY_AXIS = {
             "objective.minimizer",
             marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
         ),
+        ({"sweep": {"grid": {"report.metric": ["final_loss", "final_excess"]}}}, "sweep.grid.report.metric"),
+        ({"sweep": {"grid": {"sweep.parallelism": [1, 2]}}}, "sweep.grid.sweep.parallelism"),
+        ({"sweep": {"grid": {"optimiser.eta": [0.1]}}}, "sweep.grid.optimiser.eta"),
+        ({"sweep": {"grid": {"seed": [1, 2]}}}, "sweep.grid.seed"),
+        ({"objective": dict(_QUAD_2D, family=["quadratic"])}, "objective.family"),
+        ({"objective": dict(_MIXTURE_2D, components=5)}, "objective.components"),
+        ({"objective": dict(_MIXTURE_2D, components=[_MIXTURE_2D["components"][0], 3])}, "objective.components.1"),
+        ({"objective": dict(_QUAD_2D, domain=5)}, "objective.domain"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [[0.0, 0.0]], "radius": 1})}, "objective.domain.center"),
+        ({"objective": dict(_LOGISTIC, samples=1)}, "objective.samples"),
+        ({"objective": _LOGISTIC, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
+        ({"objective": _UNEQUAL_MIXTURE, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
+        ({"objective": _LOGISTIC_BALL, "optimizer": {"method": "ordered_mu2", "theory": True}}, "optimizer.theory"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -443,6 +464,9 @@ _FAMILY_AXIS = {
         "output-scalar", "report-list", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
         "nested-minimizer", "empty-minimizer", "nested-offset", "empty-offset",
         "nested-component-minimizer", "empty-component-offset", "overflowing-minimizer",
+        "report-axis", "sweep-axis", "misspelt-section-axis", "sectionless-axis", "family-list",
+        "components-number", "component-number", "domain-number", "nested-center", "one-sample",
+        "theory-logistic", "theory-unequal-curvatures", "theory-mu2-logistic",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -504,16 +528,6 @@ def test_commands_hash_a_config_only_where_the_hash_is_written(tmp_path, monkeyp
 
 THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.2})
 
-# field path -> how a SimConfig built directly carries the same value
-_RUN_FIELD_ATTRS = {
-    "run.workers": "num_workers",
-    "run.iterations": "total_iterations",
-    "run.seed": "seed",
-    "run.snapshot_stride": "snapshot_stride",
-    "run.record_gradients": "record_gradients",
-    "run.x_init": "x_init",
-}
-
 
 @pytest.mark.parametrize(
     "field, value",
@@ -546,7 +560,7 @@ def test_malformed_run_fields_name_their_path(field, value):
         if section == "optimizer":
             dataclasses.replace(valid, optimizer=dict(valid.optimizer, **{key: value}))
         else:
-            dataclasses.replace(valid, **{_RUN_FIELD_ATTRS[field]: value})
+            dataclasses.replace(valid, **{RUN_FIELDS[key]: value})
     assert err.value.field == field
 
 

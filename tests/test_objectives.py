@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stalegrad.errors import InvalidConfigError
+from stalegrad.errors import ContractViolationError, InvalidConfigError
 from stalegrad.objectives import (
     COMPONENT_INDEX,
     FAST,
@@ -56,6 +56,16 @@ def test_quadratic_gradient_at_origin():
     q = Quadratic(matrix=np.eye(2), offset=np.array([1.0, 1.0]))
     assert np.array_equal(q.grad(np.zeros(2)), np.array([-1.0, -1.0]))
     assert q.loss(np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "objective", [QUAD, MIXTURE, NONCONVEX, LOGISTIC], ids=["quadratic", "mixture", "nonconvex", "logistic"]
+)
+def test_points_are_read_as_float_vectors_of_the_objective_dim(objective):
+    point = [0.5 * (i + 1) for i in range(objective.dim)]
+    assert objective.loss(point) == objective.loss(np.array(point))
+    with pytest.raises(ContractViolationError):
+        objective.loss(point + [0.0])
 
 
 def test_quadratic_minimizer_is_stationary():
