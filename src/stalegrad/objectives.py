@@ -90,6 +90,8 @@ def finite_vector(value: Any, field: str) -> Array:
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
     if not np.all(np.isfinite(out)):
+        if None in np.asarray(value, dtype=object).ravel().tolist():  # read as NaN above
+            raise InvalidConfigError("an entry is null, not a number", field=field)
         raise InvalidConfigError("entries must be finite", field=field)
     return out
 
@@ -182,7 +184,9 @@ class BallDomain:
         return 2.0 * self.radius
 
     def contains(self, x: Array, tol: float = 1e-12) -> bool:
-        return euclidean_norm((np.asarray(x) - self.center).ravel()) <= self.radius + tol
+        # an offset whose squared norm overflows is outside, as project measures it
+        with np.errstate(over="ignore"):
+            return euclidean_norm((np.asarray(x) - self.center).ravel()) <= self.radius + tol
 
     def project(self, x: Array) -> Array:
         """Orthogonal projection: x itself inside the ball, else radial scaling.
@@ -219,10 +223,15 @@ class _NoiseModel:
         if not self.noise_sigma >= 0:
             raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
 
+    @cached_property
+    def _noise_scale(self) -> float:
+        return self.noise_sigma / math.sqrt(self.dim)
+
     def _noise(self, rng: np.random.Generator) -> Array:
+        # one call, with the values and generator state of scale·standard_normal(dim)
         if self.noise_sigma == 0.0:
             return np.zeros(self.dim)
-        return (self.noise_sigma / math.sqrt(self.dim)) * rng.standard_normal(self.dim)
+        return rng.normal(0.0, self._noise_scale, self.dim)
 
     def stochastic_grad(self, x: Array, component: int, rng: np.random.Generator) -> Array:
         """One noisy gradient at x for the given (already drawn) component."""
@@ -482,11 +491,36 @@ class NonconvexQuadratic(_NoiseModel):
         )
 
 
+def _pairwise_rows(a: Array) -> Array:
+    """Column sums of a C×n array, each the bits of numpy's pairwise sum of a row of C.
+
+    ``sum(axis=1)`` over an n×C array adds each row's C entries pairwise:
+    fewer than 8 in order, up to 128 into 8 accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the rest in order, and more
+    than 128 as two halves split at a multiple of 8.  Here the same adds
+    run over whole rows of length n.
+    """
+    c = a.shape[0]
+    if c < 8:
+        return a.sum(axis=0)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+    whole = c - c % 8
+    r = a[:whole].reshape(-1, 8, a.shape[1]).sum(axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for row in a[whole:]:
+        out += row
+    return out
+
+
 class _Group(NamedTuple):
     """One sample group, precomputed once per objective."""
 
     rows: Array  # sample indices of the group
-    picks: Array  # rows·C + labels[rows]: each row's true class in the flat n×C array
+    picks: Array  # labels[rows]·n + rows: each row's true class in the flat class-major C×n array
     onehot: Array  # n_g×C, 1.0 at each row's label
     features: Array  # features[rows]
 
@@ -534,7 +568,7 @@ class Logistic(_NoiseModel):
             groups.append(
                 _Group(
                     rows=_read_only(rows),
-                    picks=_read_only(rows * self.num_classes + labels),
+                    picks=_read_only(labels * n + rows),
                     onehot=_read_only(np.eye(self.num_classes)[labels]),
                     features=_read_only(self.features[rows]),
                 )
@@ -551,18 +585,21 @@ class Logistic(_NoiseModel):
         return self.num_classes * self.feature_dim
 
     def _log_softmax(self, x: Array) -> Array:
+        """The class-major C×n log-probabilities at x.
+
+        The logits product keeps the n×C BLAS layout that sets its bits; its
+        transpose is copied once, so the max, the shift, the normalizer and
+        its subtraction all run along the sample axis.
+        """
         weights = x.reshape(self.num_classes, self.feature_dim)
-        out = self.features @ weights.T  # the logits, shifted and normalized in place
-        # The row max taken down the contiguous transpose: a reduction along
-        # a short inner axis costs several times more, and a max rounds
-        # nothing.  The sum stays along axis 1: its pairwise order sets the bits.
-        out -= np.ascontiguousarray(out.T).max(axis=0)[:, None]
-        out -= np.log(np.exp(out).sum(axis=1, keepdims=True))
+        out = np.ascontiguousarray(self.features.dot(weights.T).T)  # shifted and normalized in place
+        out -= out.max(axis=0)
+        out -= np.log(_pairwise_rows(np.exp(out)))
         return out
 
     def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
-        """The memo of x: its key, the read-only log-probabilities and
-        probabilities over all samples, and the group gradients taken at x.
+        """The memo of x: its key, the read-only class-major log-probabilities,
+        the n×C probabilities, and the group gradients taken at x.
 
         Only the last point is kept, keyed on its exact bytes: a step's
         monitoring re-evaluates the point the previous dispatch just
@@ -572,19 +609,22 @@ class Logistic(_NoiseModel):
         memo = self._memo
         if memo[0] != key:
             log_probs = self._log_softmax(x)
-            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)), {})
+            # exp of the contiguous array, then the n×C layout the group gradients' product reads
+            probs = np.ascontiguousarray(np.exp(log_probs).T)
+            memo = (key, _read_only(log_probs), _read_only(probs), {})
             object.__setattr__(self, "_memo", memo)
         return memo
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        log_probs = self._memo_at(x)[1].ravel()
-        # sum / n is the bits of .mean(), without its Python-level overhead
-        return float(
-            sum(
-                w * ((-log_probs.take(g.picks)).sum() / g.rows.shape[0])
-                for g, w in zip(self._groups, self.group_weights)
-            )
+        log_probs = self._memo_at(x)[1]
+        (g0, g1), (w0, w1) = self._groups, self.group_weights
+        # −Σ/n is the bits of (−log p).mean(), as negation commutes with rounding;
+        # starting from 0.0, as sum() does, keeps a zero loss at +0.0
+        return (
+            0.0
+            + w0 * (-float(log_probs.take(g0.picks).sum()) / g0.rows.shape[0])
+            + w1 * (-float(log_probs.take(g1.picks).sum()) / g1.rows.shape[0])
         )
 
     def component_grad(self, x: Array, component: int) -> Array:
@@ -598,13 +638,11 @@ class Logistic(_NoiseModel):
         g = self._groups[component]
         residual = probs.take(g.rows, axis=0)
         residual -= g.onehot  # p − 0.0 is p; p − 1.0 at the label
-        return (residual.T @ g.features / g.rows.shape[0]).ravel()
+        return (residual.T.dot(g.features) / g.rows.shape[0]).ravel()
 
     def grad(self, x: Array) -> Array:
-        out = np.zeros(self.dim)
-        for c, w in enumerate(self.group_weights):
-            out += w * self.component_grad(x, c)
-        return out
+        w0, w1 = self.group_weights
+        return w0 * self.component_grad(x, 0) + w1 * self.component_grad(x, 1)
 
     def predictions(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)

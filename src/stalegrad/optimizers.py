@@ -12,10 +12,9 @@ iteration count, the staleness discount uses the delay, the first-dispatch
 zero rule keys on the dispatch index, and none is ever recomputed from the
 others.
 
-The state stays immutable (a frozen, slotted dataclass), and each rule builds
-the next one directly with its constructor rather than through
-``dataclasses.replace``, which costs several times more on a path taken
-once per iteration.
+The state stays immutable (a named tuple), and each rule builds the next
+one directly with its positional constructor: on a path taken once per
+iteration, that costs about half of what a frozen dataclass's does.
 
 Rules
 -----
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,8 +94,7 @@ def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:
     return min(candidates)
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     """What every rule carries from one update to the next.
 
     ``query`` is the point workers differentiate at.  ``buffer`` is the

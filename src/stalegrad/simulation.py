@@ -177,9 +177,22 @@ class _Prepared:
     resolved: dict[str, Any]
 
 
-def _adaptive_constants(objective, x1: Array, T: int, M: int, resolved: dict):
+def _theory_constants(objective, x1: Array, spec: Mapping[str, Any]):
+    """The objective's closed-form constants, refused by field path when f* or
+    f(x₁) − f* lies past a float's range (a finite but huge minimizer or x_init)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        constants = objective.theory_constants(x_init=x1)
+    if not math.isfinite(constants.f_star or 0.0):
+        keys = [key for key in ("minimizer", "offset", "components") if key in spec]
+        path = f"objective.{keys[0]}" if keys else "objective"
+        raise InvalidConfigError("f at the minimizer overflows a float", field=path)
+    if not math.isfinite(constants.delta_gap or 0.0):
+        raise InvalidConfigError("f(x_init) − f* overflows a float", field="run.x_init")
+    return constants
+
+
+def _adaptive_constants(constants, T: int, M: int, resolved: dict):
     """Delay-adaptive constants: the objective's closed-form L, Δ and σ."""
-    constants = objective.theory_constants(x_init=x1)
     values = {}
     for name in ("lipschitz", "delta_gap", "sigma"):
         value = getattr(constants, name)
@@ -230,7 +243,7 @@ def _prepare(config: SimConfig) -> _Prepared:
                 f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
             )
         with blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
-            resolved.update(row.theory(objective.theory_constants(x_init=x1), domain, T, M))
+            resolved.update(row.theory(_theory_constants(objective, x1, config.objective), domain, T, M))
     for name in optimizers.RANGES:
         if name in opt:
             resolved[name] = _number(opt[name], f"optimizer.{name}")
@@ -239,7 +252,7 @@ def _prepare(config: SimConfig) -> _Prepared:
         if name == "domain":
             return domain
         if name == "adaptive":
-            return _adaptive_constants(objective, x1, T, M, resolved)
+            return _adaptive_constants(_theory_constants(objective, x1, config.objective), T, M, resolved)
         if name not in resolved:
             raise InvalidConfigError("missing", field=f"optimizer.{name}")
         return resolved[name]

@@ -361,6 +361,18 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["objective.minimizer", "objective.curvature", "run.x_init"])
+def test_a_null_entry_is_refused_as_not_a_number(tmp_path, capsys, field):
+    """YAML ``null`` in a list of numbers is not read as NaN and called non-finite."""
+    doc = copy.deepcopy(BASE_DOC)
+    section, key = field.split(".")
+    doc[section][key] = [None, 1.0]
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: an entry is null, not a number")
+    assert not (tmp_path / "out").exists()
+
+
 _QUAD_2D = {"family": "quadratic", "dim": 2}
 _MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
 _LOGISTIC = {"family": "logistic"}
@@ -371,6 +383,16 @@ _UNEQUAL_MIXTURE = dict(
 )
 # Theorem 2 needs sigma_l, which the logistic family lacks
 _LOGISTIC_BALL = dict(_LOGISTIC, classes=2, feature_dim=2, domain={"center": [0.0] * 4, "radius": 5.0})
+_UNIT_BALL_2D = dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1.0})
+_MU2 = {"method": "ordered_mu2", "eta": 0.01}
+_ADAPTIVE = {"method": "delay_adaptive"}
+_HUGE_MIXTURE = dict(_MIXTURE_2D, components=[{"minimizer": [1e308, 0.0]}, {"minimizer": [-1.0, 0.0]}])
+
+
+def _run_from(x_init):
+    return dict(BASE_DOC["run"], x_init=x_init)
+
+
 _FAMILY_AXIS = {
     "objective": {"family": "quadratic", "dim": 3},
     "sweep": {"grid": {"objective.family": ["quadratic", "logistic"]}},
@@ -453,6 +475,14 @@ _FAMILY_AXIS = {
         ({"objective": _LOGISTIC, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
         ({"objective": _UNEQUAL_MIXTURE, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
         ({"objective": _LOGISTIC_BALL, "optimizer": {"method": "ordered_mu2", "theory": True}}, "optimizer.theory"),
+        # finite but huge: refused, not warned about (a warning fails the test)
+        ({"objective": _UNIT_BALL_2D, "optimizer": _MU2, "run": _run_from([1e308, 0.0])}, "run.x_init"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [1e308, 0.0], "radius": 1.0}), "optimizer": _MU2}, "run.x_init"),
+        ({"objective": {"family": "nonconvex", "minimizer": [1e308, 0.0]}, "optimizer": _THEORY_MOMENTUM}, "objective.minimizer"),
+        ({"objective": {"family": "quadratic", "minimizer": [1e308, 0.0]}, "optimizer": _ADAPTIVE}, "objective.minimizer"),
+        ({"objective": _HUGE_MIXTURE, "optimizer": _THEORY_MOMENTUM}, "objective.components"),
+        ({"optimizer": _THEORY_MOMENTUM, "run": _run_from([1e308, 0.0])}, "run.x_init"),
+        ({"optimizer": _ADAPTIVE, "run": _run_from([1e308, 0.0])}, "run.x_init"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -467,6 +497,9 @@ _FAMILY_AXIS = {
         "report-axis", "sweep-axis", "misspelt-section-axis", "sectionless-axis", "family-list",
         "components-number", "component-number", "domain-number", "nested-center", "one-sample",
         "theory-logistic", "theory-unequal-curvatures", "theory-mu2-logistic",
+        "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
+        "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
+        "huge-x_init-adaptive",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):

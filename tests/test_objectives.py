@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +347,21 @@ def test_zero_noise_skips_the_generator():
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("dim", [1, 2, 12, 100])
+def test_noise_has_the_bits_and_stream_of_scaled_standard_normals(dim):
+    """One ``normal`` call per draw gives the bytes of scale·standard_normal(dim)
+    from a twin generator and leaves it in the same state, with the delay
+    model's geometric draws interleaved."""
+    q = Quadratic(matrix=np.eye(dim), offset=np.zeros(dim), noise_sigma=0.7)
+    scale = 0.7 / math.sqrt(dim)
+    for seed in range(30):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert rng.geometric(0.3) == twin.geometric(0.3)
+            assert q._noise(rng).tobytes() == (scale * twin.standard_normal(dim)).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # ---------------------------------------------------------------- nonconvex
 
 
@@ -459,11 +478,22 @@ def _former_kernels(objective: Logistic, x):
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
-@pytest.mark.parametrize("classes", [2, 3, 8, 9])
+@pytest.mark.parametrize("classes", [2, 3, 8, 9, 16, 130, 300])
 def test_logistic_kernels_keep_the_former_bits(classes, interleaved):
-    """From 8 classes on numpy sums a row pairwise, so a reordered row sum shows here."""
-    rng = np.random.default_rng(classes)
-    n, d = 40, 3
+    """From 8 classes on numpy sums a row pairwise, so a reordered row sum shows
+    here: 8, 9 and 16 take its 8-accumulator branch, 130 and 300 its split."""
+    _assert_former_bits(classes, 3, interleaved, np.random.default_rng(classes))
+
+
+@pytest.mark.parametrize("feature_dim", [8, 16, 19])
+def test_logistic_kernels_keep_the_former_bits_with_wide_features(feature_dim):
+    """From 8 features on (16 under SkylakeX) the logits product's bits depend
+    on its operands' layout, so a transposed product shows here."""
+    _assert_former_bits(3, feature_dim, True, np.random.default_rng(feature_dim))
+
+
+def _assert_former_bits(classes, d, interleaved, rng):
+    n = 40
     group_of = np.arange(n) % 2 if interleaved else (np.arange(n) >= 7).astype(np.int64)
     objective = Logistic(
         features=rng.standard_normal((n, d)),
@@ -480,6 +510,38 @@ def test_logistic_kernels_keep_the_former_bits(classes, interleaved):
             assert np.array_equal(objective.grad(x), grad)
             for c in (0, 1):
                 assert np.array_equal(objective.component_grad(x, c), group_grads[c])
+
+
+def _numpy_on_openblas_x86() -> bool:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    return "openblas" in str(blas).lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, on x86-64")
+def test_logistic_kernels_keep_the_former_bits_under_other_openblas_cores():
+    """The kernels' BLAS layouts must give the former bits under every kernel set
+    OpenBLAS may pick, not only this CPU's; a layout that matched under SkylakeX
+    changed bits under Haswell and Prescott."""
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
+    command += ["-k", "keep_the_former_bits and not openblas"]
+    runs = {
+        core: subprocess.Popen(
+            command,
+            cwd=Path(__file__).parents[1],
+            env=dict(os.environ, OPENBLAS_CORETYPE=core),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for core in ("Haswell", "Prescott")
+    }
+    try:
+        outputs = {core: proc.communicate(timeout=120)[0] for core, proc in runs.items()}
+    finally:
+        for proc in runs.values():
+            proc.kill()
+    for core, proc in runs.items():
+        assert proc.returncode == 0, f"OPENBLAS_CORETYPE={core}:\n{outputs[core][-3000:]}"
 
 
 def _assert_memo_is_safe_across_threads(objective):

@@ -198,6 +198,8 @@ def test_method_table_row_matches_its_state_and_step(method):
     step = getattr(optimizers, row.step)
     after = step(params, state, np.ones(2), 1, 1, 0, np.ones(2))
     assert isinstance(after, State) and after is not state
+    with pytest.raises(AttributeError):
+        after.query = x1
     assert _shape(row, after)
     try:
         step(params, after, np.ones(2), 3, 2, 1, None)
