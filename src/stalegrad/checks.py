@@ -206,11 +206,13 @@ def _check_threshold_formula() -> None:
 
 def _check_waiting_time_support() -> None:
     rng = np.random.default_rng(9)
-    waits = [delays.draw_waiting_time(0.3, rng) for _ in range(2000)]
+    model = delays.DelayModel.build(4, 0.1)  # worker 2 has p = 0.3
+    waits = [model.draw_ticket(2, rng)[0] for _ in range(2000)]
     _ensure(all(isinstance(w, int) and w >= 1 for w in waits), "waits must be integers >= 1")
     _ensure(min(waits) == 1, "support must include 1")
+    single = delays.DelayModel.build(1, 0.1)  # p = 1
     _ensure(
-        all(delays.draw_waiting_time(1.0, rng) == 1 for _ in range(50)),
+        all(single.draw_ticket(0, rng)[0] == 1 for _ in range(50)),
         "p=1 must always wait exactly one step",
     )
 

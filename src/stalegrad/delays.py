@@ -46,39 +46,12 @@ def delay_threshold(q1: float, p: float) -> float:
     return math.log(q1) / math.log1p(-p)
 
 
-def draw_waiting_time(p: float, rng: np.random.Generator) -> int:
-    """Geometric draw on support {1, 2, ...} with ℙ{T > τ} = (1−p)^τ.
-
-    p = 1 is permitted (a single-worker pool always returns next step).
-    """
-    if not 0.0 < p <= 1.0:
-        raise InvalidConfigError(f"arrival probability {p} out of range")
-    return int(rng.geometric(p))
-
-
-def assign_component(ticket_wait: int, threshold: float) -> str:
-    """Slow iff the wait strictly exceeds the (real-valued) threshold."""
-    return SLOW if ticket_wait > threshold else FAST
-
-
 @dataclass(frozen=True)
 class DelayModel:
-    """Immutable description of the worker pool; shareable across runs."""
+    """The worker pool, from :meth:`build`: one arrival probability and one threshold per worker."""
 
-    arrival_probs: np.ndarray
-    thresholds: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.arrival_probs, dtype=np.float64)
-        probs.flags.writeable = False
-        object.__setattr__(self, "arrival_probs", probs)
-        thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        thresholds.flags.writeable = False
-        object.__setattr__(self, "thresholds", thresholds)
-        if probs.ndim != 1 or thresholds.shape != probs.shape:
-            raise InvalidConfigError("per-worker vectors must have one entry per worker")
-        # (p, threshold) per worker as Python floats, read once per ticket
-        object.__setattr__(self, "_per_worker", tuple(zip(probs.tolist(), thresholds.tolist())))
+    arrival_probs: tuple[float, ...]
+    thresholds: tuple[float, ...]
 
     @classmethod
     def build(cls, num_workers: int, slow_weight: float) -> "DelayModel":
@@ -89,17 +62,13 @@ class DelayModel:
         threshold is +inf and every ticket is fast.
         """
         if not 0.0 < slow_weight < 1.0:
-            raise InvalidConfigError(
-                "slow weight must lie strictly in (0,1)", field="delay.slow_weight"
-            )
-        probs = default_arrival_probs(num_workers)
-        thresholds = np.array(
-            [delay_threshold(slow_weight, p) if p < 1.0 else math.inf for p in probs]
-        )
-        return cls(arrival_probs=probs, thresholds=thresholds)
+            raise InvalidConfigError("slow weight must lie strictly in (0,1)", field="delay.slow_weight")
+        probs = default_arrival_probs(num_workers).tolist()
+        thresholds = [delay_threshold(slow_weight, p) if p < 1.0 else math.inf for p in probs]
+        return cls(arrival_probs=tuple(probs), thresholds=tuple(thresholds))
 
     def draw_ticket(self, worker_id: int, rng: np.random.Generator) -> tuple[int, str]:
-        """Draw one ticket, ``(wait, component)``; the single draw fixes both."""
-        p, threshold = self._per_worker[worker_id]
-        wait = draw_waiting_time(p, rng)
-        return wait, assign_component(wait, threshold)
+        """Draw one ticket, ``(wait, component)``: one geometric wait on {1, 2, ...},
+        slow iff it strictly exceeds the worker's real-valued threshold."""
+        wait = int(rng.geometric(self.arrival_probs[worker_id]))
+        return wait, SLOW if wait > self.thresholds[worker_id] else FAST

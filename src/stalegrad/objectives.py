@@ -72,9 +72,20 @@ def euclidean_norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _only_numbers(value: Any) -> bool:
+    """False if ``value`` holds a bool or a string (``float`` reads both) or a non-numeric array."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_only_numbers, value))
+    return not isinstance(value, (bool, np.bool_, str, bytes))
+
+
 def finite_number(value: Any, field: str) -> float:
     """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
     try:
+        if not _only_numbers(value):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
@@ -86,6 +97,8 @@ def finite_number(value: Any, field: str) -> float:
 def finite_vector(value: Any, field: str) -> Array:
     """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
     try:
+        if not _only_numbers(value):
+            raise TypeError
         out = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
@@ -159,6 +172,10 @@ class TheoryConstants:
     f_star: float | None
 
 
+#: largest ball radius: v·v stays finite for every offset v inside the ball
+MAX_RADIUS = 1e150
+
+
 @dataclass(frozen=True)
 class BallDomain:
     """Euclidean ball; the feasible set for projected methods.
@@ -172,8 +189,8 @@ class BallDomain:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(np.atleast_1d(self.center)))
-        if not self.radius > 0:
-            raise InvalidConfigError("radius must be positive", field="objective.domain.radius")
+        if not 0 < self.radius <= MAX_RADIUS:
+            raise InvalidConfigError(f"must be in (0, {MAX_RADIUS:g}]", field="objective.domain.radius")
 
     @cached_property
     def dim(self) -> int:
@@ -340,10 +357,11 @@ class Quadratic(_NoiseModel):
 class Mixture(_NoiseModel):
     """Weighted sum of two quadratics; component 0 is the slow one, 1 the fast one.
 
-    A weighted sum of quadratics is itself one: ``mean`` is the quadratic
-    with Ā = Σ q_c A_c and b̄ = Σ q_c b_c, built once.  ``loss``, ``grad``
-    and the closed-form minimizer go through it, so monitoring a step costs
-    one matrix-vector product per call rather than one per component.
+    A weighted sum of quadratics is itself one: ``matrix`` Ā = Σ q_c A_c and
+    ``offset`` b̄ = Σ q_c b_c, summed once and not checked again, go through
+    :class:`Quadratic`'s own ``loss``, gradient and minimizer code, so
+    monitoring a step costs one matrix-vector product per call, not one per
+    component.
     """
 
     components: tuple[Quadratic, ...]
@@ -360,30 +378,24 @@ class Mixture(_NoiseModel):
         if self.components[0].dim != self.components[1].dim:
             raise InvalidConfigError("both components must share one dimension")
         self._check_noise_sigma()
-        dim = self.components[0].dim
-        matrix, offset = np.zeros((dim, dim)), np.zeros(dim)
-        for w, c in zip(self.weights, self.components):
-            matrix += w * c.matrix
-            offset += w * c.offset
-        object.__setattr__(self, "mean", Quadratic(matrix=matrix, offset=offset))
+        pairs = tuple(zip(self.weights, self.components))
+        object.__setattr__(self, "matrix", _freeze(sum(w * c.matrix for w, c in pairs)))
+        object.__setattr__(self, "offset", _freeze(sum(w * c.offset for w, c in pairs)))
 
     @cached_property
     def dim(self) -> int:
         return self.components[0].dim
 
-    def loss(self, x: Array) -> float:
-        return self.mean.loss(x)
+    loss = Quadratic.loss
+    _evaluate_grad = Quadratic._evaluate_grad
+    minimizer = Quadratic.minimizer
 
     def grad(self, x: Array) -> Array:
-        # past the mean quadratic's memo: every monitored point is new
-        return _read_only(self.mean._evaluate_grad(_check_dim(x, self.dim)))
+        # no memo: every monitored point is new
+        return _read_only(self._evaluate_grad(_check_dim(x, self.dim)))
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.components[component].grad(x)
-
-    @property
-    def minimizer(self) -> Array:
-        return self.mean.minimizer
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:
         x1 = np.zeros(self.dim) if x_init is None else _check_dim(x_init, self.dim)
@@ -391,7 +403,7 @@ class Mixture(_NoiseModel):
 
         def weighted_loss(x: Array) -> float:
             # f* and the initial gap sum the component losses, as the mixture
-            # is defined: the mean quadratic rounds differently, and these two
+            # is defined: Ā and b̄ round differently, and these two
             # set the theory-derived step sizes.
             return float(sum(w * c.loss(x) for w, c in zip(self.weights, self.components)))
 
@@ -409,13 +421,13 @@ class Mixture(_NoiseModel):
             # Component gradients then differ from the mean by the constant
             # b̄ − b_c, so the gradient variance is the same at every x.
             spread = sum(
-                w * float(np.linalg.norm(c.offset - self.mean.offset) ** 2)
+                w * float(np.linalg.norm(c.offset - self.offset) ** 2)
                 for w, c in zip(self.weights, self.components)
             )
             sigma = math.sqrt(self.noise_sigma**2 + spread)
         second_moment = np.zeros((self.dim, self.dim))
         for w, c in zip(self.weights, self.components):
-            diff = c.matrix - self.mean.matrix
+            diff = c.matrix - self.matrix
             second_moment += w * (diff @ diff)
         sigma_l = math.sqrt(max(0.0, float(np.linalg.eigvalsh(second_moment)[-1])))
         return TheoryConstants(
@@ -676,8 +688,6 @@ def make_logistic(
     all from the last class (the rare, hard class); the fast group cycles
     over the others.
     """
-    if num_classes < 2:
-        raise InvalidConfigError("need at least two classes", field="objective.classes")
     rng = np.random.default_rng(0)
     means = 2.0 * rng.standard_normal((num_classes, feature_dim))
     n_slow = max(1, round(num_samples * slow_weight))

@@ -67,19 +67,13 @@ def ordered_weight(beta: float, tau: int) -> float:
 
 @dataclass(frozen=True)
 class AdaptiveConstants:
-    """Problem constants the delay-adaptive step-size rule consumes."""
+    """Problem constants of the delay-adaptive step size, checked where a run derives them."""
 
     lipschitz: float
     num_workers: int
     delta_gap: float
     sigma: float
     total_iterations: int
-
-    def __post_init__(self):
-        for name in ("lipschitz", "delta_gap", "sigma"):
-            require_in_range(getattr(self, name), f"optimizer.{name}")
-        if self.num_workers < 1 or self.total_iterations < 1:
-            raise InvalidConfigError("worker and iteration counts must be positive")
 
 
 def delay_adaptive_step_size(constants: AdaptiveConstants, delay: int) -> float:

@@ -338,7 +338,11 @@ def test_a_family_axis_sweeps_under_a_metric_every_family_reports(tmp_path):
     assert _swept_metric(tmp_path, doc) == "final_loss"
 
 
-@pytest.mark.parametrize("value", ["fast", math.inf, math.nan, 10**400], ids=["word", "inf", "nan", "huge-int"])
+@pytest.mark.parametrize(
+    "value",
+    ["fast", math.inf, math.nan, 10**400, True, "0.5"],
+    ids=["word", "inf", "nan", "huge-int", "bool", "numeral"],
+)
 @pytest.mark.parametrize(
     "field",
     [
@@ -483,6 +487,11 @@ _FAMILY_AXIS = {
         ({"objective": _HUGE_MIXTURE, "optimizer": _THEORY_MOMENTUM}, "objective.components"),
         ({"optimizer": _THEORY_MOMENTUM, "run": _run_from([1e308, 0.0])}, "run.x_init"),
         ({"optimizer": _ADAPTIVE, "run": _run_from([1e308, 0.0])}, "run.x_init"),
+        ({"objective": _QUAD_2D, "optimizer": _ADAPTIVE}, "optimizer.method"),
+        ({"optimizer": {"method": "vanilla", "eta": True}}, "optimizer.eta"),
+        ({"delay": {"slow_weight": "0.1"}}, "delay.slow_weight"),
+        ({"objective": {"family": "quadratic", "minimizer": ["1.5", True]}}, "objective.minimizer"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -499,7 +508,8 @@ _FAMILY_AXIS = {
         "theory-logistic", "theory-unequal-curvatures", "theory-mu2-logistic",
         "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
         "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
-        "huge-x_init-adaptive",
+        "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
+        "string-and-bool-minimizer", "huge-radius",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):

@@ -11,13 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from stalegrad.delays import (
-    DelayModel,
-    assign_component,
-    default_arrival_probs,
-    delay_threshold,
-    draw_waiting_time,
-)
+from stalegrad.delays import DelayModel, default_arrival_probs, delay_threshold
 from stalegrad.errors import InvalidConfigError
 from stalegrad.objectives import FAST, SLOW
 
@@ -59,29 +53,38 @@ def test_threshold_validation():
 
 def test_waiting_time_support():
     rng = np.random.default_rng(1)
-    waits = [draw_waiting_time(0.9, rng) for _ in range(500)]
-    assert min(waits) >= 1
+    model = DelayModel.build(7, 0.1)
+    assert model.arrival_probs[6] == 0.25
+    waits = [model.draw_ticket(6, rng)[0] for _ in range(500)]
+    assert min(waits) == 1
     assert all(isinstance(w, int) for w in waits)
-    assert all(draw_waiting_time(1.0, rng) == 1 for _ in range(20))
-    with pytest.raises(InvalidConfigError):
-        draw_waiting_time(0.0, rng)
-    with pytest.raises(InvalidConfigError):
-        draw_waiting_time(1.5, rng)
+    single = DelayModel.build(1, 0.1)  # p = 1
+    assert all(single.draw_ticket(0, rng)[0] == 1 for _ in range(20))
 
 
 def test_waiting_time_moments():
-    rng = np.random.default_rng(0)
-    waits = np.array([draw_waiting_time(0.5, rng) for _ in range(100_000)])
+    """A ticket is one bare geometric draw: same waits, same generator state after."""
+    model = DelayModel.build(3, 0.1)
+    assert model.arrival_probs[2] == 0.5
+    rng, bare = np.random.default_rng(0), np.random.default_rng(0)
+    waits = np.array([model.draw_ticket(2, rng)[0] for _ in range(100_000)])
+    assert np.array_equal(waits, [bare.geometric(0.5) for _ in range(100_000)])
+    assert rng.bit_generator.state == bare.bit_generator.state
     assert 1.97 <= waits.mean() <= 2.03  # E = 1/p = 2
     frac_gt_one = float(np.mean(waits > 1))
     assert 0.494 <= frac_gt_one <= 0.506  # P{T > 1} = 1 − p
 
 
 def test_assign_component():
-    threshold = delay_threshold(0.1, 0.25)  # 8.0039...
-    assert assign_component(9, threshold) == SLOW
-    assert assign_component(8, threshold) == FAST  # 8 < 8.0039, not slow
-    assert assign_component(1, threshold) == FAST
+    """Slow iff the wait strictly exceeds the real-valued threshold."""
+    model = DelayModel.build(7, 0.1)  # worker 6 has p = 0.25
+    assert model.thresholds[6] == delay_threshold(0.1, 0.25) == 8.003922779651093
+    rng = np.random.default_rng(3)
+    tickets = dict(model.draw_ticket(6, rng) for _ in range(2000))
+    assert {1, 8, 9} <= set(tickets)
+    assert tickets[9] == SLOW
+    assert tickets[8] == FAST  # 8 < 8.0039, not slow
+    assert tickets == {wait: SLOW if wait > 8 else FAST for wait in tickets}
 
 
 def test_realized_slow_fractions_match_floor_law():
@@ -116,7 +119,7 @@ def test_ticket_fields_and_determinism():
     t2 = model.draw_ticket(2, np.random.default_rng(42))
     assert t1 == t2
     wait, component = t1
-    assert component == assign_component(wait, float(model.thresholds[2]))
+    assert component == (SLOW if wait > model.thresholds[2] else FAST)
 
 
 def test_single_draw_serves_schedule_and_component():

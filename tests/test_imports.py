@@ -1,4 +1,4 @@
-"""Every top-level import in the package and the tests is used.
+"""Every top-level import in the package, the benchmark and their tests is used.
 
 No linter ships with the project, so an AST scan stands in for one: a name
 bound by a module-level import must appear somewhere in that module.
@@ -34,7 +34,8 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_has_unused_imports():
-    paths = [path for folder in ("src/stalegrad", "tests") for path in sorted((ROOT / folder).glob("*.py"))]
+    folders = ("src/stalegrad", "tests", "bench", "bench/tests")
+    paths = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
     assert paths
     found = {}
     for path in paths:

@@ -18,6 +18,7 @@ from stalegrad.errors import ContractViolationError, InvalidConfigError
 from stalegrad.objectives import (
     COMPONENT_INDEX,
     FAST,
+    MAX_RADIUS,
     SLOW,
     BallDomain,
     Logistic,
@@ -26,6 +27,8 @@ from stalegrad.objectives import (
     Quadratic,
     domain_from_spec,
     euclidean_norm,
+    finite_number,
+    finite_vector,
     from_spec,
     make_logistic,
     squash,
@@ -115,7 +118,7 @@ _FULL_CURVATURE = {"curvature": [[2.0, 0.5], [0.5, 1.0]], "minimizer": [1.0, -1.
     [
         (dict(_FULL_CURVATURE, family="quadratic"), 1, 0),
         (dict(_FULL_CURVATURE, family="nonconvex", squash_scale=0.5), 1, 0),
-        ({"family": "mixture", "components": [_FULL_CURVATURE, {"curvature": [1.0, 3.0], "dim": 2}]}, 3, 1),
+        ({"family": "mixture", "components": [_FULL_CURVATURE, {"curvature": [1.0, 3.0], "dim": 2}]}, 2, 1),
     ],
     ids=["quadratic", "nonconvex", "mixture"],
 )
@@ -129,7 +132,7 @@ def test_each_quadratic_decomposes_its_curvature_once(monkeypatch, spec, builds,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     objective = from_spec(spec, 0.1)
-    assert len(calls) == builds  # one per component and one for the mixture's mean
+    assert len(calls) == builds  # one per component: the mixture's mean is not re-checked
     calls.clear()
     lipschitz = objective.theory_constants().lipschitz
     assert len(calls) == constants  # the mixture's sigma_l
@@ -695,6 +698,11 @@ def test_domain_validation():
         BallDomain(center=np.zeros(2), radius=0.0)
     with pytest.raises(InvalidConfigError):
         BallDomain(center=np.zeros(2), radius=-1.0)
+    # at most MAX_RADIUS, the squared distance of a point inside stays finite
+    assert BallDomain(center=np.zeros(2), radius=MAX_RADIUS).contains(np.array([7e149, 7e149]))
+    with pytest.raises(InvalidConfigError) as err:
+        BallDomain(center=np.zeros(2), radius=math.nextafter(MAX_RADIUS, math.inf))
+    assert err.value.field == "objective.domain.radius"
 
 
 # ---------------------------------------------------------------- specs
@@ -852,6 +860,19 @@ def test_domain_rejects_a_non_finite_radius(radius):
     with pytest.raises(InvalidConfigError) as err:
         domain_from_spec({"family": "quadratic", "dim": 2, "domain": {"radius": radius}})
     assert err.value.field == "objective.domain.radius"
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1.5", b"1.5"], ids=["bool", "numpy-bool", "str", "bytes"])
+def test_number_fields_refuse_bools_and_strings_at_any_depth(value):
+    with pytest.raises(InvalidConfigError) as err:
+        finite_number(value, "objective.noise_sigma")
+    assert err.value.field == "objective.noise_sigma"
+    for vector in (value, [1.0, value], [[1.0], [value]]):
+        with pytest.raises(InvalidConfigError) as err:
+            finite_vector(vector, "objective.curvature")
+        assert err.value.field == "objective.curvature"
+    with pytest.raises(InvalidConfigError):
+        finite_vector(np.array([value, value]), "objective.curvature")  # a bool or string dtype
 
 
 def test_domain_rejects_a_non_integral_dim():

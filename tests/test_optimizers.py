@@ -246,13 +246,6 @@ def test_delay_adaptive_uses_per_report_delay():
     assert state.query[0] == pytest.approx(0.9, rel=1e-15)
 
 
-def test_adaptive_constants_validation():
-    with pytest.raises(InvalidConfigError):
-        AdaptiveConstants(lipschitz=0.0, num_workers=4, delta_gap=1.0, sigma=1.0, total_iterations=1)
-    with pytest.raises(InvalidConfigError):
-        AdaptiveConstants(lipschitz=1.0, num_workers=4, delta_gap=1.0, sigma=-1.0, total_iterations=1)
-
-
 def test_delay_filtered_drops_stale_reports():
     params, state = start("delay_filtered", np.array([1.0]), eta=0.5, tau_filter=7.0)
     stale = step_baseline(params, state, vec(1.0), 10, 1, 9, None)

@@ -12,7 +12,7 @@ from stalegrad.errors import (
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from stalegrad.objectives import Logistic, Quadratic
+from stalegrad.objectives import Logistic, Mixture, Quadratic
 from stalegrad.optimizers import theorem1_params
 from stalegrad.simulation import (
     TRACE_COLUMNS,
@@ -254,9 +254,9 @@ MIXTURE_SPEC = {
 }
 
 
-def _count_calls(monkeypatch, cls, name) -> list:
-    """Patch ``cls.name`` to append to the returned list once per call."""
-    calls = []
+def _count_calls(monkeypatch, cls, name, calls=None) -> list:
+    """Patch ``cls.name`` to append to ``calls`` (a new list by default) once per call."""
+    calls = [] if calls is None else calls
     original = getattr(cls, name)
 
     def counting(self, *args):
@@ -290,10 +290,16 @@ def test_trace_carries_the_objective_built_from_the_delay_weight():
     assert run(config).objective.weights == (0.3, 0.7)
 
 
+def _count_mixture_gradients(monkeypatch) -> list:
+    """Count the components' and the mixture mean's ``_evaluate_grad`` calls in one list."""
+    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
+    return _count_calls(monkeypatch, Mixture, "_evaluate_grad", calls)
+
+
 def test_unpaired_mixture_run_evaluates_each_point_once_per_quadratic(monkeypatch):
     """The mean quadratic takes the T monitored points, each dispatch's component
     its new point, and the initial dispatches share x_1 (one component here)."""
-    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
+    calls = _count_mixture_gradients(monkeypatch)
     T = 200
     run(
         momentum_config(
@@ -312,7 +318,7 @@ def test_paired_mixture_run_reuses_x_prev_after_a_same_component_dispatch(monkey
     component.  Count: T monitored points on the mean quadratic, one new point
     per dispatch after a step, x_1 once per component the initial dispatches
     drew, and x_prev again after each change of component."""
-    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
+    calls = _count_mixture_gradients(monkeypatch)
     tickets = []
     draw = DelayModel.draw_ticket
 
