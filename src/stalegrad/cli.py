@@ -23,12 +23,10 @@ from pathlib import Path
 from . import analysis
 from .config import ExperimentConfig, load_document, parse_sim_config
 from .errors import DivergedRunError, InvalidConfigError, StalegradError
+from .schema import METRICS
 from .simulation import TRACE_COLUMNS, _jsonable, config_hash
 from .simulation import run as run_simulation
 from .simulation import validate_config
-
-#: the run metrics a sweep can report, in ``runs.csv`` column order
-METRICS = ("final_loss", "final_excess", "final_distance", "avg_sq_grad_norm")
 
 
 #: rows the trace writer converts to Python objects at a time; small enough
@@ -76,11 +74,8 @@ def _number_cell(value) -> str:
 
 
 def _select_metric(report_section, family: str) -> str:
-    explicit = report_section.get("metric")
+    explicit = report_section.get("metric")  # one of METRICS, checked with the document
     if explicit is not None:
-        if explicit not in METRICS:
-            message = f"unknown metric {explicit!r}; choose one of {', '.join(METRICS)}"
-            raise InvalidConfigError(message, field="report.metric")
         if family == "logistic" and explicit in ("final_excess", "final_distance"):
             message = f"{explicit} needs a closed-form optimum, which the logistic family lacks"
             raise InvalidConfigError(message, field="report.metric")

@@ -1,16 +1,8 @@
 """Config documents: loading, schema checks, and grid expansion.
 
-A document is YAML with nested sections; ``objective``, ``optimizer`` and
-``run`` (with ``workers`` and ``iterations``) are required::
-
-    objective:   family + family-specific keys (see objectives.from_spec)
-    optimizer:   method, theory, eta, beta, gamma, tau_filter
-    delay:       slow_weight (0.1 without a delay section)
-    run:         the keys of RUN_FIELDS
-    sweep:       grid (dotted path -> list of values), seeds {base, count},
-                 parallelism
-    output:      dir
-    report:      metric
+A document is YAML with nested sections; ``schema.KEYS`` lists every key
+it can set, with its kind and default.  ``objective``, ``optimizer`` and
+``run`` (with ``workers`` and ``iterations``) are required.
 
 Sweep expansion is deterministic: grid axes in document order, the
 cartesian product in row-major order, seeds innermost as base + index, so
@@ -22,31 +14,15 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
+from . import schema
 from .errors import InvalidConfigError
-from .objectives import integer_at_least, known_keys
-from .simulation import DEFAULT_DELAY, SimConfig
-
-#: each key of the run section -> the ``SimConfig`` field it sets
-RUN_FIELDS = {
-    "workers": "num_workers",
-    "iterations": "total_iterations",
-    "seed": "seed",
-    "snapshot_stride": "snapshot_stride",
-    "record_gradients": "record_gradients",
-    "x_init": "x_init",
-}
-#: the sections a run reads, so the only ones a grid axis may vary
-_GRID_SECTIONS = {"objective", "optimizer", "delay", "run"}
-_SWEEP_KEYS = {"grid", "seeds", "parallelism"}
-_SEED_KEYS = {"base", "count"}
-_OUTPUT_KEYS = {"dir"}
-_REPORT_KEYS = {"metric"}
-_TOP_KEYS = _GRID_SECTIONS | {"sweep", "output", "report"}
+from .schema import RUN_SECTIONS
+from .simulation import DEFAULT_DELAY, RUN_FIELDS, SimConfig
 
 
 class _Loader(yaml.SafeLoader):
@@ -77,62 +53,44 @@ def load_document(path) -> dict:
     return dict(doc)
 
 
-def _expect_mapping(doc, key: str, required: bool) -> dict:
-    if key not in doc:
-        if required:
-            raise InvalidConfigError("section is required", field=key)
-        return {}
-    section = doc[key]
-    if not isinstance(section, Mapping):
-        raise InvalidConfigError("section must be a mapping", field=key)
-    return dict(section)
+def _check_sections(doc: Mapping) -> None:
+    """Known sections, each a mapping, the required ones present, and the run keys:
+    ``SimConfig`` takes those as fields, so the names are checked here."""
+    schema.known(doc, "")
+    schema.known(doc["run"], "run")
 
 
-def check_document(doc: Mapping) -> None:
-    """Shape-level schema check: known sections and keys, required ones present.
+def check_document(doc: Mapping) -> dict:
+    """Check what the commands read of a document: its sections, the run keys,
+    and the sweep, output and report sections, grid axes included.
 
-    Values are checked by their consumers; the run fields by ``SimConfig``.
+    Returns those three sections checked, defaults filled in; the run
+    sections are checked by ``SimConfig`` and the objective where it is built.
     """
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise InvalidConfigError("unknown section", field=sorted(unknown)[0])
-    _expect_mapping(doc, "objective", required=True)
-    _expect_mapping(doc, "optimizer", required=True)
-    _expect_mapping(doc, "delay", required=False)
-    run = _expect_mapping(doc, "run", required=True)
-    known_keys(run, RUN_FIELDS, "run")
-    required = {f.name for f in fields(SimConfig) if f.default is MISSING}  # no default: must be set
-    for key, name in RUN_FIELDS.items():
-        if name in required and key not in run:
-            raise InvalidConfigError("value is required", field=f"run.{key}")
-    known_keys(_expect_mapping(doc, "output", required=False), _OUTPUT_KEYS, "output")
-    known_keys(_expect_mapping(doc, "report", required=False), _REPORT_KEYS, "report")
-    sweep = _expect_mapping(doc, "sweep", required=False)
-    known_keys(sweep, _SWEEP_KEYS, "sweep")
-    grid = sweep.get("grid", {})
-    if not isinstance(grid, Mapping):
-        raise InvalidConfigError("must map dotted paths to value lists", field="sweep.grid")
-    for path, values in grid.items():
-        if str(path).split(".")[0] not in _GRID_SECTIONS:
-            message = f"a grid axis varies a key of {', '.join(sorted(_GRID_SECTIONS))}"
+    _check_sections(doc)
+    commands = [section for section in schema.names("") if section not in RUN_SECTIONS]
+    checked = {section: schema.walk(doc.get(section) or {}, section) for section in commands}
+    sweep = checked["sweep"]
+    sweep["seeds"] = schema.walk(sweep.get("seeds", {}), "sweep.seeds")
+    for path, values in sweep.get("grid", {}).items():
+        if str(path).split(".")[0] not in RUN_SECTIONS:
+            message = f"a grid axis varies a key of {', '.join(sorted(RUN_SECTIONS))}"
             raise InvalidConfigError(message, field=f"sweep.grid.{path}")
         if path == "run.seed":
             message = "seeds come from sweep.seeds, not a grid axis"
             raise InvalidConfigError(message, field="sweep.grid.run.seed")
         if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
-            raise InvalidConfigError(
-                "axis must be a nonempty list", field=f"sweep.grid.{path}"
-            )
-    known_keys(sweep.get("seeds") or {}, _SEED_KEYS, "sweep.seeds")
+            raise InvalidConfigError("axis must be a nonempty list", field=f"sweep.grid.{path}")
+    return checked
 
 
 def parse_sim_config(doc: Mapping) -> SimConfig:
-    check_document(doc)
+    _check_sections(doc)
     return SimConfig(
         objective=dict(doc["objective"]),
         optimizer=dict(doc["optimizer"]),
         delay=dict(doc.get("delay") or DEFAULT_DELAY),
-        **{RUN_FIELDS[key]: value for key, value in doc["run"].items()},
+        **{RUN_FIELDS.get(key, key): value for key, value in doc["run"].items()},
     )
 
 
@@ -175,25 +133,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "ExperimentConfig":
+        checked = check_document(doc)
         base = parse_sim_config(doc)
-        sweep = dict(doc.get("sweep") or {})
-        grid_section = sweep.get("grid") or {}
-        grid = tuple((str(path), tuple(values)) for path, values in grid_section.items())
-        seeds = sweep.get("seeds") or {}
-        seed_base = integer_at_least(seeds.get("base", base.seed), "sweep.seeds.base", 0)
-        seed_count = integer_at_least(seeds.get("count", 1), "sweep.seeds.count", 1)
-        parallelism = integer_at_least(sweep.get("parallelism", 1), "sweep.parallelism", 1)
-        output_dir = doc.get("output", {}).get("dir", "results")
-        if not isinstance(output_dir, str) or not output_dir:
-            raise InvalidConfigError("must be a nonempty path", field="output.dir")
+        sweep, seeds = checked["sweep"], checked["sweep"]["seeds"]
+        grid = tuple((str(path), tuple(values)) for path, values in sweep.get("grid", {}).items())
         return cls(
             document=dict(doc),
             grid=grid,
-            seed_base=seed_base,
-            seed_count=seed_count,
-            output_dir=Path(output_dir),
-            parallelism=parallelism,
-            report=dict(doc.get("report", {})),
+            seed_base=seeds.get("base", base.seed),
+            seed_count=seeds["count"],
+            output_dir=Path(checked["output"]["dir"]),
+            parallelism=sweep["parallelism"],
+            report=checked["report"],
         )
 
     def seeded(self, config: SimConfig) -> list[SimConfig]:

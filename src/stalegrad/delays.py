@@ -27,8 +27,6 @@ from .objectives import FAST, SLOW
 
 def default_arrival_probs(num_workers: int) -> np.ndarray:
     """p_i = i/Σ_{j=1..M} j; sums to 1 and strictly increases in i."""
-    if num_workers < 1:
-        raise InvalidConfigError("need at least one worker", field="run.workers")
     indices = np.arange(1, num_workers + 1, dtype=np.float64)
     return indices / (num_workers * (num_workers + 1) / 2.0)
 
@@ -61,8 +59,6 @@ class DelayModel:
         step, so no finite threshold realizes the slow fraction; its
         threshold is +inf and every ticket is fast.
         """
-        if not 0.0 < slow_weight < 1.0:
-            raise InvalidConfigError("slow weight must lie strictly in (0,1)", field="delay.slow_weight")
         probs = default_arrival_probs(num_workers).tolist()
         thresholds = [delay_threshold(slow_weight, p) if p < 1.0 else math.inf for p in probs]
         return cls(arrival_probs=tuple(probs), thresholds=tuple(thresholds))

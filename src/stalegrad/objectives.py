@@ -22,14 +22,15 @@ vector, so their difference is noise-free.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Collection, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
+from . import schema
 from .errors import ContractViolationError, InvalidConfigError
+from .schema import MAX_DIM, MAX_RADIUS, blame
 
 Array = np.ndarray
 
@@ -72,90 +73,6 @@ def euclidean_norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _only_numbers(value: Any) -> bool:
-    """False if ``value`` holds a bool or a string (``float`` reads both) or a non-numeric array."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        return all(map(_only_numbers, value))
-    return not isinstance(value, (bool, np.bool_, str, bytes))
-
-
-def finite_number(value: Any, field: str) -> float:
-    """``value`` as a finite float, or :class:`InvalidConfigError` naming ``field``."""
-    try:
-        if not _only_numbers(value):
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
-    if not math.isfinite(out):
-        raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
-    return out
-
-
-def finite_vector(value: Any, field: str) -> Array:
-    """``value`` as a finite float64 array, or :class:`InvalidConfigError` naming ``field``."""
-    try:
-        if not _only_numbers(value):
-            raise TypeError
-        out = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfigError(f"must be a list of numbers, got {value!r}", field=field) from None
-    if not np.all(np.isfinite(out)):
-        if None in np.asarray(value, dtype=object).ravel().tolist():  # read as NaN above
-            raise InvalidConfigError("an entry is null, not a number", field=field)
-        raise InvalidConfigError("entries must be finite", field=field)
-    return out
-
-
-def finite_list(value: Any, field: str) -> Array:
-    """``value`` as a finite 1-D float64 array with at least one entry."""
-    vector = finite_vector(value, field)
-    if vector.ndim != 1 or vector.size == 0:
-        raise InvalidConfigError("must be a non-empty list of numbers", field=field)
-    return vector
-
-
-def integer_at_least(value: Any, field: str, minimum: int) -> int:
-    """``value`` if it is an int (not a bool, nor ``3.0``) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError("must be an integer", field=field)
-    if value < minimum:
-        raise InvalidConfigError(f"must be >= {minimum}", field=field)
-    return value
-
-
-def known_keys(section: Any, allowed: Collection[str], path: str) -> None:
-    """Refuse ``section`` unless it is a mapping with no key outside ``allowed`` (a misspelt one, say)."""
-    if not isinstance(section, Mapping):
-        raise InvalidConfigError(f"must be a mapping of {', '.join(sorted(allowed))}", field=path)
-    unknown = sorted(set(section) - set(allowed), key=str)
-    if unknown:
-        message = f"unknown key; expected one of {', '.join(sorted(allowed))}"
-        raise InvalidConfigError(message, field=f"{path}.{unknown[0]}")
-
-
-@contextmanager
-def blame(field: str):
-    """Name ``field`` on errors from building what that config section describes."""
-    try:
-        yield
-    except InvalidConfigError as exc:
-        if exc.field:
-            raise
-        raise InvalidConfigError(str(exc), field=field) from None
-    except (TypeError, ValueError, LookupError, AttributeError) as exc:
-        raise InvalidConfigError(f"malformed entry: {exc!r}", field=field) from None
-
-
-def true_or_false(value: Any, field: str) -> bool:
-    """``value`` if it is a bool; quoted ``"no"`` is not read as a flag."""
-    if not isinstance(value, bool):
-        raise InvalidConfigError("must be true or false", field=field)
-    return value
-
-
 @dataclass(frozen=True)
 class TheoryConstants:
     """Closed-form problem constants consumed by step-size calculators.
@@ -170,10 +87,6 @@ class TheoryConstants:
     delta_gap: float | None
     minimizer: Array | None
     f_star: float | None
-
-
-#: largest ball radius: v·v stays finite for every offset v inside the ball
-MAX_RADIUS = 1e150
 
 
 @dataclass(frozen=True)
@@ -214,14 +127,20 @@ class BallDomain:
         even when the ball is many orders of magnitude smaller than its
         center coordinates.  The output satisfies the same containment test
         the identity branch uses, which makes the projection exactly
-        idempotent.
+        idempotent.  A point so far out that ‖offset‖² overflows is scaled by
+        its largest entry first; ``vdot`` gives ``euclidean_norm``'s bits
+        without numpy's overflow warning.
         """
         out = _check_dim(x, self.dim)
         offset = out - self.center
-        dist = euclidean_norm(offset)
+        dist = math.sqrt(np.vdot(offset, offset))
         if dist <= self.radius:
             return out
-        scale = self.radius / dist
+        if dist == math.inf:
+            top = float(np.abs(offset).max())
+            scale = self.radius / top / euclidean_norm(offset / top)
+        else:
+            scale = self.radius / dist
         candidate = self.center + scale * offset
         dist = euclidean_norm(candidate - self.center)
         while dist > self.radius:
@@ -234,11 +153,7 @@ class BallDomain:
 class _NoiseModel:
     """Shared stochastic-gradient scheme; see the module docstring."""
 
-    # subclasses provide: dim, noise_sigma, component_grad
-
-    def _check_noise_sigma(self) -> None:
-        if not self.noise_sigma >= 0:
-            raise InvalidConfigError("noise_sigma must be nonnegative", field="objective.noise_sigma")
+    # subclasses provide: dim, noise_sigma (nonnegative), component_grad
 
     @cached_property
     def _noise_scale(self) -> float:
@@ -306,7 +221,6 @@ class Quadratic(_NoiseModel):
         if eigenvalues[0] <= 0:
             raise InvalidConfigError("curvature matrix must be positive definite")
         object.__setattr__(self, "max_eigenvalue", float(eigenvalues[-1]))
-        self._check_noise_sigma()
         object.__setattr__(self, "_memo", (None, None))
 
     @cached_property
@@ -377,7 +291,6 @@ class Mixture(_NoiseModel):
             raise InvalidConfigError("weights must lie in (0,1) and sum to 1")
         if self.components[0].dim != self.components[1].dim:
             raise InvalidConfigError("both components must share one dimension")
-        self._check_noise_sigma()
         pairs = tuple(zip(self.weights, self.components))
         object.__setattr__(self, "matrix", _freeze(sum(w * c.matrix for w, c in pairs)))
         object.__setattr__(self, "offset", _freeze(sum(w * c.offset for w, c in pairs)))
@@ -462,13 +375,8 @@ class NonconvexQuadratic(_NoiseModel):
     """
 
     base: Quadratic
-    squash_scale: float
+    squash_scale: float  # positive
     noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not self.squash_scale > 0:
-            raise InvalidConfigError("squash_scale must be positive", field="objective.squash_scale")
-        self._check_noise_sigma()
 
     @cached_property
     def dim(self) -> int:
@@ -572,7 +480,6 @@ class Logistic(_NoiseModel):
             raise InvalidConfigError("group tags must be 0 (slow) or 1 (fast)")
         if abs(sum(self.group_weights) - 1.0) > 1e-12 or min(self.group_weights) <= 0:
             raise InvalidConfigError("group weights must be positive and sum to 1")
-        self._check_noise_sigma()
         groups = []
         for c in (0, 1):
             rows = np.flatnonzero(self.group_of == c)
@@ -711,40 +618,15 @@ def make_logistic(
     )
 
 
-#: largest ``dim`` a config may ask for: each d×d float64 curvature matrix then
-#: takes at most 128 MiB (a mixture holds three: both components and their
-#: mean), and a larger one is refused before it is allocated.  A logistic
-#: dataset gets the same budget of MAX_DIM² floats per per-sample array.
-MAX_DIM = 4096
-
-
-def _dimension(value: Any, field: str) -> int:
-    if integer_at_least(value, field, 1) > MAX_DIM:
-        raise InvalidConfigError(f"must be between 1 and {MAX_DIM}, got {value}", field=field)
-    return value
-
-
-_QUADRATIC_KEYS = frozenset({"dim", "curvature", "offset", "minimizer"})
-#: the keys each family reads, besides ``family``, ``noise_sigma``, ``dim`` and ``domain``
-_FAMILY_KEYS = {
-    "quadratic": _QUADRATIC_KEYS,
-    "mixture": frozenset({"components"}),
-    "nonconvex": _QUADRATIC_KEYS | {"squash_scale"},
-    "logistic": frozenset({"classes", "feature_dim", "samples"}),
-}
-
-
-def _quadratic_from_spec(
-    spec: Mapping[str, Any], noise_sigma: float, path: str = "objective"
-) -> Quadratic:
-    """A quadratic from ``offset``, from ``minimizer`` (b = A·minimizer), or zero b of ``dim``."""
-    if "offset" in spec and "minimizer" in spec:
+def _quadratic_from_spec(values: Mapping[str, Any], noise_sigma: float, path: str = "objective") -> Quadratic:
+    """A quadratic from checked ``values``: from ``offset``, from ``minimizer`` (b = A·minimizer),
+    or a zero b of ``dim``."""
+    if "offset" in values and "minimizer" in values:
         raise InvalidConfigError("give offset or minimizer, not both", field=f"{path}.minimizer")
-    curvature = finite_vector(spec.get("curvature", 1.0), f"{path}.curvature")
-    dim = None if spec.get("dim") is None else _dimension(spec["dim"], f"{path}.dim")
-    key = "offset" if "offset" in spec else "minimizer" if "minimizer" in spec else None
+    dim = values.get("dim")
+    key = "offset" if "offset" in values else "minimizer" if "minimizer" in values else None
     if key is not None:
-        vector = finite_list(spec[key], f"{path}.{key}")
+        vector = values[key]
         if dim is not None and vector.shape != (dim,):
             raise InvalidConfigError(f"{key} has {vector.size} entries, not {dim}", field=f"{path}.dim")
     elif dim is not None:
@@ -752,7 +634,7 @@ def _quadratic_from_spec(
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
     with blame(f"{path}.curvature"):  # the shape and definiteness checks name no field
-        matrix = _as_matrix(curvature, vector.shape[0])
+        matrix = _as_matrix(values["curvature"], vector.shape[0])
         offset = vector
         if key == "minimizer":
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
@@ -763,50 +645,31 @@ def _quadratic_from_spec(
 
 
 def from_spec(spec: Mapping[str, Any], slow_weight: float):
-    """Build an objective from its config-document form.
+    """Build an objective from its config-document form, checked by ``schema.KEYS``.
 
     ``slow_weight`` comes from the delay section and weighs the slow
     component of a mixture and the slow group of the logistic family, so
     the objective's weights are the realized sampling proportions.
     """
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in _FAMILY_KEYS:
-        raise InvalidConfigError(f"unknown objective family {family!r}", field="objective.family")
-    known_keys(spec, _FAMILY_KEYS[family] | {"family", "noise_sigma", "dim", "domain"}, "objective")
-    noise_sigma = finite_number(spec.get("noise_sigma", 0.0), "objective.noise_sigma")
+    family = schema.check("objective.family", spec.get("family"))
+    values = schema.walk(spec, "objective", family)
+    noise_sigma = values["noise_sigma"]
     if family == "quadratic":
-        return _quadratic_from_spec(spec, noise_sigma)
+        return _quadratic_from_spec(values, noise_sigma)
     if family == "mixture":
-        raw = spec.get("components")
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise InvalidConfigError(
-                "a mixture has exactly two components, slow then fast", field="objective.components"
-            )
-        for i, c in enumerate(raw):
-            known_keys(c, _QUADRATIC_KEYS, f"objective.components.{i}")
         components = tuple(
-            _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(raw)
+            _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(values["components"])
         )
         return Mixture(components, (slow_weight, 1.0 - slow_weight), noise_sigma)
     if family == "nonconvex":
-        base = _quadratic_from_spec(spec, 0.0)
-        return NonconvexQuadratic(
-            base=base,
-            squash_scale=finite_number(spec.get("squash_scale", 1.0), "objective.squash_scale"),
-            noise_sigma=noise_sigma,
-        )
-    classes = integer_at_least(spec.get("classes", 3), "objective.classes", 2)
-    feature_dim = integer_at_least(spec.get("feature_dim", 4), "objective.feature_dim", 1)
-    samples = integer_at_least(spec.get("samples", 200), "objective.samples", 1)
+        base = _quadratic_from_spec(values, 0.0)
+        return NonconvexQuadratic(base=base, squash_scale=values["squash_scale"], noise_sigma=noise_sigma)
+    classes, feature_dim, samples = values["classes"], values["feature_dim"], values["samples"]
     if classes * feature_dim > MAX_DIM:
-        raise InvalidConfigError(
-            f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim"
-        )
+        raise InvalidConfigError(f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim")
     if samples * max(classes, feature_dim) > MAX_DIM**2:
-        raise InvalidConfigError(
-            f"samples·max(classes, feature_dim) must be at most {MAX_DIM**2}",
-            field="objective.samples",
-        )
+        message = f"samples·max(classes, feature_dim) must be at most {MAX_DIM**2}"
+        raise InvalidConfigError(message, field="objective.samples")
     return make_logistic(classes, feature_dim, samples, slow_weight, noise_sigma)
 
 
@@ -815,19 +678,11 @@ def domain_from_spec(spec: Mapping[str, Any]) -> BallDomain | None:
     raw = spec.get("domain")
     if raw is None:
         return None
-    known_keys(raw, ("center", "radius"), "objective.domain")
-    if "radius" not in raw:
-        raise InvalidConfigError("domain needs a radius", field="objective.domain.radius")
-    dim = spec.get("dim")
-    center = raw.get("center")
+    domain = schema.walk(raw, "objective.domain")
+    center = domain.get("center")
     if center is None:
-        if dim is None:
-            raise InvalidConfigError(
-                "domain needs an explicit center when the objective has no dim field",
-                field="objective.domain.center",
-            )
-        center = np.zeros(_dimension(dim, "objective.dim"))
-    return BallDomain(
-        center=finite_list(center, "objective.domain.center"),
-        radius=finite_number(raw["radius"], "objective.domain.radius"),
-    )
+        if spec.get("dim") is None:
+            message = "domain needs an explicit center when the objective has no dim field"
+            raise InvalidConfigError(message, field="objective.domain.center")
+        center = np.zeros(schema.check("objective.dim", spec["dim"]))
+    return BallDomain(center=center, radius=domain["radius"])

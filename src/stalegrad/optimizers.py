@@ -39,29 +39,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfigError, ProtocolError
-from .objectives import BallDomain
+
+if TYPE_CHECKING:  # objectives imports the config table, which reads this module's methods
+    from .objectives import BallDomain
 
 Array = np.ndarray
 
 
-def require_in_range(value, field: str, upper: float = math.inf, closed: bool = True):
-    """``value`` if in (0, upper], or (0, upper) unless ``closed``; else InvalidConfigError on ``field``."""
-    if value is None or not (0.0 < value and (value <= upper if closed else value < upper)):
-        span = "positive" if upper == math.inf else f"in (0,{upper:g}{']' if closed else ')'}"
-        raise InvalidConfigError(f"must be {span}, got {value!r}", field=field)
-    return value
-
-
 def ordered_weight(beta: float, tau: int) -> float:
     """β(1−β)^τ — the discount restoring a late gradient's original weight."""
-    if beta is None or not 0.0 < beta < 1.0 or tau < 0:  # checked in full only on a failure
-        require_in_range(beta, "optimizer.beta", 1.0, closed=False)
-        raise InvalidConfigError("delay must be nonnegative")
+    if not 0.0 < beta < 1.0 or tau < 0:
+        raise InvalidConfigError(f"needs beta in (0, 1) and a nonnegative delay, got {beta!r} and {tau!r}")
     return beta * (1.0 - beta) ** tau
 
 
@@ -324,19 +317,7 @@ METHOD_TABLE: dict[str, Method] = {
 
 METHODS = tuple(METHOD_TABLE)
 
-#: each scalar optimizer key -> (upper, closed) of its range, checked by :func:`require_in_range`
-RANGES = {
-    "eta": (math.inf, True),
-    "beta": (1.0, False),
-    "gamma": (1.0, True),
-    "tau_filter": (math.inf, True),
-}
-
 
 def make_params(method: str, values: Mapping[str, Any]) -> Params:
-    """``method``'s :class:`Params` from ``values``, each range checked in ``takes`` order."""
-    takes = METHOD_TABLE[method].takes
-    for name in takes:
-        if name in RANGES:
-            require_in_range(values[name], f"optimizer.{name}", *RANGES[name])
-    return Params(method, **{name: values[name] for name in takes})
+    """``method``'s :class:`Params` from ``values``, whose ranges ``schema.KEYS`` checked."""
+    return Params(method, **{name: values[name] for name in METHOD_TABLE[method].takes})

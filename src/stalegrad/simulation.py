@@ -30,16 +30,15 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from . import delays, objectives, optimizers
+from . import delays, objectives, optimizers, schema
 from .errors import (
     ContractViolationError,
     DivergedRunError,
     InvalidConfigError,
     ReplayDivergenceError,
 )
-from .objectives import COMPONENT_INDEX, blame, euclidean_norm, integer_at_least, known_keys, true_or_false
-from .objectives import finite_list
-from .objectives import finite_number as _number
+from .objectives import COMPONENT_INDEX, euclidean_norm
+from .schema import MAX_DIM, blame
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +46,10 @@ Array = np.ndarray
 
 
 #: the delay section of a config that gives none
-DEFAULT_DELAY: Mapping[str, Any] = {"slow_weight": 0.1}
+DEFAULT_DELAY: Mapping[str, Any] = schema.walk({}, "delay")
 
-#: every optimizer key some method reads; a grid sweep shares one section across methods
-_OPTIMIZER_KEYS = frozenset({"method", "theory", *optimizers.RANGES})
+#: the ``SimConfig`` field of each run key whose name differs from it
+RUN_FIELDS = {"workers": "num_workers", "iterations": "total_iterations"}
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,12 @@ class SimConfig:
     ``objective`` and ``optimizer`` are nested documents in the same shape
     the YAML config uses; ``delay`` holds ``slow_weight``.
 
-    Building one checks the run fields and names the field at fault, so a
-    config from YAML, from code or from ``dataclasses.replace`` fails here,
-    not at :func:`run`.  ``x_init`` is stored as a tuple of floats.
+    Building one walks the optimizer, delay and run sections through
+    ``schema.KEYS`` and names the field at fault, so a config from YAML,
+    from code or from ``dataclasses.replace`` fails here, not at
+    :func:`run`; the objective is checked where it is built.  ``x_init`` is
+    stored as a tuple of floats; the checked values, defaults filled in, are
+    kept beside the fields (not in them, so the hash never reads them).
     """
 
     objective: Mapping[str, Any]
@@ -76,26 +78,14 @@ class SimConfig:
     x_init: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        method = self.optimizer.get("method")
-        if method not in optimizers.METHODS:
-            raise InvalidConfigError(
-                f"unknown method {method!r}; choose one of {', '.join(optimizers.METHODS)}",
-                field="optimizer.method",
-            )
-        known_keys(self.optimizer, _OPTIMIZER_KEYS, "optimizer")
-        true_or_false(self.optimizer.get("theory", False), "optimizer.theory")
-        workers = integer_at_least(self.num_workers, "run.workers", 1)
-        iterations = integer_at_least(self.total_iterations, "run.iterations", 1)
-        if iterations < workers:
+        run = {key: getattr(self, RUN_FIELDS.get(key, key)) for key in schema.names("run")}
+        sections = (("optimizer", self.optimizer), ("run", run), ("delay", self.delay))
+        checked = {name: schema.walk(section, name) for name, section in sections}
+        if checked["run"]["iterations"] < checked["run"]["workers"]:
             raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
-        if iterations > objectives.MAX_DIM**2:  # each T-long column then fits in 128 MiB
-            raise InvalidConfigError(f"must be at most {objectives.MAX_DIM**2}", field="run.iterations")
-        integer_at_least(self.seed, "run.seed", 0)
-        if self.snapshot_stride is not None:
-            integer_at_least(self.snapshot_stride, "run.snapshot_stride", 1)
-        true_or_false(self.record_gradients, "run.record_gradients")
         if self.x_init is not None:
-            object.__setattr__(self, "x_init", tuple(finite_list(self.x_init, "run.x_init").tolist()))
+            object.__setattr__(self, "x_init", tuple(checked["run"]["x_init"].tolist()))
+        object.__setattr__(self, "checked", checked)
 
 
 def _jsonable(value: Any) -> Any:
@@ -205,22 +195,18 @@ def _adaptive_constants(constants, T: int, M: int, resolved: dict):
 
 
 def _prepare(config: SimConfig) -> _Prepared:
-    """Build every object a run needs; the run fields were checked in ``SimConfig``."""
+    """Build every object a run needs from the values ``SimConfig`` checked."""
     T, M = config.total_iterations, config.num_workers
-    with blame("delay"):
-        known_keys(config.delay, ("slow_weight",), "delay")
-        if config.delay.get("slow_weight") is None:
-            raise InvalidConfigError("missing", field="delay.slow_weight")
-        slow_weight = _number(config.delay["slow_weight"], "delay.slow_weight")
-        model = delays.DelayModel.build(M, slow_weight)
+    slow_weight = config.checked["delay"]["slow_weight"]
+    model = delays.DelayModel.build(M, slow_weight)
 
     with blame("objective"):
         objective = objectives.from_spec(config.objective, slow_weight)
         domain = objectives.domain_from_spec(config.objective)
     if domain is not None and domain.dim != objective.dim:
         raise InvalidConfigError("domain and objective dimensions differ", field="objective.domain")
-    if config.record_gradients and T * objective.dim > objectives.MAX_DIM**2:
-        message = f"iterations·dim must be at most {objectives.MAX_DIM**2} with record_gradients"
+    if config.record_gradients and T * objective.dim > MAX_DIM**2:
+        message = f"iterations·dim must be at most {MAX_DIM**2} with record_gradients"
         raise InvalidConfigError(message, field="run.iterations")
 
     if config.x_init is None:
@@ -230,23 +216,20 @@ def _prepare(config: SimConfig) -> _Prepared:
         if x1.shape != (objective.dim,):
             raise InvalidConfigError(f"x_init must have {objective.dim} entries", field="run.x_init")
 
-    opt = dict(config.optimizer)
-    method = opt["method"]
+    opt = dict(config.checked["optimizer"])
+    method, theory = opt.pop("method"), opt.pop("theory")  # opt keeps the step sizes given
     row = optimizers.METHOD_TABLE[method]
     if "domain" in row.takes and domain is None:
         raise InvalidConfigError("the projected method needs objective.domain", field="objective.domain")
 
     resolved: dict[str, Any] = {"method": method}
-    if opt.get("theory", False):
+    if theory:
         if row.theory is None:
-            raise InvalidConfigError(
-                f"theory-derived parameters are not defined for {method!r}", field="optimizer.theory"
-            )
+            message = f"theory-derived parameters are not defined for {method!r}"
+            raise InvalidConfigError(message, field="optimizer.theory")
         with blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
             resolved.update(row.theory(_theory_constants(objective, x1, config.objective), domain, T, M))
-    for name in optimizers.RANGES:
-        if name in opt:
-            resolved[name] = _number(opt[name], f"optimizer.{name}")
+    resolved.update(opt)  # a given step size wins over the derived one
 
     def value(name: str) -> Any:
         if name == "domain":
@@ -255,6 +238,8 @@ def _prepare(config: SimConfig) -> _Prepared:
             return _adaptive_constants(_theory_constants(objective, x1, config.objective), T, M, resolved)
         if name not in resolved:
             raise InvalidConfigError("missing", field=f"optimizer.{name}")
+        if name not in opt:  # derived: Theorem 1's beta reaches 1 for one worker and a wide gap
+            return schema.check(f"optimizer.{name}", resolved[name])
         return resolved[name]
 
     params = optimizers.make_params(method, {name: value(name) for name in row.takes})

@@ -15,10 +15,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stalegrad.checks as checks
 import stalegrad.cli as cli
 import stalegrad.objectives as objectives
+import stalegrad.schema as schema
 from stalegrad.config import (
-    RUN_FIELDS,
     ExperimentConfig,
     apply_override,
     check_document,
@@ -26,7 +27,7 @@ from stalegrad.config import (
     parse_sim_config,
 )
 from stalegrad.errors import DivergedRunError, InvalidConfigError
-from stalegrad.simulation import TRACE_COLUMNS, config_hash, run, validate_config
+from stalegrad.simulation import RUN_FIELDS, TRACE_COLUMNS, config_hash, run, validate_config
 
 MINIMAL_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "minimal.yaml")
 
@@ -522,6 +523,121 @@ def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, secti
     assert not (tmp_path / "out").exists()
 
 
+_FAMILY_SPECS = {
+    "quadratic": _QUAD_2D,
+    "mixture": {"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]},
+    "nonconvex": {"family": "nonconvex", "dim": 2},
+    "logistic": {"family": "logistic", "classes": 2, "feature_dim": 1, "samples": 20},  # dim 2, as the ball
+}
+
+
+def _sweep_document(key: schema.Key) -> dict:
+    """A valid sweep document whose runs read ``key``; a grid axis elsewhere."""
+    family = key.readers[0] if key.path.startswith("objective.") else "quadratic"
+    axis = {"delay.slow_weight": [0.1]} if key.path == "run.snapshot_stride" else {"run.snapshot_stride": [5]}
+    return copy.deepcopy(
+        {
+            "objective": dict(_FAMILY_SPECS[family], domain={"center": [0.0, 0.0], "radius": 1.0}),
+            "optimizer": {"method": "vanilla", "eta": 0.05, "beta": 0.5, "gamma": 0.5, "tau_filter": 2.0},
+            "delay": {"slow_weight": 0.1},
+            "run": {"workers": 2, "iterations": 20, "seed": 3},
+            "sweep": {"grid": axis, "seeds": {"count": 1}},
+        }
+    )
+
+
+def _sweep_setting(key: schema.Key, value) -> dict:
+    """:func:`_sweep_document` with ``value`` at ``key``'s path."""
+    doc = _sweep_document(key)
+    *parents, name = key.path.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[name] = value
+    return doc
+
+
+def _refused(key: schema.Key) -> dict:
+    """The values ``key``'s kind refuses, by name: the wrong types, the far side of each end
+    of its range, too large for a float, and null where the key has a default."""
+    kind = key.kind
+    out = {"bool": True, "string": "x", "nested-list": [[1.0, 2.0]], "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    if key.default is not None:
+        out["null"] = None
+    if isinstance(kind, schema.Of):
+        if kind.type is bool:
+            out.update(bool=1, string="true")
+        elif kind.type is str:
+            out["string"] = ""
+    elif isinstance(kind, schema.Integer):
+        out.update(fraction=2.5, below=kind.low - 1)
+        if kind.high is not None:
+            out["above"] = kind.high + 1
+    elif isinstance(kind, schema.Number):
+        out.update(below=math.nextafter(kind.low, -math.inf) if kind.low_closed else kind.low)
+        out["float-overflow"] = 10**400
+        if math.isfinite(kind.high):
+            out["above"] = math.nextafter(kind.high, math.inf) if kind.high_closed else kind.high
+    elif isinstance(kind, schema.Numbers):
+        out.update({"empty": [], "nan-entry": [1.0, math.nan], "null-entry": [None, 1.0], "float-overflow": [10**400]})
+        if kind.matrix:
+            out["nested-list"] = [[[1.0]]]
+    return out
+
+
+_REFUSALS = [(key, name, value) for key in schema.KEYS for name, value in _refused(key).items()]
+
+
+def test_the_table_lists_the_32_settable_keys_once():
+    paths = [key.path for key in schema.KEYS]
+    assert len(paths) == len(set(paths)) == 32
+    assert {key.path for key, _, _ in _REFUSALS} == set(paths)
+
+
+@pytest.mark.parametrize("key", schema.KEYS, ids=lambda key: key.path)
+def test_each_key_refuses_from_a_valid_sweep_document(key):
+    assert len(_prepare_sweep(_sweep_document(key))) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value", [(key, value) for key, _, value in _REFUSALS], ids=[f"{key.path}-{name}" for key, name, _ in _REFUSALS]
+)
+def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, key, value):
+    path = write_doc(tmp_path, _sweep_setting(key, value))
+    assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key.path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_readme_key_block_names_the_32_keys_of_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config documents", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    table = {key.path for key in schema.KEYS}
+
+    def paths(node, prefix=""):
+        for name, value in node.items():
+            path = prefix + name
+            if isinstance(value, dict) and path not in table:
+                yield from paths(value, path + ".")
+            else:
+                yield path
+
+    assert sorted(paths(yaml.safe_load(block))) == sorted(table)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(BASE_DOC, objective={"dim": 2}, sweep={"grid": {"objective.family": ["quadratic", "nonconvex"]}},
+             report={"metric": "final_loss"}),
+        dict(BASE_DOC, optimizer={"method": "vanilla"}, sweep={"grid": {"optimizer.eta": [0.05, 0.02]}}),
+    ],
+    ids=["family-from-the-grid", "eta-from-the-grid"],
+)
+def test_a_grid_axis_supplies_a_key_the_base_leaves_out(doc):
+    assert len(_prepare_sweep(doc)) == 2
+
+
 @pytest.mark.parametrize(
     "objective",
     [_QUAD_2D, _MIXTURE_2D, {"family": "nonconvex", "dim": 2}, _LOGISTIC],
@@ -603,7 +719,7 @@ def test_malformed_run_fields_name_their_path(field, value):
         if section == "optimizer":
             dataclasses.replace(valid, optimizer=dict(valid.optimizer, **{key: value}))
         else:
-            dataclasses.replace(valid, **{RUN_FIELDS[key]: value})
+            dataclasses.replace(valid, **{RUN_FIELDS.get(key, key): value})
     assert err.value.field == field
 
 
@@ -678,13 +794,15 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-# Floats are unbounded (±1e308, subnormals, −0.0).  Integers stay small
-# because integer fields size the run: iterations: 10**7 is valid and runs
-# for minutes, and dim: 4000 is valid and builds a 4000×4000 eigendecomposition.
+# Floats are unbounded (±1e308, subnormals, −0.0).  Integers are small, or
+# past every sizing key's ceiling and too large for a float: iterations: 10**7
+# is valid and runs for minutes, and dim: 4000 is valid and builds a 4000×4000
+# eigendecomposition, but 2**31 is refused on every key that sizes a run.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-3, max_value=20),
+    st.sampled_from([2**31, 2**64, 10**400]),
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.text(max_size=4),
@@ -881,11 +999,39 @@ def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
 # ---------------------------------------------------------------- validate command
 
 
-def test_validate_passes_on_the_pristine_build(capsys):
+@pytest.mark.parametrize("check", [check for _, check in checks.CHECKS], ids=[name for name, _ in checks.CHECKS])
+def test_validate_check_holds(check):
+    check()
+
+
+def test_validate_runs_its_24_checks_in_order():
+    assert [name for name, _ in checks.CHECKS] == [
+        "gradient_finite_difference", "smoothness_bound", "gradient_norm_lemma", "mixture_minimizer",
+        "projection_properties", "noise_second_moment", "noise_pairing", "arrival_probabilities",
+        "threshold_formula", "waiting_time_support", "distribution_preservation", "waiting_time_gof",
+        "staleness_separation", "ordered_weight_properties", "zero_rule", "unrolled_equivalence",
+        "pending_bound", "sync_momentum_equivalence", "sync_mu2_equivalence", "mu2_identity_contraction",
+        "theorem_parameter_values", "replay_determinism", "config_hash_properties", "f1_scores",
+    ]
+
+
+def test_validate_prints_a_line_per_check_and_the_tally(monkeypatch, capsys):
+    def drifts():
+        raise checks.Failure("drifted")
+
+    def raises():
+        raise InvalidConfigError("bad", field="delay.slow_weight")
+
+    monkeypatch.setattr(checks, "CHECKS", (("holds", lambda: None), ("also_holds", lambda: None)))
     assert cli.main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "24/24 invariants hold" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == ["PASS holds", "PASS also_holds", "2/2 invariants hold"]
+    monkeypatch.setattr(checks, "CHECKS", (("drifts", drifts), ("raises", raises)))
+    assert cli.main(["validate"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL drifts: drifted",
+        "FAIL raises: unexpected error: delay.slow_weight: bad",
+        "0/2 invariants hold",
+    ]
 
 
 def test_validate_catches_a_mutated_ordered_weight(monkeypatch, capsys):
@@ -909,7 +1055,7 @@ def test_validate_catches_mutated_thresholds(monkeypatch, capsys):
 
 def test_checks_catch_drift_below_their_old_tolerances(monkeypatch):
     """Drift that an absolute floor of 1e-15, or scaling by 1 + ||m||, let through."""
-    from stalegrad import checks, optimizers
+    from stalegrad import optimizers
 
     named = dict(checks.CHECKS)
     weight, run_simulation = optimizers.ordered_weight, checks.run_simulation

@@ -1,6 +1,5 @@
 """Objective families: gradients, smoothness constants, noise, and the ball domain."""
 
-import dataclasses
 import math
 import os
 import platform
@@ -18,7 +17,6 @@ from stalegrad.errors import ContractViolationError, InvalidConfigError
 from stalegrad.objectives import (
     COMPONENT_INDEX,
     FAST,
-    MAX_RADIUS,
     SLOW,
     BallDomain,
     Logistic,
@@ -27,13 +25,12 @@ from stalegrad.objectives import (
     Quadratic,
     domain_from_spec,
     euclidean_norm,
-    finite_number,
-    finite_vector,
     from_spec,
     make_logistic,
     squash,
     squash_deriv,
 )
+from stalegrad.schema import MAX_RADIUS, Number, Numbers
 
 QUAD = Quadratic(matrix=np.diag([1.0, 4.0]), offset=np.array([1.0, -2.0]))
 
@@ -162,11 +159,18 @@ def test_mixture_weights_must_be_a_distribution():
 
 
 @pytest.mark.parametrize(
-    "objective", [QUAD, MIXTURE, NONCONVEX, LOGISTIC], ids=lambda o: type(o).__name__
+    "spec",
+    [
+        pytest.param({"family": "quadratic", "dim": 2}, id="Quadratic"),
+        pytest.param({"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]}, id="Mixture"),
+        pytest.param({"family": "nonconvex", "dim": 2}, id="NonconvexQuadratic"),
+        pytest.param({"family": "logistic"}, id="Logistic"),
+    ],
 )
-def test_every_family_refuses_negative_noise(objective):
+def test_every_family_refuses_negative_noise(spec):
+    """The config table refuses it for every family; the constructors take checked values."""
     with pytest.raises(InvalidConfigError) as err:
-        dataclasses.replace(objective, noise_sigma=-0.5)
+        from_spec(dict(spec, noise_sigma=-0.5), 0.1)
     assert err.value.field == "objective.noise_sigma"
 
 
@@ -674,6 +678,17 @@ def test_projection_examples():
     assert not ball.contains(np.array([1.1, 0.0]))
 
 
+@pytest.mark.parametrize("far", [[1e200, 1e200], [-1e300, 5.0], [1e308, -1e308]])
+def test_projection_sends_a_far_point_to_the_boundary(far):
+    """‖x − center‖² overflows a float here; the point still lands on the sphere, with no warning."""
+    ball = BallDomain(center=np.zeros(2), radius=1.0)
+    projected = ball.project(np.array(far))
+    direction = np.array(far) / np.abs(far).max()  # far / ‖far‖, without the overflow
+    assert np.allclose(projected, direction / np.linalg.norm(direction), rtol=1e-12, atol=0.0)
+    assert ball.contains(projected, tol=0.0)
+    assert np.array_equal(ball.project(projected), projected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -865,14 +880,14 @@ def test_domain_rejects_a_non_finite_radius(radius):
 @pytest.mark.parametrize("value", [True, np.True_, "1.5", b"1.5"], ids=["bool", "numpy-bool", "str", "bytes"])
 def test_number_fields_refuse_bools_and_strings_at_any_depth(value):
     with pytest.raises(InvalidConfigError) as err:
-        finite_number(value, "objective.noise_sigma")
+        Number(-math.inf).check(value, "objective.noise_sigma")
     assert err.value.field == "objective.noise_sigma"
     for vector in (value, [1.0, value], [[1.0], [value]]):
         with pytest.raises(InvalidConfigError) as err:
-            finite_vector(vector, "objective.curvature")
+            Numbers(matrix=True).check(vector, "objective.curvature")
         assert err.value.field == "objective.curvature"
     with pytest.raises(InvalidConfigError):
-        finite_vector(np.array([value, value]), "objective.curvature")  # a bool or string dtype
+        Numbers(matrix=True).check(np.array([value, value]), "objective.curvature")  # a bool or string dtype
 
 
 def test_domain_rejects_a_non_integral_dim():

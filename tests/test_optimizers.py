@@ -90,11 +90,17 @@ def test_momentum_delay_and_dispatch_are_independent_fields():
     assert odd.buffer[0] == ordered_weight(0.5, 2) * 1.0 + 0.5 * 0.5
 
 
+def _configured(method, values):
+    """A config of ``method`` with the optimizer ``values``; the config table checks their ranges."""
+    objective = {"family": "quadratic", "dim": 1}
+    return SimConfig(objective, dict(values, method=method), total_iterations=10, num_workers=1)
+
+
 def test_momentum_validation():
     with pytest.raises(InvalidConfigError):
-        make_params("ordered_momentum", {"eta": 0.0, "beta": 0.5})
+        _configured("ordered_momentum", {"eta": 0.0, "beta": 0.5})
     with pytest.raises(InvalidConfigError):
-        make_params("ordered_momentum", {"eta": 0.1, "beta": 1.0})
+        _configured("ordered_momentum", {"eta": 0.1, "beta": 1.0})
 
 
 # ---------------------------------------------------------------- ordered mu2
@@ -278,12 +284,12 @@ def test_baseline_validation():
         ("delay_filtered", {"eta": 0.1, "tau_filter": 0.0}, "optimizer.tau_filter"),
         ("naive_momentum", {"eta": 0.1, "beta": 1.5}, "optimizer.beta"),
         ("naive_mu2", {"eta": 0.1, "beta": 0.5, "gamma": 0.0}, "optimizer.gamma"),
-        # ranges are checked in ``takes`` order: eta before beta before gamma
+        # ranges are checked in table order: eta before beta before gamma
         ("naive_mu2", {"eta": -1.0, "beta": 2.0, "gamma": 0.0}, "optimizer.eta"),
     ]
     for method, values, field in cases:
         with pytest.raises(InvalidConfigError) as err:
-            make_params(method, values)
+            _configured(method, values)
         assert err.value.field == field
 
 
