@@ -185,9 +185,26 @@ def waiting_time_gof(waits, p: float) -> GofResult:
     )
     statistic = float(np.sum(np.square(observed - expected) / expected))
     dof = k  # cells − 1; no parameters estimated from the data
-    from scipy import stats  # imported lazily: it takes ~1 s, and only this p-value needs it
+    return GofResult(statistic=statistic, dof=dof, pvalue=_chi2_tail(statistic, dof))
 
-    return GofResult(statistic=statistic, dof=dof, pvalue=float(stats.chi2.sf(statistic, dof)))
+
+def _chi2_tail(x: float, k: int) -> float:
+    """P(χ²_k > x) for an integer k ≥ 1, in closed form.
+
+    With h = x/2, the tail is Σ_{i<k/2} e^{−h}·h^i/i! for even k, and
+    erfc(√h) + Σ_{i=1}^{(k−1)/2} e^{−h}·h^{i−½}/Γ(i+½) for odd k.  Each
+    term is the previous one times h over the next Γ argument.
+    """
+    half = x / 2.0
+    if k % 2 == 0:
+        total, term, arg = 0.0, math.exp(-half), 1.0
+    else:  # the first term is e^{−h}·h^{1/2}/Γ(3/2), and Γ(3/2) = √π/2
+        total, arg = math.erfc(math.sqrt(half)), 1.5
+        term = 2.0 * math.sqrt(half / math.pi) * math.exp(-half)
+    for i in range(k // 2):
+        total += term
+        term *= half / (arg + i)
+    return total
 
 
 def delay_separation(trace: RunTrace) -> tuple[float, float]:

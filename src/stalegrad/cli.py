@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis
@@ -287,6 +286,8 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
 
     out = _output_dir(experiment, output_dir)
     if experiment.parallelism > 1 and len(expanded) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: only a pooled sweep loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(experiment.parallelism, len(expanded))) as pool:
             results = list(pool.map(_sweep_worker, expanded))
     else:

@@ -474,10 +474,13 @@ class Logistic(_NoiseModel):
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.group_of.shape != (n,):
             raise InvalidConfigError("labels and group tags must have one entry per sample")
+        slow = self.group_of == 0  # elementwise: np.unique would import all of numpy.ma
+        if not np.all(slow | (self.group_of == 1)):
+            raise InvalidConfigError("group tags must be 0 (slow) or 1 (fast)")
+        if slow.all() or not slow.any():
+            raise InvalidConfigError("each group must hold at least one sample")
         if self.num_classes < 2 or self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise InvalidConfigError("labels must index into num_classes >= 2")
-        if set(np.unique(self.group_of)) - {0, 1}:
-            raise InvalidConfigError("group tags must be 0 (slow) or 1 (fast)")
         if abs(sum(self.group_weights) - 1.0) > 1e-12 or min(self.group_weights) <= 0:
             raise InvalidConfigError("group weights must be positive and sum to 1")
         groups = []

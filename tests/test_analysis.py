@@ -1,12 +1,14 @@
 """Analysis layer: pending sets, bias decomposition, metrics, F1, GOF, unrolled-sum oracle."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from stalegrad import reference
 from stalegrad.analysis import (
+    _chi2_tail,
     confusion_counts,
     convergence_metrics,
     delay_separation,
@@ -227,6 +229,19 @@ def test_gof_rejects_degenerate_waits():
 def test_gof_needs_enough_mass_for_cells():
     with pytest.raises(InvalidComparisonError):
         waiting_time_gof(np.array([1, 1, 2]), 0.99)
+
+
+def test_chi2_tail_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for k in range(1, 301):
+        xs = np.linspace(0.0, 3 * k + 30, 101)
+        got = [_chi2_tail(x, k) for x in xs.tolist()]
+        np.testing.assert_allclose(got, stats.chi2.sf(xs, k), rtol=1e-12, atol=0.0, err_msg=f"k={k}")
+
+
+def test_chi2_tail_with_two_dof_is_the_exponential():
+    for x in np.linspace(0.0, 1500.0, 301).tolist():
+        assert _chi2_tail(x, 2) == math.exp(-x / 2)
 
 
 def test_delay_separation_on_a_real_trace():

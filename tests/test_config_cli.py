@@ -5,9 +5,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -876,22 +873,6 @@ def test_mutated_sweep_documents_expand_or_name_a_field(data):
         _prepare_sweep(_mutated(data, _SWEEP_DOCS))
     except InvalidConfigError as exc:
         assert exc.field, f"{exc} names no field"
-
-
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    """A module imported in a fresh interpreter loads only what it needs."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for module, unloaded in [
-        ("stalegrad.cli", "scipy.stats"),
-        ("stalegrad.objectives", "yaml"),
-        ("stalegrad.simulation", "yaml"),
-    ]:
-        probe = f"import sys, {module}; print({unloaded!r} in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "False", module
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -1,12 +1,21 @@
-"""Every top-level import in the package, the benchmark and their tests is used.
+"""Imports: each one used, and each command loading only what it runs.
 
 No linter ships with the project, so an AST scan stands in for one: a name
 bound by a module-level import must appear somewhere in that module.
 Imports marked ``# noqa: F401`` are skipped.
+
+Every process pays for what it imports, so fresh interpreters probe that
+the CLI loads no process pool, an objective build loads no ``numpy.ma``,
+no module loads scipy, and the simulator loads no YAML parser.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +52,39 @@ def test_no_module_has_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+_EVERY_MODULE = """
+import importlib, pkgutil, stalegrad
+for info in pkgutil.iter_modules(stalegrad.__path__):
+    importlib.import_module("stalegrad." + info.name)
+from stalegrad.analysis import waiting_time_gof
+waiting_time_gof([1, 2, 1, 3] * 50, 0.5)
+"""
+_FAMILIES = {
+    "quadratic": {"family": "quadratic", "dim": 2},
+    "mixture": {"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]},
+    "nonconvex": {"family": "nonconvex", "dim": 2},
+    "logistic": {"family": "logistic"},
+}
+
+
+@pytest.mark.parametrize(
+    "code, unloaded",
+    [
+        pytest.param("import stalegrad.cli", ["multiprocessing", "concurrent.futures.process"], id="cli"),
+        *(
+            pytest.param(f"import stalegrad.objectives as o; o.from_spec({spec!r}, 0.1)", ["numpy.ma"], id=family)
+            for family, spec in _FAMILIES.items()
+        ),
+        pytest.param(_EVERY_MODULE, ["scipy"], id="every-module"),
+        pytest.param("import stalegrad.objectives", ["yaml"], id="objectives"),
+        pytest.param("import stalegrad.simulation", ["yaml"], id="simulation"),
+    ],
+)
+def test_a_fresh_interpreter_loads_only_what_it_runs(code, unloaded):
+    probe = f"{code}\nimport sys\nprint([name for name in {unloaded!r} if name in sys.modules])"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -410,6 +410,29 @@ def test_logistic_shapes_and_groups():
     assert COMPONENT_INDEX[SLOW] == 0 and COMPONENT_INDEX[FAST] == 1  # group_of's tags
 
 
+@pytest.mark.parametrize(
+    "group_of, message",
+    [
+        pytest.param([0, 1, 2, 1], "group tags must be 0", id="unknown-tag"),
+        pytest.param([0, -1, 0, 1], "group tags must be 0", id="negative-tag"),
+        pytest.param([1, 1, 1, 1], "at least one sample", id="no-slow-sample"),
+        pytest.param([0, 0, 0, 0], "at least one sample", id="no-fast-sample"),
+        pytest.param([], "at least one sample", id="no-sample"),
+    ],
+)
+def test_logistic_refuses_bad_group_tags(group_of, message):
+    """Both group weights are positive, so each group needs a sample: an empty
+    one would make its mean loss 0/0."""
+    with pytest.raises(InvalidConfigError, match=message):
+        Logistic(
+            features=np.ones((len(group_of), 2)),
+            labels=np.arange(len(group_of)) % 2,
+            group_of=group_of,
+            group_weights=(0.1, 0.9),
+            num_classes=2,
+        )
+
+
 def test_logistic_loss_finite_and_constants():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(LOGISTIC.dim)
