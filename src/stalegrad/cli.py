@@ -133,6 +133,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
                 _write_snapshot_csv(trace, snap_path)
                 entry["snapshots"] = snap_path.name
             print(f"seed {seed}: final_loss={entry['metrics']['final_loss']:.6g} -> {csv_path}")
+            del trace  # its T-long columns are written: free them before the next seed runs
         entries.append(entry)
 
     summary = {
@@ -275,7 +276,8 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
         raise InvalidConfigError("sweep needs at least one grid axis", field="sweep.grid")
     expanded = experiment.expand()
     for item in expanded:
-        validate_config(item.config)
+        if item.seed_index == 0:  # validation reads no seed, so this checks the point's every seed
+            validate_config(item.config)
     families = {item.config.objective.get("family") for item in expanded}
     metrics = {_select_metric(experiment.report, family) for family in families}
     if len(metrics) > 1:  # an explicit report.metric is the same at every point

@@ -182,15 +182,14 @@ class _NoiseModel:
         return self.component_grad(x, component) + noise, g_prev
 
 
-def _as_matrix(curvature: Any, dim: int) -> Array:
-    """Expand a scalar, diagonal, or full curvature to a dim×dim matrix."""
+def _as_curvature(curvature: Any, dim: int) -> Array:
+    """A scalar or diagonal curvature as its length-dim diagonal, a full one as its dim×dim matrix."""
     a = np.asarray(curvature, dtype=np.float64)
     if a.ndim == 0:
-        a = float(a) * np.eye(dim)
+        a = np.full(dim, float(a))
     elif a.ndim == 1:
         if a.shape != (dim,):
             raise InvalidConfigError(f"diagonal curvature needs {dim} entries, got {a.shape[0]}")
-        a = np.diag(a)
     elif a.shape != (dim, dim):
         raise InvalidConfigError(f"curvature matrix must be {dim}x{dim}, got {a.shape}")
     return a
@@ -200,38 +199,58 @@ def _as_matrix(curvature: Any, dim: int) -> Array:
 class Quadratic(_NoiseModel):
     """f(x) = ½xᵀAx − bᵀx with symmetric positive definite A.
 
-    Building one checks A; the eigendecomposition that checks it also gives
-    ``max_eigenvalue``, λ_max(A).  ``grad`` memoizes its last point, keyed
-    on its exact bytes: a step's monitoring re-evaluates the point the
-    previous dispatch differentiated at, and a paired dispatch
-    differentiates at the previous query point first.  The arrays it
-    returns are read-only.
+    ``curvature`` keeps a scalar or diagonal A as its diagonal a: Ax is
+    ``a * x``, λ_min and λ_max are ``min`` and ``max`` and the minimizer is
+    ``b / a`` (the dense path's bits for diag(a), up to the sign of an exact
+    zero), with no ``numpy.linalg`` call and no d×d array.  A full A is
+    checked for symmetry and decomposed once with ``eigvalsh``.  Either way
+    ``max_eigenvalue`` is λ_max(A), and ``matrix`` builds the dense A on
+    demand for reference code.
+
+    ``grad`` memoizes its last point, keyed on its exact bytes: a step's
+    monitoring re-evaluates the point the previous dispatch differentiated
+    at, and a paired dispatch differentiates at the previous query point
+    first.  The arrays it returns are read-only.
     """
 
-    matrix: Array
+    curvature: Array
     offset: Array
     noise_sigma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "offset", _freeze(np.atleast_1d(self.offset)))
-        object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, self.offset.shape[0])))
-        if not np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-12):
+        a = _freeze(_as_curvature(self.curvature, self.offset.shape[0]))
+        object.__setattr__(self, "curvature", a)
+        if a.ndim == 1:
+            low, high = a.min(), a.max()
+        elif not np.allclose(a, a.T, rtol=0, atol=1e-12):
             raise InvalidConfigError("curvature matrix must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(self.matrix)
-        if eigenvalues[0] <= 0:
+        else:
+            low, high = np.linalg.eigvalsh(a)[[0, -1]]
+        if not low > 0:  # a NaN diagonal fails too
             raise InvalidConfigError("curvature matrix must be positive definite")
-        object.__setattr__(self, "max_eigenvalue", float(eigenvalues[-1]))
+        object.__setattr__(self, "max_eigenvalue", float(high))
         object.__setattr__(self, "_memo", (None, None))
 
     @cached_property
     def dim(self) -> int:
         return self.offset.shape[0]
 
+    @property
+    def matrix(self) -> Array:
+        a = self.curvature
+        return np.diag(a) if a.ndim == 1 else a
+
+    @cached_property
+    def _times(self):
+        """x ↦ Ax: ``a * x``, or ``ndarray.dot`` (not @: no matmul dispatch cost) for a matrix."""
+        a = self.curvature
+        return a.__mul__ if a.ndim == 1 else a.dot
+
     def loss(self, x: Array) -> float:
-        # ndarray.dot rather than @, without matmul's per-call dispatch cost.
         # It reads no memo, so a check can compare grad against it.
         x = _check_dim(x, self.dim)
-        return 0.5 * float(x.dot(self.matrix.dot(x))) - float(self.offset.dot(x))
+        return 0.5 * float(x.dot(self._times(x))) - float(self.offset.dot(x))
 
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
@@ -244,14 +263,15 @@ class Quadratic(_NoiseModel):
         return g
 
     def _evaluate_grad(self, x: Array) -> Array:
-        return self.matrix.dot(x) - self.offset
+        return self._times(x) - self.offset
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.grad(x)
 
     @cached_property
     def minimizer(self) -> Array:
-        return _freeze(np.linalg.solve(self.matrix, self.offset))
+        a = self.curvature
+        return _freeze(self.offset / a if a.ndim == 1 else np.linalg.solve(a, self.offset))
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:
         x1 = np.zeros(self.dim) if x_init is None else _check_dim(x_init, self.dim)
@@ -271,11 +291,12 @@ class Quadratic(_NoiseModel):
 class Mixture(_NoiseModel):
     """Weighted sum of two quadratics; component 0 is the slow one, 1 the fast one.
 
-    A weighted sum of quadratics is itself one: ``matrix`` Ā = Σ q_c A_c and
-    ``offset`` b̄ = Σ q_c b_c, summed once and not checked again, go through
-    :class:`Quadratic`'s own ``loss``, gradient and minimizer code, so
-    monitoring a step costs one matrix-vector product per call, not one per
-    component.
+    A weighted sum of quadratics is itself one: ``curvature`` Ā = Σ q_c A_c
+    and ``offset`` b̄ = Σ q_c b_c, summed once and not checked again, go
+    through :class:`Quadratic`'s own ``loss``, gradient and minimizer code,
+    so monitoring a step costs one product per call, not one per component.
+    Ā, and the second moment behind σ_L, are vectors when both components
+    are diagonal and d×d matrices otherwise.
     """
 
     components: tuple[Quadratic, ...]
@@ -291,17 +312,26 @@ class Mixture(_NoiseModel):
             raise InvalidConfigError("weights must lie in (0,1) and sum to 1")
         if self.components[0].dim != self.components[1].dim:
             raise InvalidConfigError("both components must share one dimension")
-        pairs = tuple(zip(self.weights, self.components))
-        object.__setattr__(self, "matrix", _freeze(sum(w * c.matrix for w, c in pairs)))
-        object.__setattr__(self, "offset", _freeze(sum(w * c.offset for w, c in pairs)))
+        curvature = sum(w * a for w, a in zip(self.weights, self._curvatures()))
+        offset = sum(w * c.offset for w, c in zip(self.weights, self.components))
+        object.__setattr__(self, "curvature", _freeze(curvature))
+        object.__setattr__(self, "offset", _freeze(offset))
 
     @cached_property
     def dim(self) -> int:
         return self.components[0].dim
 
+    matrix = Quadratic.matrix
+    _times = Quadratic._times
     loss = Quadratic.loss
     _evaluate_grad = Quadratic._evaluate_grad
     minimizer = Quadratic.minimizer
+
+    def _curvatures(self) -> tuple[Array, ...]:
+        """The components' curvatures in one form: vectors if both are diagonal, else matrices."""
+        if all(c.curvature.ndim == 1 for c in self.components):
+            return tuple(c.curvature for c in self.components)
+        return tuple(c.matrix for c in self.components)
 
     def grad(self, x: Array) -> Array:
         # no memo: every monitored point is new
@@ -325,24 +355,24 @@ class Mixture(_NoiseModel):
         # certificate is the largest component curvature (it dominates the
         # weighted average).
         lipschitz = max(c.max_eigenvalue for c in self.components)
-        equal_curvature = all(
-            np.allclose(c.matrix, self.components[0].matrix, rtol=0, atol=1e-12)
-            for c in self.components
-        )
+        curvatures = self._curvatures()
         sigma: float | None = None
-        if equal_curvature:
+        if all(np.allclose(a, curvatures[0], rtol=0, atol=1e-12) for a in curvatures):
             # Component gradients then differ from the mean by the constant
             # b̄ − b_c, so the gradient variance is the same at every x.
             spread = sum(
-                w * float(np.linalg.norm(c.offset - self.offset) ** 2)
+                w * euclidean_norm(c.offset - self.offset) ** 2
                 for w, c in zip(self.weights, self.components)
             )
             sigma = math.sqrt(self.noise_sigma**2 + spread)
-        second_moment = np.zeros((self.dim, self.dim))
-        for w, c in zip(self.weights, self.components):
-            diff = c.matrix - self.matrix
-            second_moment += w * (diff @ diff)
-        sigma_l = math.sqrt(max(0.0, float(np.linalg.eigvalsh(second_moment)[-1])))
+        # σ_L² = λ_max(Σ q_c (A_c − Ā)²); a diagonal's square and top eigenvalue are elementwise
+        diagonal = self.curvature.ndim == 1
+        second_moment = np.zeros(self.curvature.shape)
+        for w, a in zip(self.weights, curvatures):
+            diff = a - self.curvature
+            second_moment += w * (diff * diff if diagonal else diff @ diff)
+        top = second_moment.max() if diagonal else np.linalg.eigvalsh(second_moment)[-1]
+        sigma_l = math.sqrt(max(0.0, float(top)))
         return TheoryConstants(
             lipschitz=lipschitz,
             sigma=sigma,
@@ -637,14 +667,14 @@ def _quadratic_from_spec(values: Mapping[str, Any], noise_sigma: float, path: st
     else:
         raise InvalidConfigError("quadratic needs offset, minimizer, or dim", field=path)
     with blame(f"{path}.curvature"):  # the shape and definiteness checks name no field
-        matrix = _as_matrix(values["curvature"], vector.shape[0])
+        curvature = _as_curvature(values["curvature"], vector.shape[0])
         offset = vector
         if key == "minimizer":
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-                offset = matrix @ vector
+                offset = curvature * vector if curvature.ndim == 1 else curvature @ vector
             if not np.all(np.isfinite(offset)):
                 raise InvalidConfigError("curvature·minimizer overflows", field=f"{path}.minimizer")
-        return Quadratic(matrix=matrix, offset=offset, noise_sigma=noise_sigma)
+        return Quadratic(curvature=curvature, offset=offset, noise_sigma=noise_sigma)
 
 
 def from_spec(spec: Mapping[str, Any], slow_weight: float):

@@ -21,9 +21,10 @@ import numpy as np
 from .errors import InvalidConfigError
 from .optimizers import METHOD_TABLE, METHODS
 
-#: largest ``dim`` a config may ask for: each d×d float64 curvature matrix then
-#: takes at most 128 MiB (a mixture holds three: both components and their
-#: mean), and a larger one is refused before it is allocated.  A logistic
+#: largest ``dim`` a config may ask for: a dense (nested-list) d×d float64
+#: curvature then takes at most 128 MiB (a dense mixture holds three: both
+#: components and their mean), and a larger one is refused before it is
+#: allocated; a number or a diagonal is kept as a d-vector.  A logistic
 #: dataset, and each T-long column of a run, get the same budget of MAX_DIM² floats.
 MAX_DIM = 4096
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -659,11 +660,31 @@ def test_commands_build_each_objective_only_to_validate_and_to_run(tmp_path, mon
 
     monkeypatch.setattr(objectives, "from_spec", counted)
     assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(tmp_path / "sweep")]) == 0
-    assert len(builds) == 2 * 4  # 2 grid points × 2 seeds, each validated then run
+    assert len(builds) == 2 + 4  # each of 2 grid points validated once, then 2 × 2 seeds run
     builds.clear()
     doc = dict(BASE_DOC, sweep={"seeds": {"count": 2}})
     assert cli.main(["run", write_doc(tmp_path, doc, "run.yaml"), "--output-dir", str(tmp_path / "run")]) == 0
     assert len(builds) == 1 + 2  # the base config validated once, then 2 seeds run
+
+
+def test_run_frees_each_seed_trace_before_the_next_seed_runs(tmp_path):
+    """With ``record_gradients`` a trace holds three T×d arrays (3 MiB here); a
+    two-seed run must not hold the first seed's while the second runs."""
+    doc = dict(
+        BASE_DOC,
+        objective={"family": "quadratic", "dim": 64, "noise_sigma": 0.5},
+        run={"workers": 2, "iterations": 2000, "seed": 3, "record_gradients": True},
+    )
+    peaks = []
+    for count in (1, 2):
+        path = write_doc(tmp_path, dict(doc, sweep={"seeds": {"count": count}}), f"run{count}.yaml")
+        tracemalloc.start()
+        try:
+            assert cli.main(["run", path, "--output-dir", str(tmp_path / f"out{count}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_commands_hash_a_config_only_where_the_hash_is_written(tmp_path, monkeypatch):

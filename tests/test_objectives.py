@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,14 @@ from stalegrad.objectives import (
     squash_deriv,
 )
 from stalegrad.schema import MAX_RADIUS, Number, Numbers
+from stalegrad.simulation import SimConfig, run
 
-QUAD = Quadratic(matrix=np.diag([1.0, 4.0]), offset=np.array([1.0, -2.0]))
+QUAD = Quadratic(curvature=np.diag([1.0, 4.0]), offset=np.array([1.0, -2.0]))
 
 MIXTURE = Mixture(
     components=(
-        Quadratic(matrix=np.eye(2), offset=np.array([1.0, 0.0])),
-        Quadratic(matrix=np.eye(2), offset=np.array([-1.0, 0.0])),
+        Quadratic(curvature=np.eye(2), offset=np.array([1.0, 0.0])),
+        Quadratic(curvature=np.eye(2), offset=np.array([-1.0, 0.0])),
     ),
     weights=(0.1, 0.9),
     noise_sigma=0.6,
@@ -45,7 +47,7 @@ MIXTURE = Mixture(
 
 ROOT2 = 2.0 ** 0.25
 NONCONVEX = NonconvexQuadratic(
-    base=Quadratic(matrix=0.5 * np.eye(2), offset=0.5 * np.array([ROOT2, ROOT2])),
+    base=Quadratic(curvature=0.5 * np.eye(2), offset=0.5 * np.array([ROOT2, ROOT2])),
     squash_scale=0.25,
     noise_sigma=1.0,
 )
@@ -57,7 +59,7 @@ LOGISTIC = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weig
 
 
 def test_quadratic_gradient_at_origin():
-    q = Quadratic(matrix=np.eye(2), offset=np.array([1.0, 1.0]))
+    q = Quadratic(curvature=np.eye(2), offset=np.array([1.0, 1.0]))
     assert np.array_equal(q.grad(np.zeros(2)), np.array([-1.0, -1.0]))
     assert q.loss(np.zeros(2)) == 0.0
 
@@ -73,29 +75,36 @@ def test_points_are_read_as_float_vectors_of_the_objective_dim(objective):
 
 
 def test_quadratic_minimizer_is_stationary():
-    q = Quadratic(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -2.0]))
+    q = Quadratic(curvature=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -2.0]))
     assert np.linalg.norm(q.grad(q.minimizer)) <= 1e-9
 
 
 def test_quadratic_f_star():
-    q = Quadratic(matrix=np.eye(2), offset=np.array([1.0, 1.0]))
+    q = Quadratic(curvature=np.eye(2), offset=np.array([1.0, 1.0]))
     # f* = -½ bᵀA⁻¹b = -1 here
     assert math.isclose(q.theory_constants().f_star, -1.0, abs_tol=1e-12)
 
 
 def test_curvature_forms_agree():
-    a = Quadratic(matrix=2.0, offset=np.array([1.0, 0.0]))
-    b = Quadratic(matrix=[2.0, 2.0], offset=np.array([1.0, 0.0]))
-    c = Quadratic(matrix=[[2.0, 0.0], [0.0, 2.0]], offset=np.array([1.0, 0.0]))
+    """A scalar and a diagonal are kept as the diagonal vector, a nested list as
+    the matrix; ``matrix`` gives every form densely."""
+    a = Quadratic(curvature=2.0, offset=np.array([1.0, 0.0]))
+    b = Quadratic(curvature=[2.0, 2.0], offset=np.array([1.0, 0.0]))
+    c = Quadratic(curvature=[[2.0, 0.0], [0.0, 2.0]], offset=np.array([1.0, 0.0]))
+    assert np.array_equal(a.curvature, [2.0, 2.0]) and np.array_equal(b.curvature, [2.0, 2.0])
+    assert c.curvature.shape == (2, 2)
     assert np.array_equal(a.matrix, c.matrix)
     assert np.array_equal(b.matrix, c.matrix)
 
 
 def test_curvature_must_be_symmetric_positive_definite():
     with pytest.raises(InvalidConfigError):
-        Quadratic(matrix=np.array([[1.0, 1.0], [0.0, 1.0]]), offset=np.zeros(2))
+        Quadratic(curvature=np.array([[1.0, 1.0], [0.0, 1.0]]), offset=np.zeros(2))
     with pytest.raises(InvalidConfigError):
-        Quadratic(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]), offset=np.zeros(2))
+        Quadratic(curvature=np.array([[1.0, 0.0], [0.0, -1.0]]), offset=np.zeros(2))
+    for diagonal in ([1.0, 0.0], [1.0, np.nan]):
+        with pytest.raises(InvalidConfigError, match="positive definite"):
+            Quadratic(curvature=diagonal, offset=np.zeros(2))
 
 
 def test_lipschitz_is_largest_eigenvalue():
@@ -108,19 +117,25 @@ def test_lipschitz_is_largest_eigenvalue():
 
 
 _FULL_CURVATURE = {"curvature": [[2.0, 0.5], [0.5, 1.0]], "minimizer": [1.0, -1.0]}
+_DIAGONAL_CURVATURE = {"curvature": [1.0, 3.0], "dim": 2}
 
 
 @pytest.mark.parametrize(
     "spec, builds, constants",
     [
         (dict(_FULL_CURVATURE, family="quadratic"), 1, 0),
+        (dict(_DIAGONAL_CURVATURE, family="quadratic"), 0, 0),
         (dict(_FULL_CURVATURE, family="nonconvex", squash_scale=0.5), 1, 0),
-        ({"family": "mixture", "components": [_FULL_CURVATURE, {"curvature": [1.0, 3.0], "dim": 2}]}, 2, 1),
+        (dict(_DIAGONAL_CURVATURE, family="nonconvex", squash_scale=0.5), 0, 0),
+        ({"family": "mixture", "components": [_FULL_CURVATURE, _DIAGONAL_CURVATURE]}, 1, 1),
+        ({"family": "mixture", "components": [_DIAGONAL_CURVATURE, {"curvature": 2.0, "dim": 2}]}, 0, 0),
     ],
-    ids=["quadratic", "nonconvex", "mixture"],
+    ids=["quadratic", "diagonal-quadratic", "nonconvex", "diagonal-nonconvex", "mixture", "diagonal-mixture"],
 )
 def test_each_quadratic_decomposes_its_curvature_once(monkeypatch, spec, builds, constants):
-    """Building a quadratic checks A and keeps λ_max(A); theory constants reuse it."""
+    """Building a quadratic checks A and keeps λ_max(A); theory constants reuse it.
+    ``eigvalsh`` runs once per dense component and never for a diagonal one; a
+    mixture with a dense component has a dense mean, whose σ_L takes one more."""
     eigvalsh, calls = np.linalg.eigvalsh, []
 
     def counted(a):
@@ -129,14 +144,148 @@ def test_each_quadratic_decomposes_its_curvature_once(monkeypatch, spec, builds,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     objective = from_spec(spec, 0.1)
-    assert len(calls) == builds  # one per component: the mixture's mean is not re-checked
+    assert len(calls) == builds  # one per dense component: the mixture's mean is not re-checked
     calls.clear()
     lipschitz = objective.theory_constants().lipschitz
-    assert len(calls) == constants  # the mixture's sigma_l
+    assert len(calls) == constants  # the dense mixture's sigma_l
     monkeypatch.undo()
     quadratics = getattr(objective, "components", (getattr(objective, "base", objective),))
     top = max(float(np.linalg.eigvalsh(q.matrix)[-1]) for q in quadratics)
     assert lipschitz == top + 2.0 * getattr(objective, "squash_scale", 0.0)
+
+
+def _numpy_on_openblas_x86() -> bool:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    return "openblas" in str(blas).lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+def _rerun_under_other_openblas_cores(selection: str) -> None:
+    """Run this file's tests matching ``selection`` (a ``-k`` expression) under
+    the Haswell and Prescott kernel sets, in parallel subprocesses."""
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selection]
+    runs = {
+        core: subprocess.Popen(
+            command,
+            cwd=Path(__file__).parents[1],
+            env=dict(os.environ, OPENBLAS_CORETYPE=core),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for core in ("Haswell", "Prescott")
+    }
+    try:
+        outputs = {core: proc.communicate(timeout=120)[0] for core, proc in runs.items()}
+    finally:
+        for proc in runs.values():
+            proc.kill()
+    for core, proc in runs.items():
+        assert proc.returncode == 0, f"OPENBLAS_CORETYPE={core}:\n{outputs[core][-3000:]}"
+
+
+def _quadratic_family_spec(family: str, curvatures: list, minimizers: list) -> dict:
+    """A quadratic, nonconvex or mixture spec; one curvature and minimizer per component."""
+    if family == "mixture":
+        components = [{"curvature": a, "minimizer": m} for a, m in zip(curvatures, minimizers)]
+        return {"family": "mixture", "components": components, "noise_sigma": 0.3}
+    spec = {"family": family, "curvature": curvatures[0], "minimizer": minimizers[0], "noise_sigma": 0.3}
+    return dict(spec, squash_scale=0.5) if family == "nonconvex" else spec
+
+
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex", "mixture", "equal-mixture"])
+def test_diagonal_curvature_gives_the_dense_bits(family):
+    """A diagonal ``a`` and its dense form ``np.diag(a).tolist()`` give one
+    objective bit for bit: loss, gradients, minimizer, and f*, Δ, L, σ and σ_L
+    (σ has a closed form only for the mixture of equal curvatures)."""
+    rng = np.random.default_rng(len(family))
+    for d in (1, 2, 3, 7, 8, 16, 33, 64, 100, 257):
+        diagonals = np.exp(rng.uniform(-4.0, 4.0, (2, d)))
+        if family == "equal-mixture":
+            diagonals[1] = diagonals[0]
+        minimizers = (4.0 * rng.standard_normal((2, d))).tolist()
+        kind = family.removeprefix("equal-")
+        diagonal = from_spec(_quadratic_family_spec(kind, diagonals.tolist(), minimizers), 0.1)
+        dense = from_spec(_quadratic_family_spec(kind, [np.diag(a).tolist() for a in diagonals], minimizers), 0.1)
+        x1 = rng.standard_normal(d)
+        ours, theirs = diagonal.theory_constants(x1), dense.theory_constants(x1)
+        assert np.array_equal(diagonal.minimizer, dense.minimizer)
+        assert np.array_equal(ours.minimizer, theirs.minimizer)
+        for name in ("f_star", "delta_gap", "lipschitz", "sigma", "sigma_l"):
+            assert getattr(ours, name) == getattr(theirs, name), (d, name)
+        for x in 3.0 * rng.standard_normal((4, d)):
+            assert diagonal.loss(x) == dense.loss(x)
+            assert np.array_equal(diagonal.grad(x), dense.grad(x))
+            for c in (0, 1):
+                assert np.array_equal(diagonal.component_grad(x, c), dense.component_grad(x, c))
+
+
+@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, on x86-64")
+def test_diagonal_curvature_gives_the_dense_bits_under_other_openblas_cores():
+    """The dense path's products, solve and eigvalsh must give the diagonal
+    path's bits under every kernel set OpenBLAS may pick."""
+    _rerun_under_other_openblas_cores("gives_the_dense_bits and not openblas")
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """``np.linalg.eigvalsh`` and ``solve`` raise: the diagonal path must not call them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diagonal path called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
+_DIAGONAL_FAMILIES = {
+    "quadratic": {"family": "quadratic", "curvature": [1.0, 3.0], "minimizer": [1.0, -1.0], "noise_sigma": 0.5},
+    "nonconvex": dict(
+        family="nonconvex", curvature=2.0, minimizer=[0.5, -0.5], squash_scale=0.5, noise_sigma=0.5
+    ),
+    "mixture": {
+        "family": "mixture",
+        "components": [{"curvature": 1.0, "minimizer": [1.0, 0.0]}, {"curvature": [1.0, 1.0], "minimizer": [-1.0, 0.0]}],
+        "noise_sigma": 0.6,
+    },
+}
+
+
+@pytest.mark.parametrize("family", list(_DIAGONAL_FAMILIES))
+def test_diagonal_families_build_and_run_without_lapack(no_lapack, family):
+    """Each diagonal family builds through ``from_spec``, resolves ``theory: true`` and runs."""
+    config = SimConfig(
+        objective=_DIAGONAL_FAMILIES[family],
+        optimizer={"method": "ordered_momentum", "theory": True},
+        total_iterations=50,
+        num_workers=3,
+        delay={"slow_weight": 0.1},
+    )
+    trace = run(config)
+    assert len(trace) == 50 and trace.resolved_params["eta"] > 0
+
+
+def test_a_large_diagonal_mixture_allocates_no_dense_curvature(no_lapack):
+    """At d = 4096 a d×d float64 array is 128 MiB; the dense path peaked at 768 MiB here."""
+    d = 4096
+    rng = np.random.default_rng(4096)
+    spec = {
+        "family": "mixture",
+        "components": [
+            {"curvature": rng.uniform(0.5, 3.0, d).tolist(), "minimizer": rng.standard_normal(d).tolist()}
+            for _ in range(2)
+        ],
+    }
+    tracemalloc.start()
+    try:
+        mixture = from_spec(spec, 0.1)
+        constants = mixture.theory_constants()
+        x = rng.standard_normal(d)
+        mixture.loss(x), mixture.grad(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert constants.sigma is None and constants.sigma_l > 0
+    assert peak < d * d * 8 / 16
 
 
 # ---------------------------------------------------------------- mixture
@@ -185,8 +334,8 @@ def test_mixture_sigma_closed_form():
 def test_mixture_sigma_unknown_for_unequal_curvatures():
     mix = Mixture(
         components=(
-            Quadratic(matrix=2.0 * np.eye(2), offset=np.zeros(2)),
-            Quadratic(matrix=np.eye(2), offset=np.zeros(2)),
+            Quadratic(curvature=2.0 * np.eye(2), offset=np.zeros(2)),
+            Quadratic(curvature=np.eye(2), offset=np.zeros(2)),
         ),
         weights=(0.1, 0.9),
         noise_sigma=0.0,
@@ -218,7 +367,7 @@ def test_quadratic_and_mixture_match_their_summed_forms(d):
     """``Quadratic.loss`` and the mixture's mean quadratic agree with the
     expressions they replace, Σ w_c f_c and Σ w_c ∇f_c, up to rounding."""
     rng = np.random.default_rng(30 + d)
-    components = tuple(Quadratic(matrix=_spd(rng, d), offset=rng.standard_normal(d)) for _ in range(2))
+    components = tuple(Quadratic(curvature=_spd(rng, d), offset=rng.standard_normal(d)) for _ in range(2))
     mixture = Mixture(components=components, weights=(0.3, 0.7))
     for x in rng.standard_normal((20, d)):
         terms = []
@@ -282,7 +431,7 @@ def test_mixture_minimizer_and_constants_keep_their_bits(d, curvature):
         matrices = (shared, shared)
     else:
         matrices = (_spd(rng, d), _spd(rng, d))
-    components = tuple(Quadratic(matrix=a, offset=rng.standard_normal(d)) for a in matrices)
+    components = tuple(Quadratic(curvature=a, offset=rng.standard_normal(d)) for a in matrices)
     mixture = Mixture(components=components, weights=(0.1, 0.9), noise_sigma=0.6)
     x1 = rng.standard_normal(d)
     constants = mixture.theory_constants(x_init=x1)
@@ -337,7 +486,7 @@ def test_component_frequency_and_unbiasedness():
 
 
 def test_noise_unbiased():
-    q = Quadratic(matrix=np.eye(1), offset=np.zeros(1), noise_sigma=1.0)
+    q = Quadratic(curvature=np.eye(1), offset=np.zeros(1), noise_sigma=1.0)
     rng = np.random.default_rng(3)
     x = np.array([0.7])
     true = q.grad(x)
@@ -346,7 +495,7 @@ def test_noise_unbiased():
 
 
 def test_zero_noise_skips_the_generator():
-    q = Quadratic(matrix=np.eye(2), offset=np.zeros(2), noise_sigma=0.0)
+    q = Quadratic(curvature=np.eye(2), offset=np.zeros(2), noise_sigma=0.0)
     rng = np.random.default_rng(21)
     before = rng.bit_generator.state
     q.stochastic_grad(np.ones(2), 0, rng)
@@ -359,7 +508,7 @@ def test_noise_has_the_bits_and_stream_of_scaled_standard_normals(dim):
     """One ``normal`` call per draw gives the bytes of scale·standard_normal(dim)
     from a twin generator and leaves it in the same state, with the delay
     model's geometric draws interleaved."""
-    q = Quadratic(matrix=np.eye(dim), offset=np.zeros(dim), noise_sigma=0.7)
+    q = Quadratic(curvature=np.eye(dim), offset=np.zeros(dim), noise_sigma=0.7)
     scale = 0.7 / math.sqrt(dim)
     for seed in range(30):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -542,36 +691,12 @@ def _assert_former_bits(classes, d, interleaved, rng):
                 assert np.array_equal(objective.component_grad(x, c), group_grads[c])
 
 
-def _numpy_on_openblas_x86() -> bool:
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-    return "openblas" in str(blas).lower() and platform.machine().lower() in ("x86_64", "amd64")
-
-
 @pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, on x86-64")
 def test_logistic_kernels_keep_the_former_bits_under_other_openblas_cores():
     """The kernels' BLAS layouts must give the former bits under every kernel set
     OpenBLAS may pick, not only this CPU's; a layout that matched under SkylakeX
     changed bits under Haswell and Prescott."""
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
-    command += ["-k", "keep_the_former_bits and not openblas"]
-    runs = {
-        core: subprocess.Popen(
-            command,
-            cwd=Path(__file__).parents[1],
-            env=dict(os.environ, OPENBLAS_CORETYPE=core),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        for core in ("Haswell", "Prescott")
-    }
-    try:
-        outputs = {core: proc.communicate(timeout=120)[0] for core, proc in runs.items()}
-    finally:
-        for proc in runs.values():
-            proc.kill()
-    for core, proc in runs.items():
-        assert proc.returncode == 0, f"OPENBLAS_CORETYPE={core}:\n{outputs[core][-3000:]}"
+    _rerun_under_other_openblas_cores("keep_the_former_bits and not openblas")
 
 
 def _assert_memo_is_safe_across_threads(objective):
@@ -607,13 +732,13 @@ def test_logistic_memo_is_safe_across_threads():
 
 def _fresh(q: Quadratic) -> Quadratic:
     """The same quadratic with an empty gradient memo."""
-    return Quadratic(matrix=q.matrix, offset=q.offset)
+    return Quadratic(curvature=q.curvature, offset=q.offset)
 
 
 def test_quadratic_memo_follows_the_point_bytes():
     """The last point is memoized: three interleaved points and a point mutated
     in place still get a fresh objective's gradient, and no gradient is writable."""
-    objective = Quadratic(matrix=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -3.0]))
+    objective = Quadratic(curvature=np.array([[2.0, 0.5], [0.5, 1.0]]), offset=np.array([1.0, -3.0]))
     points = np.random.default_rng(22).standard_normal((3, 2))
     for i in (0, 1, 0, 2, 1, 0, 2, 2):
         g = objective.grad(points[i])
@@ -631,7 +756,7 @@ def test_quadratic_memo_follows_the_point_bytes():
 
 def test_quadratic_memo_is_safe_across_threads():
     _assert_memo_is_safe_across_threads(
-        Quadratic(matrix=np.diag([1.0, 2.0, 3.0]), offset=np.array([1.0, 0.0, -1.0]))
+        Quadratic(curvature=np.diag([1.0, 2.0, 3.0]), offset=np.array([1.0, 0.0, -1.0]))
     )
 
 
