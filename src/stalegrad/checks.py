@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, delays, objectives, optimizers, reference
 from .errors import ContractViolationError, InvalidConfigError
-from .objectives import SLOW, BallDomain
+from .objectives import FAST, SLOW, BallDomain
 from .simulation import SimConfig, config_hash, replay_check, replay_compare
 from .simulation import run as run_simulation
 
@@ -178,11 +178,11 @@ def _check_noise_pairing() -> None:
 
 
 def _check_arrival_probabilities() -> None:
-    probs = delays.default_arrival_probs(8)
-    _ensure(abs(probs.sum() - 1.0) <= 1e-12, "arrival probabilities must sum to 1")
-    _ensure(bool(np.all(np.diff(probs) > 0)), "arrival probabilities must increase")
-    _close(float(probs[-1]), 8.0 / 36.0, detail="fastest-worker probability")
-    _ensure(np.array_equal(delays.default_arrival_probs(1), [1.0]), "M=1 pool")
+    for workers in range(1, 9):  # p_i = i/(M(M+1)/2), each correctly rounded
+        probs = delays.default_arrival_probs(workers)
+        total = workers * (workers + 1) // 2
+        _ensure(probs.tolist() == [i / total for i in range(1, workers + 1)], f"M={workers}: p_i != i/{total}")
+        _ensure(abs(math.fsum(probs) - 1.0) <= 1e-12, f"M={workers}: arrival probabilities must sum to 1")
 
 
 def _check_threshold_formula() -> None:
@@ -197,23 +197,23 @@ def _check_threshold_formula() -> None:
             delays.delay_threshold(0.5, float(p)) < tau,
             "threshold must shrink as the slow weight grows",
         )
-    _close(
-        delays.delay_threshold(0.1, 0.25),
-        8.003922779651093,
-        detail="closed-form threshold at p=1/4",
-    )
+    _close(delays.delay_threshold(0.1, 0.9), 1.0, detail="closed-form threshold at p=0.9")
+    tau = delays.delay_threshold(0.1, 0.25)
+    _ensure(tau == 8.003922779651093, f"closed-form threshold at p=1/4: {tau!r}")
 
 
 def _check_waiting_time_support() -> None:
     rng = np.random.default_rng(9)
-    model = delays.DelayModel.build(4, 0.1)  # worker 2 has p = 0.3
-    waits = [model.draw_ticket(2, rng)[0] for _ in range(2000)]
-    _ensure(all(isinstance(w, int) and w >= 1 for w in waits), "waits must be integers >= 1")
-    _ensure(min(waits) == 1, "support must include 1")
+    for workers, worker in ((4, 2), (7, 6)):  # p = 0.3 and 0.25
+        model = delays.DelayModel.build(workers, 0.1)
+        waits = [model.draw_ticket(worker, rng)[0] for _ in range(2000)]
+        _ensure(all(isinstance(w, int) and w >= 1 for w in waits), "waits must be integers >= 1")
+        _ensure(min(waits) == 1, "support must include 1")
     single = delays.DelayModel.build(1, 0.1)  # p = 1
+    _ensure(math.isinf(single.thresholds[0]), "the one worker's threshold must be infinite")
     _ensure(
-        all(single.draw_ticket(0, rng)[0] == 1 for _ in range(50)),
-        "p=1 must always wait exactly one step",
+        all(single.draw_ticket(0, rng) == (1, FAST) for _ in range(50)),
+        "p=1 must always wait exactly one step, and be fast",
     )
 
 
@@ -426,23 +426,24 @@ def _check_mu2_identity_contraction() -> None:
 
 
 def _check_theorem_parameter_values() -> None:
-    params = optimizers.theorem1_params(1.0, 1.0, 1.0, 10**6, 2)
-    _close(params.beta, 2.23606797749979e-3, detail="theorem-1 beta, sigma branch")
-    _close(params.eta, 7.905694150420948e-4, detail="theorem-1 eta, sigma branch")
-    capped = optimizers.theorem1_params(1.0, 1.0, 1.0, 5, 2)
-    _close(capped.beta, 1.0 / 16.0, detail="theorem-1 beta, M branch")
-    single = optimizers.theorem1_params(1.0, 1.0, 1.0, 10**6, 1)
-    _close(single.beta, 2.23606797749979e-3, detail="theorem-1 beta, M=1")
+    # sqrt and division are correctly rounded, so the closed forms hold to the last bit
+    sigma_branch = optimizers.theorem1_params(1.0, 1.0, 1.0, 10**6, 2)
     window = optimizers.theorem2_step_window(1.0, 1.0, 0.0, 1.0, 10**4, 4)
-    _close(window.eta_min, 9.615384615384615e-7, detail="theorem-2 eta_min")
-    _close(window.eta_max, 2.5e-5, detail="theorem-2 eta_max")
-    trivial = optimizers.theorem2_step_window(1.0, 0.0, 0.0, 1.0, 100, 1)
-    _close(trivial.eta_min, 1.0 / 100.0, detail="theorem-2 eta_min, LM term only")
-    _close(
-        optimizers.theorem2_step_window(1.0, 1.0, 1.0, 1.0, 100, 1).eta_max,
-        1.0 / 400.0,
-        detail="theorem-2 eta_max",
+    # noise-free with one worker, eta_min lands above eta_max: the window keeps the formulas' order
+    degenerate = optimizers.theorem2_step_window(1.0, 0.0, 0.0, 1.0, 100, 1)
+    cases = (
+        (sigma_branch.beta, 2.23606797749979e-3, "theorem-1 beta, sigma branch"),
+        (sigma_branch.eta, 7.905694150420948e-4, "theorem-1 eta, sigma branch"),
+        (optimizers.theorem1_params(1.0, 1.0, 1.0, 5, 2).beta, 1.0 / 16.0, "theorem-1 beta, M branch"),
+        (optimizers.theorem1_params(1.0, 1.0, 1.0, 10**6, 1).beta, 2.23606797749979e-3, "theorem-1 beta, M=1"),
+        (window.eta_min, 9.615384615384615e-7, "theorem-2 eta_min"),
+        (window.eta_max, 2.5e-5, "theorem-2 eta_max"),
+        (degenerate.eta_min, 1.0 / 100.0, "theorem-2 eta_min, noise-free: LM term only"),
+        (degenerate.eta_max, 1.0 / 400.0, "theorem-2 eta_max, noise-free"),
+        (optimizers.theorem2_step_window(1.0, 1.0, 1.0, 1.0, 100, 1).eta_max, 1.0 / 400.0, "theorem-2 eta_max"),
     )
+    for got, want, detail in cases:
+        _ensure(got == want, f"{detail}: {got!r} vs {want!r}")
 
 
 def _check_replay_determinism() -> None:
@@ -475,13 +476,17 @@ def _check_config_hash_properties() -> None:
     _ensure(config_hash(run_simulation(base).config) == digest, "a run must carry its config's hash")
 
 
-def _check_f1_scores() -> None:
+def _f1_tables():
+    """30 random count tables, then a perfect one, a one-class one and one with a 0/0 class."""
     rng = np.random.default_rng(17)
     for _ in range(30):
         classes = int(rng.integers(2, 6))
-        tp = rng.integers(0, 20, classes)
-        fp = rng.integers(0, 20, classes)
-        fn = rng.integers(0, 20, classes)
+        yield rng.integers(0, 20, classes), rng.integers(0, 20, classes), rng.integers(0, 20, classes)
+    yield from (([5, 7], [0, 0], [0, 0]), ([3], [1], [2]), ([0, 4], [0, 1], [0, 0]))
+
+
+def _check_f1_scores() -> None:
+    for tp, fp, fn in _f1_tables():
         scores = analysis.f1_scores(tp, fp, fn)
         per_class, macro = reference.f1_reference(tp, fp, fn)
         _ensure(

@@ -25,7 +25,9 @@ from .optimizers import METHOD_TABLE, METHODS
 #: curvature then takes at most 128 MiB (a dense mixture holds three: both
 #: components and their mean), and a larger one is refused before it is
 #: allocated; a number or a diagonal is kept as a d-vector.  A logistic
-#: dataset, and each T-long column of a run, get the same budget of MAX_DIM² floats.
+#: dataset, each T-long column of a run, its workers' in-flight gradients
+#: (workers·dim) and its snapshots (⌈T/stride⌉·dim) get the same budget of
+#: MAX_DIM² floats.
 MAX_DIM = 4096
 
 #: largest ball radius: v·v stays finite for every offset v inside the ball

@@ -14,7 +14,6 @@ from stalegrad.analysis import (
     delay_separation,
     error_decomposition_series,
     f1_from_confusion,
-    f1_scores,
     pending_sets,
     verify_trace_invariants,
     waiting_time_gof,
@@ -188,15 +187,6 @@ def test_confusion_counts_split_by_group():
 
 
 # ---------------------------------------------------------------- F1
-
-
-def test_f1_examples():
-    perfect = f1_scores([5, 7], [0, 0], [0, 0])
-    assert np.array_equal(perfect.per_class, [1.0, 1.0]) and perfect.macro == 1.0
-    partial = f1_scores([3], [1], [2])
-    assert partial.per_class[0] == 6.0 / 9.0
-    empty = f1_scores([0, 4], [0, 1], [0, 0])
-    assert empty.per_class[0] == 0.0  # 0/0 scores zero, not NaN
 
 
 def test_f1_macro_one_iff_diagonal():

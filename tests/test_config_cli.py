@@ -8,14 +8,18 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stalegrad.analysis as analysis
 import stalegrad.checks as checks
 import stalegrad.cli as cli
+import stalegrad.delays as delays
 import stalegrad.objectives as objectives
+import stalegrad.optimizers as optimizers
 import stalegrad.schema as schema
 from stalegrad.config import (
     ExperimentConfig,
@@ -389,6 +393,8 @@ _LOGISTIC_BALL = dict(_LOGISTIC, classes=2, feature_dim=2, domain={"center": [0.
 _UNIT_BALL_2D = dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1.0})
 _MU2 = {"method": "ordered_mu2", "eta": 0.01}
 _ADAPTIVE = {"method": "delay_adaptive"}
+_WIDEST = {"family": "quadratic", "dim": schema.MAX_DIM}
+_AT_THE_BUDGET = {"workers": schema.MAX_DIM, "iterations": schema.MAX_DIM, "snapshot_stride": 1}
 _HUGE_MIXTURE = dict(_MIXTURE_2D, components=[{"minimizer": [1e308, 0.0]}, {"minimizer": [-1.0, 0.0]}])
 
 
@@ -491,6 +497,9 @@ _FAMILY_AXIS = {
         ({"delay": {"slow_weight": "0.1"}}, "delay.slow_weight"),
         ({"objective": {"family": "quadratic", "minimizer": ["1.5", True]}}, "objective.minimizer"),
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
+        # MAX_DIM² floats at most in flight and in snapshots; validated only, so none is allocated
+        ({"objective": _WIDEST, "run": {"workers": schema.MAX_DIM + 1, "iterations": schema.MAX_DIM + 1}}, "run.workers"),
+        ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=schema.MAX_DIM + 1)}, "run.snapshot_stride"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -508,7 +517,7 @@ _FAMILY_AXIS = {
         "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
         "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
         "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
-        "string-and-bool-minimizer", "huge-radius",
+        "string-and-bool-minimizer", "huge-radius", "gradients-in-flight-budget", "snapshots-budget",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -519,6 +528,11 @@ def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, secti
     assert cli.main([command, path, "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_run_at_the_memory_budget_validates():
+    """MAX_DIM workers and MAX_DIM snapshots of MAX_DIM floats each: one more is refused (above)."""
+    validate_config(parse_sim_config(dict(BASE_DOC, objective=_WIDEST, run=_AT_THE_BUDGET)))
 
 
 _FAMILY_SPECS = {
@@ -556,10 +570,12 @@ def _sweep_setting(key: schema.Key, value) -> dict:
 
 
 def _refused(key: schema.Key) -> dict:
-    """The values ``key``'s kind refuses, by name: the wrong types, the far side of each end
-    of its range, too large for a float, and null where the key has a default."""
+    """The values ``key``'s kind refuses, by name: the wrong types (a numeral string, and a
+    whole float where an integer is due), the far side of each end of its range, too large
+    for a float, and null where the key has a default."""
     kind = key.kind
-    out = {"bool": True, "string": "x", "nested-list": [[1.0, 2.0]], "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    out = {"bool": True, "string": "x", "numeral": "0.5", "nested-list": [[1.0, 2.0]]}
+    out.update({"nan": math.nan, "inf": math.inf, "-inf": -math.inf})
     if key.default is not None:
         out["null"] = None
     if isinstance(kind, schema.Of):
@@ -567,8 +583,9 @@ def _refused(key: schema.Key) -> dict:
             out.update(bool=1, string="true")
         elif kind.type is str:
             out["string"] = ""
+            del out["numeral"]  # a valid path
     elif isinstance(kind, schema.Integer):
-        out.update(fraction=2.5, below=kind.low - 1)
+        out.update({"fraction": 2.5, "whole-float": 3.0, "below": kind.low - 1})
         if kind.high is not None:
             out["above"] = kind.high + 1
     elif isinstance(kind, schema.Number):
@@ -598,12 +615,13 @@ def test_each_key_refuses_from_a_valid_sweep_document(key):
 
 
 @pytest.mark.parametrize(
-    "key, value", [(key, value) for key, _, value in _REFUSALS], ids=[f"{key.path}-{name}" for key, name, _ in _REFUSALS]
+    "key, name, value", _REFUSALS, ids=[f"{key.path}-{name}" for key, name, _ in _REFUSALS]
 )
-def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, key, value):
+def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, key, name, value):
     path = write_doc(tmp_path, _sweep_setting(key, value))
     assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key.path}: ")
+    message = "an entry is null, not a number" if name == "null-entry" else ""
+    assert capsys.readouterr().err.startswith(f"error: {key.path}: {message}")
     assert not (tmp_path / "out").exists()
 
 
@@ -1036,45 +1054,51 @@ def test_validate_prints_a_line_per_check_and_the_tally(monkeypatch, capsys):
     ]
 
 
-def test_validate_catches_a_mutated_ordered_weight(monkeypatch, capsys):
-    monkeypatch.setattr("stalegrad.optimizers.ordered_weight", lambda beta, tau: beta)
-    assert cli.main(["validate"]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL unrolled_equivalence" in out
+def _up(value, field):
+    """``value``, a dataclass, with ``field`` one ulp higher."""
+    return dataclasses.replace(value, **{field: math.nextafter(getattr(value, field), math.inf)})
 
 
-def test_validate_catches_mutated_thresholds(monkeypatch, capsys):
-    import stalegrad.delays as delays
-
-    original = delays.delay_threshold
-    monkeypatch.setattr(
-        "stalegrad.delays.delay_threshold", lambda q1, p: 0.5 * original(q1, p)
-    )
-    assert cli.main(["validate"]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL distribution_preservation" in out
+def _late_tickets(draw_ticket, *args):  # every wait one step longer: the support misses 1
+    wait, tag = draw_ticket(*args)
+    return wait + 1, tag
 
 
-def test_checks_catch_drift_below_their_old_tolerances(monkeypatch):
-    """Drift that an absolute floor of 1e-15, or scaling by 1 + ||m||, let through."""
-    from stalegrad import optimizers
+# (owner, attribute, mutant(original, *args), the check that must fail, its message)
+_MUTANTS = {
+    "ordered-weight-is-beta": (optimizers, "ordered_weight", lambda f, beta, tau: beta, "unrolled_equivalence", "direct sum"),
+    "halved-thresholds": (delays, "delay_threshold", lambda f, q1, p: 0.5 * f(q1, p), "distribution_preservation", "slow fraction"),
+    # drift below the tolerances these checks had before (an absolute 1e-15, scaling by 1 + ||m||)
+    "small-weights-drift": (
+        optimizers, "ordered_weight", lambda f, beta, tau: f(beta, tau) * (1 + 1.5e-12 * (f(beta, tau) < 1e-3)),
+        "ordered_weight_properties", "tau=50",
+    ),
+    "buffers-drift": (
+        checks, "run_simulation", lambda f, config: dataclasses.replace(trace := f(config), buffers=trace.buffers * (1 + 1.5e-9)),
+        "unrolled_equivalence", "direct sum",
+    ),
+    # one row for each unit test deleted as the twin of a check
+    "theorem1-eta-ulp": (optimizers, "theorem1_params", lambda f, *a: _up(f(*a), "eta"), "theorem_parameter_values", "sigma branch"),
+    "theorem2-eta_min-ulp": (optimizers, "theorem2_step_window", lambda f, *a: _up(f(*a), "eta_min"), "theorem_parameter_values", "eta_min"),
+    "theorem2-ordered-window": (
+        optimizers, "theorem2_step_window", lambda f, *a: optimizers.StepWindow(*sorted(dataclasses.astuple(f(*a)))),
+        "theorem_parameter_values", "noise-free",
+    ),
+    "threshold-ulp": (delays, "delay_threshold", lambda f, *a: math.nextafter(f(*a), math.inf), "threshold_formula", "p=1/4"),
+    "uniform-arrivals": (delays, "default_arrival_probs", lambda f, m: np.full(m, 1.0 / m), "arrival_probabilities", "p_i"),
+    "late-tickets": (delays.DelayModel, "draw_ticket", _late_tickets, "waiting_time_support", "include 1"),
+    # every threshold 0, the one worker's too: all tickets slow
+    "zero-thresholds": (
+        delays.DelayModel, "build", lambda f, workers, q1: dataclasses.replace(f(workers, q1), thresholds=(0.0,) * workers),
+        "waiting_time_support", "infinite",
+    ),
+    "macro-f1-ulp": (analysis, "f1_scores", lambda f, *a: _up(f(*a), "macro"), "f1_scores", "macro score"),
+}
 
-    named = dict(checks.CHECKS)
-    weight, run_simulation = optimizers.ordered_weight, checks.run_simulation
 
-    def drift_small_weights(beta, tau):  # 1.5e-12 relative, where the weight is below 1e-3
-        w = weight(beta, tau)
-        return w * (1 + 1.5e-12) if w < 1e-3 else w
-
-    monkeypatch.setattr(optimizers, "ordered_weight", drift_small_weights)
-    with pytest.raises(checks.Failure, match="tau=50"):
-        named["ordered_weight_properties"]()
-    monkeypatch.undo()
-
-    def drift_buffers(config):
-        trace = run_simulation(config)
-        return dataclasses.replace(trace, buffers=trace.buffers * (1 + 1.5e-9))
-
-    monkeypatch.setattr(checks, "run_simulation", drift_buffers)
-    with pytest.raises(checks.Failure, match="direct sum"):
-        named["unrolled_equivalence"]()
+@pytest.mark.parametrize("owner, name, mutant, check, message", _MUTANTS.values(), ids=_MUTANTS)
+def test_each_check_fails_on_its_mutant(monkeypatch, owner, name, mutant, check, message):
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: mutant(original, *args))
+    with pytest.raises(checks.Failure, match=message):
+        dict(checks.CHECKS)[check]()

@@ -11,25 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from stalegrad.delays import DelayModel, default_arrival_probs, delay_threshold
+from stalegrad.delays import DelayModel, delay_threshold
 from stalegrad.errors import InvalidConfigError
 from stalegrad.objectives import FAST, SLOW
 
 
 def exact_slow_probability(q1: float, p: float) -> float:
     return (1.0 - p) ** math.floor(math.log(q1) / math.log1p(-p))
-
-
-def test_arrival_probs_are_proportional_to_rank():
-    assert np.allclose(default_arrival_probs(3), [1 / 6, 2 / 6, 3 / 6], atol=1e-15)
-    assert np.allclose(default_arrival_probs(4), [0.1, 0.2, 0.3, 0.4], atol=1e-15)
-    assert math.fsum(default_arrival_probs(7)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_threshold_examples():
-    # (1-p)^tau = q1 solved for tau
-    assert math.isclose(delay_threshold(0.1, 0.9), 1.0, rel_tol=1e-12)
-    assert delay_threshold(0.1, 0.25) == 8.003922779651093
 
 
 def test_threshold_tends_to_zero_as_q1_grows():
@@ -47,17 +35,6 @@ def test_threshold_validation():
     assert "delay.slow_weight" in str(err.value)
     with pytest.raises(InvalidConfigError):
         delay_threshold(1.0, 0.5)
-
-
-def test_waiting_time_support():
-    rng = np.random.default_rng(1)
-    model = DelayModel.build(7, 0.1)
-    assert model.arrival_probs[6] == 0.25
-    waits = [model.draw_ticket(6, rng)[0] for _ in range(500)]
-    assert min(waits) == 1
-    assert all(isinstance(w, int) for w in waits)
-    single = DelayModel.build(1, 0.1)  # p = 1
-    assert all(single.draw_ticket(0, rng)[0] == 1 for _ in range(20))
 
 
 def test_waiting_time_moments():
@@ -111,15 +88,6 @@ def test_realized_slow_fractions_match_floor_law():
     )
 
 
-def test_ticket_fields_and_determinism():
-    model = DelayModel.build(4, 0.1)
-    t1 = model.draw_ticket(2, np.random.default_rng(42))
-    t2 = model.draw_ticket(2, np.random.default_rng(42))
-    assert t1 == t2
-    wait, component = t1
-    assert component == (SLOW if wait > model.thresholds[2] else FAST)
-
-
 def test_single_draw_serves_schedule_and_component():
     """The wait on the ticket is the same draw that decided the component."""
     model = DelayModel.build(7, 0.1)
@@ -131,15 +99,6 @@ def test_single_draw_serves_schedule_and_component():
         threshold = float(model.thresholds[worker])
         want = SLOW if wait > threshold else FAST
         assert component == want
-
-
-def test_single_worker_is_always_fast():
-    model = DelayModel.build(1, 0.1)
-    assert model.arrival_probs[0] == 1.0
-    assert math.isinf(model.thresholds[0])
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        assert model.draw_ticket(0, rng) == (1, FAST)
 
 
 def test_build_validation():

@@ -1,8 +1,11 @@
-"""Imports: each one used, and each command loading only what it runs.
+"""Imports and test helpers: each one used, and each command loading only what it runs.
 
 No linter ships with the project, so an AST scan stands in for one: a name
 bound by a module-level import must appear somewhere in that module.
-Imports marked ``# noqa: F401`` are skipped.
+Imports marked ``# noqa: F401`` are skipped.  A module-level helper of a
+test module (a function, class or constant; not a test, hook or fixture)
+must be read in that module or named by another one, so a deleted test
+leaves no orphan behind.
 
 Every process pays for what it imports, so fresh interpreters probe that
 the CLI loads no process pool, an objective build loads no ``numpy.ma``,
@@ -52,6 +55,41 @@ def test_no_module_has_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def unused_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
+    """By module: the helpers in ``sources`` (module name -> source) that their module never
+    reads and no other module names as ``module.name`` or ``from module import name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    named = {(node.module, alias.name) for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {(node.value.id, node.attr) for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    found = {}
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        helpers = [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith(("test_", "pytest_"))
+            and not any("fixture" in ast.unparse(decorator) for decorator in node.decorator_list)
+        ]
+        helpers += [target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets if isinstance(target, ast.Name)]
+        unused = [name for name in helpers if name not in read and (module, name) not in named]
+        if unused:
+            found[module] = unused
+    return found
+
+
+def test_unused_helpers_are_found():
+    helpers = "import pytest\nLIMIT = SEEN = 3\ndef _orphan(): pass\n@pytest.fixture\ndef ready(): pass\n"
+    sources = {"helpers": helpers, "test_a": "from helpers import SEEN\nimport helpers\ndef test_x(ready): helpers.LIMIT\n"}
+    assert unused_helpers(sources) == {"helpers": ["_orphan"]}
+
+
+def test_no_test_module_has_unused_helpers():
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    assert unused_helpers({path.stem: path.read_text(encoding="utf-8") for path in paths}) == {}
 
 
 _EVERY_MODULE = """

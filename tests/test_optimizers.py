@@ -296,14 +296,6 @@ def test_baseline_validation():
 # ---------------------------------------------------------------- theory params
 
 
-def test_theorem1_sigma_dominated_branch():
-    params = theorem1_params(
-        lipschitz=1.0, delta_gap=1.0, sigma=1.0, total_iterations=10**6, num_workers=2
-    )
-    assert params.beta == 2.23606797749979e-03  # √5/1000
-    assert params.eta == 7.905694150420948e-04  # √5/(2√(2·10⁶))
-
-
 def test_theorem1_worker_dominated_branch():
     params = theorem1_params(
         lipschitz=1.0, delta_gap=1.0, sigma=1.0, total_iterations=1, num_workers=2
@@ -325,25 +317,6 @@ def test_theorem1_validation():
         theorem1_params(lipschitz=0.0, delta_gap=1.0, sigma=1.0, total_iterations=10, num_workers=2)
     with pytest.raises(InvalidConfigError):
         theorem1_params(lipschitz=1.0, delta_gap=1.0, sigma=1.0, total_iterations=0, num_workers=2)
-
-
-def test_theorem2_window_values():
-    window = theorem2_step_window(
-        lipschitz=1.0, sigma=1.0, sigma_l=0.0, diameter=1.0, total_iterations=10**4, num_workers=4
-    )
-    assert window.eta_max == 2.5e-05  # 1/(4LT)
-    assert window.eta_min == 9.615384615384615e-07  # 1/(T·(σ/D·√T + LM))
-    assert window.eta_max / window.eta_min == pytest.approx(26.0, rel=1e-12)
-
-
-def test_theorem2_degenerate_window_is_allowed():
-    # zero noise with one worker: the "min" formula lands above the "max";
-    # the window reports what the formulas say rather than inventing an order
-    window = theorem2_step_window(
-        lipschitz=1.0, sigma=0.0, sigma_l=0.0, diameter=1.0, total_iterations=100, num_workers=1
-    )
-    assert window.eta_max == 1.0 / 400.0
-    assert window.eta_min == 0.01
 
 
 def test_window_grid_hits_endpoints_exactly():
