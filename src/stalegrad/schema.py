@@ -21,13 +21,12 @@ import numpy as np
 from .errors import InvalidConfigError
 from .optimizers import METHOD_TABLE, METHODS
 
-#: largest ``dim`` a config may ask for: a dense (nested-list) d×d float64
-#: curvature then takes at most 128 MiB (a dense mixture holds three: both
-#: components and their mean), and a larger one is refused before it is
-#: allocated; a number or a diagonal is kept as a d-vector.  A logistic
-#: dataset, each T-long column of a run, its workers' in-flight gradients
-#: (workers·dim) and its snapshots (⌈T/stride⌉·dim) get the same budget of
-#: MAX_DIM² floats.
+#: largest ``dim``, worker count and list axis a config may ask for: a dense
+#: (nested-list) d×d float64 curvature then takes at most 128 MiB (a dense
+#: mixture holds three: both components and their mean), and a larger one is
+#: refused before it is allocated; a number or a diagonal is kept as a
+#: d-vector.  A logistic dataset, each T-long column of a run and its
+#: snapshots (⌈T/stride⌉·dim) get the same budget of MAX_DIM² floats.
 MAX_DIM = 4096
 
 #: largest ball radius: v·v stays finite for every offset v inside the ball
@@ -133,7 +132,8 @@ class Number:
 @dataclass(frozen=True)
 class Numbers:
     """A non-empty flat list of finite numbers; with ``matrix``, a finite number, list
-    or list of rows (a curvature, whose shape the objective's dimension decides)."""
+    or list of rows (a curvature, whose shape the objective's dimension decides).
+    No axis is longer than :data:`MAX_DIM`."""
 
     matrix: bool = False
 
@@ -152,6 +152,8 @@ class Numbers:
             raise InvalidConfigError("must be a number, a list of numbers or a list of rows", field=field)
         if not self.matrix and (out.ndim != 1 or out.size == 0):
             raise InvalidConfigError("must be a non-empty list of numbers", field=field)
+        if max(out.shape, default=0) > MAX_DIM:
+            raise InvalidConfigError(f"must hold at most {MAX_DIM} entries per axis", field=field)
         return out
 
 
@@ -218,7 +220,7 @@ KEYS = (
     Key("optimizer.gamma", Number(0.0, 1.0, high_closed=True), None, _methods(lambda row: "gamma" in row.takes)),
     Key("optimizer.tau_filter", Number(0.0), None, _methods(lambda row: "tau_filter" in row.takes)),
     Key("delay.slow_weight", Number(0.0, 1.0), 0.1),
-    Key("run.workers", Integer(1, MAX_DIM**2), REQUIRED),
+    Key("run.workers", Integer(1, MAX_DIM), REQUIRED),
     Key("run.iterations", Integer(1, MAX_DIM**2), REQUIRED),
     Key("run.seed", Integer(0), 0),
     Key("run.snapshot_stride", Integer(1)),

@@ -208,8 +208,6 @@ def _prepare(config: SimConfig) -> _Prepared:
     if config.record_gradients and T * objective.dim > MAX_DIM**2:
         message = f"iterations·dim must be at most {MAX_DIM**2} with record_gradients"
         raise InvalidConfigError(message, field="run.iterations")
-    if M * objective.dim > MAX_DIM**2:  # one gradient in flight per worker
-        raise InvalidConfigError(f"workers·dim must be at most {MAX_DIM**2}", field="run.workers")
     if config.snapshot_stride and math.ceil(T / config.snapshot_stride) * objective.dim > MAX_DIM**2:
         raise InvalidConfigError(f"snapshots·dim must be at most {MAX_DIM**2}", field="run.snapshot_stride")
 

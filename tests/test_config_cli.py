@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -368,18 +369,6 @@ def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, v
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field", ["objective.minimizer", "objective.curvature", "run.x_init"])
-def test_a_null_entry_is_refused_as_not_a_number(tmp_path, capsys, field):
-    """YAML ``null`` in a list of numbers is not read as NaN and called non-finite."""
-    doc = copy.deepcopy(BASE_DOC)
-    section, key = field.split(".")
-    doc[section][key] = [None, 1.0]
-    path = write_doc(tmp_path, doc)
-    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field}: an entry is null, not a number")
-    assert not (tmp_path / "out").exists()
-
-
 _QUAD_2D = {"family": "quadratic", "dim": 2}
 _MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
 _LOGISTIC = {"family": "logistic"}
@@ -446,11 +435,6 @@ _FAMILY_AXIS = {
         ({"objective": {"family": "quadratic", "dim": True}}, "objective.dim"),
         ({"objective": dict(_LOGISTIC, feature_dim=True)}, "objective.feature_dim"),
         ({"objective": dict(_LOGISTIC, feature_dim=0)}, "objective.feature_dim"),
-        ({"output": {"dirr": "elsewhere"}}, "output.dirr"),
-        ({"report": {"metrik": "final_loss"}}, "report.metrik"),
-        ({"sweep": {"grid": {"optimizer.eta": [0.05]}, "seeds": {"cout": 3}}}, "sweep.seeds.cout"),
-        ({"output": 5}, "output"),
-        ({"report": [1]}, "report"),
         ({"output": {"dir": 5}}, "output.dir"),
         ({"run": {"workers": 2, "iterations": 10**9}}, "run.iterations"),
         (
@@ -478,7 +462,6 @@ _FAMILY_AXIS = {
         ({"objective": dict(_QUAD_2D, family=["quadratic"])}, "objective.family"),
         ({"objective": dict(_MIXTURE_2D, components=5)}, "objective.components"),
         ({"objective": dict(_MIXTURE_2D, components=[_MIXTURE_2D["components"][0], 3])}, "objective.components.1"),
-        ({"objective": dict(_QUAD_2D, domain=5)}, "objective.domain"),
         ({"objective": dict(_QUAD_2D, domain={"center": [[0.0, 0.0]], "radius": 1})}, "objective.domain.center"),
         ({"objective": dict(_LOGISTIC, samples=1)}, "objective.samples"),
         ({"objective": _LOGISTIC, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
@@ -497,8 +480,7 @@ _FAMILY_AXIS = {
         ({"delay": {"slow_weight": "0.1"}}, "delay.slow_weight"),
         ({"objective": {"family": "quadratic", "minimizer": ["1.5", True]}}, "objective.minimizer"),
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
-        # MAX_DIM² floats at most in flight and in snapshots; validated only, so none is allocated
-        ({"objective": _WIDEST, "run": {"workers": schema.MAX_DIM + 1, "iterations": schema.MAX_DIM + 1}}, "run.workers"),
+        # MAX_DIM² floats at most in snapshots; validated only, so none is allocated
         ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=schema.MAX_DIM + 1)}, "run.snapshot_stride"),
     ],
     ids=[
@@ -507,17 +489,16 @@ _FAMILY_AXIS = {
         "logistic-excess", "logistic-distance", "seed-axis", "family-axis", "family-axis-excess",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
-        "dim-true", "feature_dim-true", "feature_dim-zero", "output-key", "report-key", "seeds-key",
-        "output-scalar", "report-list", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
+        "dim-true", "feature_dim-true", "feature_dim-zero", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
         "nested-minimizer", "empty-minimizer", "nested-offset", "empty-offset",
         "nested-component-minimizer", "empty-component-offset", "overflowing-minimizer",
         "report-axis", "sweep-axis", "misspelt-section-axis", "sectionless-axis", "family-list",
-        "components-number", "component-number", "domain-number", "nested-center", "one-sample",
+        "components-number", "component-number", "nested-center", "one-sample",
         "theory-logistic", "theory-unequal-curvatures", "theory-mu2-logistic",
         "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
         "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
         "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
-        "string-and-bool-minimizer", "huge-radius", "gradients-in-flight-budget", "snapshots-budget",
+        "string-and-bool-minimizer", "huge-radius", "snapshots-budget",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -543,10 +524,9 @@ _FAMILY_SPECS = {
 }
 
 
-def _sweep_document(key: schema.Key) -> dict:
-    """A valid sweep document whose runs read ``key``; a grid axis elsewhere."""
-    family = key.readers[0] if key.path.startswith("objective.") else "quadratic"
-    axis = {"delay.slow_weight": [0.1]} if key.path == "run.snapshot_stride" else {"run.snapshot_stride": [5]}
+def _sweep_document(family: str, path: str) -> dict:
+    """A valid sweep document of ``family``, with a grid axis other than ``path``."""
+    axis = {"delay.slow_weight": [0.1]} if path == "run.snapshot_stride" else {"run.snapshot_stride": [5]}
     return copy.deepcopy(
         {
             "objective": dict(_FAMILY_SPECS[family], domain={"center": [0.0, 0.0], "radius": 1.0}),
@@ -558,21 +538,35 @@ def _sweep_document(key: schema.Key) -> dict:
     )
 
 
-def _sweep_setting(key: schema.Key, value) -> dict:
-    """:func:`_sweep_document` with ``value`` at ``key``'s path."""
-    doc = _sweep_document(key)
-    *parents, name = key.path.split(".")
+def _document_reading(key: schema.Key) -> dict:
+    """A valid sweep document whose runs read ``key``; a grid axis elsewhere."""
+    return _sweep_document(key.readers[0] if key.path.startswith("objective.") else "quadratic", key.path)
+
+
+def _setting(doc: dict, path: str, value) -> dict:
+    """``doc`` with ``value`` at the dotted ``path`` (a number indexes a list); ``value`` itself at ''."""
+    if not path:
+        return value
+    *parents, name = path.split(".")
     node = doc
     for part in parents:
-        node = node.setdefault(part, {})
-    node[name] = value
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(name) if isinstance(node, list) else name] = value
     return doc
+
+
+def _assert_sweep_refuses(tmp_path, capsys, doc, start: str):
+    """``stalegrad sweep`` fails on ``doc`` with an error that begins ``start``, before making its output directory."""
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {start}")
+    assert not (tmp_path / "out").exists()
 
 
 def _refused(key: schema.Key) -> dict:
     """The values ``key``'s kind refuses, by name: the wrong types (a numeral string, and a
     whole float where an integer is due), the far side of each end of its range, too large
-    for a float, and null where the key has a default."""
+    for a float, a list longer than MAX_DIM, and null where the key has a default."""
     kind = key.kind
     out = {"bool": True, "string": "x", "numeral": "0.5", "nested-list": [[1.0, 2.0]]}
     out.update({"nan": math.nan, "inf": math.inf, "-inf": -math.inf})
@@ -595,6 +589,7 @@ def _refused(key: schema.Key) -> dict:
             out["above"] = math.nextafter(kind.high, math.inf) if kind.high_closed else kind.high
     elif isinstance(kind, schema.Numbers):
         out.update({"empty": [], "nan-entry": [1.0, math.nan], "null-entry": [None, 1.0], "float-overflow": [10**400]})
+        out["too-long"] = [0.0] * (schema.MAX_DIM + 1)
         if kind.matrix:
             out["nested-list"] = [[[1.0]]]
     return out
@@ -611,18 +606,33 @@ def test_the_table_lists_the_32_settable_keys_once():
 
 @pytest.mark.parametrize("key", schema.KEYS, ids=lambda key: key.path)
 def test_each_key_refuses_from_a_valid_sweep_document(key):
-    assert len(_prepare_sweep(_sweep_document(key))) == 1
+    assert len(_prepare_sweep(_document_reading(key))) == 1
 
 
 @pytest.mark.parametrize(
     "key, name, value", _REFUSALS, ids=[f"{key.path}-{name}" for key, name, _ in _REFUSALS]
 )
 def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, key, name, value):
-    path = write_doc(tmp_path, _sweep_setting(key, value))
-    assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
     message = "an entry is null, not a number" if name == "null-entry" else ""
-    assert capsys.readouterr().err.startswith(f"error: {key.path}: {message}")
-    assert not (tmp_path / "out").exists()
+    _assert_sweep_refuses(tmp_path, capsys, _setting(_document_reading(key), key.path, value), f"{key.path}: {message}")
+
+
+#: the path of each mapping the table describes ('' is the document), and a mixture component
+_MAPPINGS = sorted(
+    {".".join(key.path.split(".")[:depth]) for key in schema.KEYS for depth in range(key.path.count(".") + 1)}
+) + ["objective.components.0"]
+
+
+@pytest.mark.parametrize("case", ["unknown-key", "not-a-mapping"])
+@pytest.mark.parametrize("mapping", _MAPPINGS, ids=lambda path: path or "document")
+def test_each_mapping_refuses_an_unknown_key_and_a_non_mapping(tmp_path, capsys, mapping, case):
+    doc = _sweep_document("mixture" if mapping.startswith("objective.components") else "quadratic", mapping)
+    if case == "unknown-key":
+        path = f"{mapping}.unknown_key".lstrip(".")
+        _assert_sweep_refuses(tmp_path, capsys, _setting(doc, path, 1), f"{path}: unknown key")
+    else:
+        start = f"{mapping}: must be a mapping" if mapping else "config document must be a mapping"
+        _assert_sweep_refuses(tmp_path, capsys, _setting(doc, mapping, 5), start)
 
 
 def test_the_readme_key_block_names_the_32_keys_of_the_table():
@@ -639,6 +649,16 @@ def test_the_readme_key_block_names_the_32_keys_of_the_table():
                 yield path
 
     assert sorted(paths(yaml.safe_load(block))) == sorted(table)
+
+    # each integer's range, in the comment of the line that sets it; a rule raises iterations' low end
+    shown, lows = {schema.MAX_DIM: "4096", schema.MAX_DIM**2: "4096²"}, {"run.iterations": "workers"}
+    for key in schema.KEYS:
+        if isinstance(key.kind, schema.Integer):
+            low = lows.get(key.path, key.kind.low)
+            expected = f">= {low}" if key.kind.high is None else f"{low}..{shown[key.kind.high]}"
+            name = key.path.rsplit(".", 1)[1]
+            [line] = [line for line in block.splitlines() if re.search(rf"\b{name}:", line.split("#")[0])]
+            assert re.search(rf"(?<!\S){re.escape(expected)}(?![\d²])", line.split("#", 1)[1]), key.path
 
 
 @pytest.mark.parametrize(

@@ -1018,13 +1018,6 @@ def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("radius", [math.inf, math.nan])
-def test_domain_rejects_a_non_finite_radius(radius):
-    with pytest.raises(InvalidConfigError) as err:
-        domain_from_spec({"family": "quadratic", "dim": 2, "domain": {"radius": radius}})
-    assert err.value.field == "objective.domain.radius"
-
-
 @pytest.mark.parametrize("value", [True, np.True_, "1.5", b"1.5"], ids=["bool", "numpy-bool", "str", "bytes"])
 def test_number_fields_refuse_bools_and_strings_at_any_depth(value):
     with pytest.raises(InvalidConfigError) as err:
