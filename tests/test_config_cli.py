@@ -538,9 +538,12 @@ def _sweep_document(family: str, path: str) -> dict:
     )
 
 
-def _document_reading(key: schema.Key) -> dict:
-    """A valid sweep document whose runs read ``key``; a grid axis elsewhere."""
-    return _sweep_document(key.readers[0] if key.path.startswith("objective.") else "quadratic", key.path)
+def _document_reading(key: schema.Key, path: str) -> dict:
+    """A valid sweep document whose runs read ``key`` at ``path`` (in a mixture, below
+    ``objective.components``); a grid axis elsewhere."""
+    if path.startswith("objective.components."):
+        return _sweep_document("mixture", path)
+    return _sweep_document(key.readers[0] if path.startswith("objective.") else "quadratic", path)
 
 
 def _setting(doc: dict, path: str, value) -> dict:
@@ -566,7 +569,8 @@ def _assert_sweep_refuses(tmp_path, capsys, doc, start: str):
 def _refused(key: schema.Key) -> dict:
     """The values ``key``'s kind refuses, by name: the wrong types (a numeral string, and a
     whole float where an integer is due), the far side of each end of its range, too large
-    for a float, a list longer than MAX_DIM, and null where the key has a default."""
+    for a float, a list longer than MAX_DIM or with an entry of a wrong type, and null
+    where the key has a default."""
     kind = key.kind
     out = {"bool": True, "string": "x", "numeral": "0.5", "nested-list": [[1.0, 2.0]]}
     out.update({"nan": math.nan, "inf": math.inf, "-inf": -math.inf})
@@ -589,32 +593,35 @@ def _refused(key: schema.Key) -> dict:
             out["above"] = math.nextafter(kind.high, math.inf) if kind.high_closed else kind.high
     elif isinstance(kind, schema.Numbers):
         out.update({"empty": [], "nan-entry": [1.0, math.nan], "null-entry": [None, 1.0], "float-overflow": [10**400]})
+        out.update({"bool-entry": [1.0, True], "string-entry": [1.0, "x"], "numeral-entry": [1.0, "0.5"]})
         out["too-long"] = [0.0] * (schema.MAX_DIM + 1)
         if kind.matrix:
             out["nested-list"] = [[[1.0]]]
     return out
 
 
-_REFUSALS = [(key, name, value) for key in schema.KEYS for name, value in _refused(key).items()]
+#: where each key is read: at its own path, and at the first mixture component's if a component reads it
+_PLACES = [(key.path, key) for key in schema.KEYS] + [
+    ("objective.components.0." + key.path.rsplit(".", 1)[1], key) for key in schema.KEYS if schema.COMPONENT in key.readers
+]
+_REFUSALS = [(path, key, name, value) for path, key in _PLACES for name, value in _refused(key).items()]
 
 
 def test_the_table_lists_the_32_settable_keys_once():
     paths = [key.path for key in schema.KEYS]
     assert len(paths) == len(set(paths)) == 32
-    assert {key.path for key, _, _ in _REFUSALS} == set(paths)
+    assert {key.path for _, key, _, _ in _REFUSALS} == set(paths)
 
 
 @pytest.mark.parametrize("key", schema.KEYS, ids=lambda key: key.path)
 def test_each_key_refuses_from_a_valid_sweep_document(key):
-    assert len(_prepare_sweep(_document_reading(key))) == 1
+    assert len(_prepare_sweep(_document_reading(key, key.path))) == 1
 
 
-@pytest.mark.parametrize(
-    "key, name, value", _REFUSALS, ids=[f"{key.path}-{name}" for key, name, _ in _REFUSALS]
-)
-def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, key, name, value):
+@pytest.mark.parametrize("path, key, name, value", _REFUSALS, ids=[f"{path}-{name}" for path, _, name, _ in _REFUSALS])
+def test_each_key_refuses_what_its_kind_refuses(tmp_path, capsys, path, key, name, value):
     message = "an entry is null, not a number" if name == "null-entry" else ""
-    _assert_sweep_refuses(tmp_path, capsys, _setting(_document_reading(key), key.path, value), f"{key.path}: {message}")
+    _assert_sweep_refuses(tmp_path, capsys, _setting(_document_reading(key, path), path, value), f"{path}: {message}")
 
 
 #: the path of each mapping the table describes ('' is the document), and a mixture component
