@@ -904,12 +904,6 @@ def test_from_spec_mixture_needs_exactly_two_components(count):
     assert err.value.field == "objective.components"
 
 
-def test_from_spec_unknown_family():
-    with pytest.raises(InvalidConfigError) as err:
-        from_spec({"family": "cubic"}, 0.1)
-    assert "objective.family" in str(err.value)
-
-
 def test_domain_from_spec():
     spec = {"family": "quadratic", "dim": 2, "domain": {"radius": 1.5}}
     ball = domain_from_spec(spec)
@@ -923,67 +917,9 @@ def test_domain_from_spec():
 # ---------------------------------------------------------------- spec fields
 
 
-#: the refusals of a spec, by name: (spec, the field its error names)
+#: the specs refused by a rule no one key decides (two fields that must agree, the family,
+#: the size budgets), by name: (spec, the field its error names)
 _SPEC_REFUSALS = {
-    "inf-squash": ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
-    "nan-squash": ({"family": "nonconvex", "dim": 2, "squash_scale": math.nan}, "objective.squash_scale"),
-    # separation, data_seed, matrix and weights are not keys: each is refused by name
-    "separation": ({"family": "logistic", "separation": 2.0}, "objective.separation"),
-    "separation-with-noise": ({"family": "logistic", "separation": 0.5, "noise_sigma": 0.1}, "objective.separation"),
-    "separation-with-sizes": (
-        {"family": "logistic", "classes": 3, "samples": 200, "separation": 2},
-        "objective.separation",
-    ),
-    "half-class": ({"family": "logistic", "classes": 2.5}, "objective.classes"),
-    "fractional-feature_dim": ({"family": "logistic", "feature_dim": 3.5}, "objective.feature_dim"),
-    "fractional-samples": ({"family": "logistic", "samples": 100.5}, "objective.samples"),
-    "data_seed": ({"family": "logistic", "data_seed": 0}, "objective.data_seed"),
-    "inf-classes": ({"family": "logistic", "classes": math.inf}, "objective.classes"),
-    "fractional-dim": ({"family": "quadratic", "dim": 2.5}, "objective.dim"),
-    "fractional-component-dim": (
-        {"family": "mixture", "components": [{"dim": 2}, {"dim": 1.5}]},
-        "objective.components.1.dim",
-    ),
-    "nan-minimizer": ({"family": "quadratic", "minimizer": [1.0, math.nan]}, "objective.minimizer"),
-    "inf-offset": ({"family": "quadratic", "offset": [math.inf, 0.0]}, "objective.offset"),
-    "inf-curvature": ({"family": "quadratic", "dim": 2, "curvature": math.inf}, "objective.curvature"),
-    "nan-curvature-entry": (
-        {"family": "quadratic", "curvature": [1.0, math.nan], "minimizer": [1.0, 1.0]},
-        "objective.curvature",
-    ),
-    "matrix": ({"family": "nonconvex", "dim": 2, "matrix": [[1.0, 0.0], [0.0, 2.0]]}, "objective.matrix"),
-    "nan-component-minimizer": (
-        {"family": "mixture", "components": [{"minimizer": [math.nan]}, {"minimizer": [1.0]}]},
-        "objective.components.0.minimizer",
-    ),
-    "weights": (
-        {"family": "mixture", "components": [{"dim": 1}, {"dim": 1}], "weights": [0.1, 0.9]},
-        "objective.weights",
-    ),
-    "huge-dim": ({"family": "quadratic", "dim": 32764}, "objective.dim"),
-    "zero-dim": ({"family": "quadratic", "dim": 0}, "objective.dim"),
-    "wide-component-dim": (
-        {"family": "mixture", "components": [{"dim": 2}, {"dim": 4097}]},
-        "objective.components.1.dim",
-    ),
-    "nan-center": (
-        {"family": "quadratic", "dim": 2, "domain": {"center": [0.0, math.nan], "radius": 1.0}},
-        "objective.domain.center",
-    ),
-    "wide-dim-with-domain": (
-        {"family": "quadratic", "offset": [0.0], "dim": 4097, "domain": {"radius": 1.0}},
-        "objective.dim",
-    ),
-    "inf-curvature-row": (
-        {"family": "nonconvex", "dim": 2, "curvature": [[1.0, 0.0], [0.0, math.inf]]},
-        "objective.curvature",
-    ),
-    "component-matrix": (
-        {"family": "mixture", "components": [{"minimizer": [0.0]}, {"dim": 1, "matrix": 2.0}]},
-        "objective.components.1.matrix",
-    ),
-    "negative-noise": ({"family": "logistic", "noise_sigma": -0.5}, "objective.noise_sigma"),
-    "samples-cap": ({"family": "logistic", "samples": 10**9}, "objective.samples"),
     "features-budget": ({"family": "logistic", "classes": 2, "feature_dim": 2049}, "objective.feature_dim"),
     "samples-budget": ({"family": "logistic", "classes": 4096, "feature_dim": 1, "samples": 4097}, "objective.samples"),
     "offset-and-minimizer": (
@@ -1000,20 +936,8 @@ _SPEC_REFUSALS = {
         {"family": "mixture", "components": [{"offset": [1.0], "minimizer": [1.0]}, {"dim": 1}]},
         "objective.components.0.minimizer",
     ),
-    # one integer rule: a whole float or a bool is not an integer
-    "whole-float-classes": ({"family": "logistic", "classes": 3.0, "samples": 60}, "objective.classes"),
-    "whole-float-dim": ({"family": "quadratic", "dim": 3.0}, "objective.dim"),
-    "bool-dim": ({"family": "quadratic", "dim": True}, "objective.dim"),
-    "whole-float-component-dim": (
-        {"family": "mixture", "components": [{"dim": 1}, {"dim": 1.0}]},
-        "objective.components.1.dim",
-    ),
-    "bool-feature_dim": ({"family": "logistic", "feature_dim": True}, "objective.feature_dim"),
-    "zero-feature_dim": ({"family": "logistic", "feature_dim": 0}, "objective.feature_dim"),
-    "one-class": ({"family": "logistic", "classes": 1}, "objective.classes"),
     # the shape and definiteness refusals name the curvature too
     "curvature-length": ({"family": "quadratic", "dim": 3, "curvature": [1.0, 2.0]}, "objective.curvature"),
-    "deep-curvature": ({"family": "quadratic", "dim": 1, "curvature": [[[1.0]]]}, "objective.curvature"),
     "asymmetric-curvature": (
         {"family": "nonconvex", "dim": 2, "curvature": [[1.0, 1.0], [0.0, 1.0]]},
         "objective.curvature",
@@ -1027,7 +951,7 @@ _SPEC_REFUSALS = {
 
 
 @pytest.mark.parametrize("spec, field", _SPEC_REFUSALS.values(), ids=_SPEC_REFUSALS)
-def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
+def test_from_spec_refuses_by_cross_field_family_and_budget_rules(spec, field):
     with pytest.raises(InvalidConfigError) as err:
         from_spec(spec, 0.1)
         domain_from_spec(spec)
