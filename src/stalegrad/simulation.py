@@ -261,8 +261,7 @@ def _all_finite(v: Array) -> bool:
 
     Exact fast path: v·v sums nonnegative terms, so it is finite only when
     every entry is.  When it is not (a non-finite entry, or squares that
-    overflow, which numpy reports with its usual overflow warning), the
-    entries are checked one by one.
+    overflow), the entries are checked one by one.
     """
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
@@ -319,45 +318,46 @@ def run(config: SimConfig) -> RunTrace:
     pending: set[int] = {1}
 
     step, params = prep.step, prep.params
-    for t in range(1, T + 1):
-        row = t - 1
-        clock, worker, k, wait, tag, g, g_prev = pop(heap)
-        tau = t - k
-        pending.discard(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises DivergedRunError
+        for t in range(1, T + 1):
+            row = t - 1
+            clock, worker, k, wait, tag, g, g_prev = pop(heap)
+            tau = t - k
+            pending.discard(k)
 
-        worker_col[row] = worker
-        dispatch_col[row] = k
-        pending_col[row] = len(pending)
-        wait_col[row] = wait
-        component_col.append(tag)
-        loss_col[row] = objective.loss(query)
-        grad_norm_col[row] = euclidean_norm(objective.grad(query))
-        if record:
-            gradients[row] = g
-            pre_iterates[row] = query
-        if row % stride == 0 or t == T:
-            snapshot_steps.append(t)
-            snapshots.append(np.array(query))
+            worker_col[row] = worker
+            dispatch_col[row] = k
+            pending_col[row] = len(pending)
+            wait_col[row] = wait
+            component_col.append(tag)
+            loss_col[row] = objective.loss(query)
+            grad_norm_col[row] = euclidean_norm(objective.grad(query))
+            if record:
+                gradients[row] = g
+                pre_iterates[row] = query
+            if row % stride == 0 or t == T:
+                snapshot_steps.append(t)
+                snapshots.append(np.array(query))
 
-        before = state
-        state = step(params, state, g, t, k, tau, g_prev)
-        if state is before:  # the rule dropped the report
-            applied_col[row] = False
+            before = state
+            state = step(params, state, g, t, k, tau, g_prev)
+            if state is before:  # the rule dropped the report
+                applied_col[row] = False
 
-        new_query = state.query
-        buf = state.buffer
-        if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
-            raise DivergedRunError(step=t, last_iterate=np.array(query))
-        if record:
-            if buf is not None:
-                buffers[row] = buf
-            if descent_rows is not None:
-                descent_rows.append(np.array(state.descent))
+            new_query = state.query
+            buf = state.buffer
+            if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
+                raise DivergedRunError(step=t, last_iterate=np.array(query))
+            if record:
+                if buf is not None:
+                    buffers[row] = buf
+                if descent_rows is not None:
+                    descent_rows.append(np.array(state.descent))
 
-        query_prev = query
-        query = new_query
-        pending.add(t + 1)
-        dispatch(worker, t + 1, query, query_prev, clock)
+            query_prev = query
+            query = new_query
+            pending.add(t + 1)
+            dispatch(worker, t + 1, query, query_prev, clock)
 
     t_col = np.arange(1, T + 1, dtype=np.int64)
     return RunTrace(

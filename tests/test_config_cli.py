@@ -770,8 +770,6 @@ def _mutated(data, docs) -> dict:
     return doc
 
 
-# a diverging run (say, eta: 1e308) warns of overflow before it raises
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_documents_run_or_name_a_field(data):
@@ -909,7 +907,6 @@ def test_report_check_refuses_a_missing_or_malformed_runs_table(tmp_path, capsys
     assert (out / "report.txt").exists() == (damage == "columns")  # a missing table is found first
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
     doc = sweep_doc()
     doc["sweep"] = dict(doc["sweep"], grid={"optimizer.eta": [0.05, 1e100]})
@@ -921,8 +918,15 @@ def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
     assert cli.main(["report", str(out), "--check"]) == 0
     assert "CHECK PASS" in capsys.readouterr().out
 
-    path = write_doc(tmp_path, dict(BASE_DOC, optimizer={"method": "vanilla", "eta": 1e100}), "run.yaml")
-    assert cli.main(["run", path, "--output-dir", str(tmp_path / "run")]) == 1  # every seed diverged
+
+def test_a_diverging_run_names_its_step_in_the_summary(tmp_path, capsys):
+    """The run's floats overflow on the way; a warning would fail the test."""
+    doc = dict(BASE_DOC, optimizer={"method": "vanilla", "eta": 50.0}, run=dict(BASE_DOC["run"], iterations=400))
+    out = tmp_path / "run"
+    assert cli.main(["run", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 1  # every seed diverged
+    [entry] = json.loads((out / "run_summary.json").read_text())["runs"]
+    assert entry["diverged"] is True and 1 <= entry["diverged_step"] <= 400
+    assert f"seed 3: DIVERGED at t={entry['diverged_step']}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- validate command

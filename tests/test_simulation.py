@@ -87,7 +87,6 @@ def test_tampered_trace_raises_divergence(name):
     assert err.value.first_index == row + 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_diverged_run_error_carries_context():
     config = momentum_config(
         optimizer={"method": "vanilla", "eta": 1e100}, total_iterations=50, seed=2
