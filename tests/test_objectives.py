@@ -167,7 +167,7 @@ def _rerun_under_other_openblas_cores(selection: str) -> None:
         core: subprocess.Popen(
             command,
             cwd=Path(__file__).parents[1],
-            env=dict(os.environ, OPENBLAS_CORETYPE=core),
+            env=dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1"),  # two children share the cores
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
