@@ -310,14 +310,14 @@ def test_mixture_weights_must_be_a_distribution():
 @pytest.mark.parametrize(
     "spec",
     [
-        pytest.param({"family": "quadratic", "dim": 2}, id="Quadratic"),
         pytest.param({"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]}, id="Mixture"),
         pytest.param({"family": "nonconvex", "dim": 2}, id="NonconvexQuadratic"),
         pytest.param({"family": "logistic"}, id="Logistic"),
     ],
 )
 def test_every_family_refuses_negative_noise(spec):
-    """The config table refuses it for every family; the constructors take checked values."""
+    """The config table refuses it for every family, as the generated refusals do for the
+    quadratic family; the constructors take checked values."""
     with pytest.raises(InvalidConfigError) as err:
         from_spec(dict(spec, noise_sigma=-0.5), 0.1)
     assert err.value.field == "objective.noise_sigma"
