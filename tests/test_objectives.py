@@ -310,14 +310,14 @@ def test_mixture_weights_must_be_a_distribution():
 @pytest.mark.parametrize(
     "spec",
     [
+        pytest.param({"family": "quadratic", "dim": 2}, id="Quadratic"),
         pytest.param({"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]}, id="Mixture"),
         pytest.param({"family": "nonconvex", "dim": 2}, id="NonconvexQuadratic"),
         pytest.param({"family": "logistic"}, id="Logistic"),
     ],
 )
 def test_every_family_refuses_negative_noise(spec):
-    """The config table refuses it for every family, as the generated refusals do for the
-    quadratic family; the constructors take checked values."""
+    """The config table refuses it for every family; the constructors take checked values."""
     with pytest.raises(InvalidConfigError) as err:
         from_spec(dict(spec, noise_sigma=-0.5), 0.1)
     assert err.value.field == "objective.noise_sigma"
@@ -904,6 +904,12 @@ def test_from_spec_mixture_needs_exactly_two_components(count):
     assert err.value.field == "objective.components"
 
 
+def test_from_spec_unknown_family():
+    with pytest.raises(InvalidConfigError) as err:
+        from_spec({"family": "cubic"}, 0.1)
+    assert "objective.family" in str(err.value)
+
+
 def test_domain_from_spec():
     spec = {"family": "quadratic", "dim": 2, "domain": {"radius": 1.5}}
     ball = domain_from_spec(spec)
@@ -917,41 +923,95 @@ def test_domain_from_spec():
 # ---------------------------------------------------------------- spec fields
 
 
-#: the specs refused by a rule no one key decides (two fields that must agree, the family,
-#: the size budgets), by name: (spec, the field its error names)
-_SPEC_REFUSALS = {
-    "features-budget": ({"family": "logistic", "classes": 2, "feature_dim": 2049}, "objective.feature_dim"),
-    "samples-budget": ({"family": "logistic", "classes": 4096, "feature_dim": 1, "samples": 4097}, "objective.samples"),
-    "offset-and-minimizer": (
-        {"family": "quadratic", "offset": [1.0, 0.0], "minimizer": [5.0, 5.0]},
-        "objective.minimizer",
-    ),
-    "minimizer-length": ({"family": "quadratic", "dim": 3, "minimizer": [1.0, 2.0]}, "objective.dim"),
-    "offset-length": ({"family": "nonconvex", "dim": 1, "offset": [1.0, 2.0]}, "objective.dim"),
-    "component-offset-length": (
-        {"family": "mixture", "components": [{"minimizer": [1.0]}, {"dim": 2, "offset": [1.0]}]},
-        "objective.components.1.dim",
-    ),
-    "component-offset-and-minimizer": (
-        {"family": "mixture", "components": [{"offset": [1.0], "minimizer": [1.0]}, {"dim": 1}]},
-        "objective.components.0.minimizer",
-    ),
-    # the shape and definiteness refusals name the curvature too
-    "curvature-length": ({"family": "quadratic", "dim": 3, "curvature": [1.0, 2.0]}, "objective.curvature"),
-    "asymmetric-curvature": (
-        {"family": "nonconvex", "dim": 2, "curvature": [[1.0, 1.0], [0.0, 1.0]]},
-        "objective.curvature",
-    ),
-    "zero-curvature": ({"family": "quadratic", "dim": 2, "curvature": 0.0}, "objective.curvature"),
-    "negative-component-curvature": (
-        {"family": "mixture", "components": [{"dim": 1}, {"dim": 1, "curvature": -1.0}]},
-        "objective.components.1.curvature",
-    ),
-}
-
-
-@pytest.mark.parametrize("spec, field", _SPEC_REFUSALS.values(), ids=_SPEC_REFUSALS)
-def test_from_spec_refuses_by_cross_field_family_and_budget_rules(spec, field):
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"family": "nonconvex", "dim": 2, "squash_scale": math.inf}, "objective.squash_scale"),
+        ({"family": "nonconvex", "dim": 2, "squash_scale": math.nan}, "objective.squash_scale"),
+        # separation, data_seed, matrix and weights are not keys: each is refused by name
+        ({"family": "logistic", "separation": 2.0}, "objective.separation"),
+        ({"family": "logistic", "separation": 0.5, "noise_sigma": 0.1}, "objective.separation"),
+        ({"family": "logistic", "classes": 3, "samples": 200, "separation": 2}, "objective.separation"),
+        ({"family": "logistic", "classes": 2.5}, "objective.classes"),
+        ({"family": "logistic", "feature_dim": 3.5}, "objective.feature_dim"),
+        ({"family": "logistic", "samples": 100.5}, "objective.samples"),
+        ({"family": "logistic", "data_seed": 0}, "objective.data_seed"),
+        ({"family": "logistic", "classes": math.inf}, "objective.classes"),
+        ({"family": "quadratic", "dim": 2.5}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"dim": 2}, {"dim": 1.5}]},
+            "objective.components.1.dim",
+        ),
+        ({"family": "quadratic", "minimizer": [1.0, math.nan]}, "objective.minimizer"),
+        ({"family": "quadratic", "offset": [math.inf, 0.0]}, "objective.offset"),
+        ({"family": "quadratic", "dim": 2, "curvature": math.inf}, "objective.curvature"),
+        (
+            {"family": "quadratic", "curvature": [1.0, math.nan], "minimizer": [1.0, 1.0]},
+            "objective.curvature",
+        ),
+        ({"family": "nonconvex", "dim": 2, "matrix": [[1.0, 0.0], [0.0, 2.0]]}, "objective.matrix"),
+        (
+            {"family": "mixture", "components": [{"minimizer": [math.nan]}, {"minimizer": [1.0]}]},
+            "objective.components.0.minimizer",
+        ),
+        (
+            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1}], "weights": [0.1, 0.9]},
+            "objective.weights",
+        ),
+        ({"family": "quadratic", "dim": 32764}, "objective.dim"),
+        ({"family": "quadratic", "dim": 0}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"dim": 2}, {"dim": 4097}]},
+            "objective.components.1.dim",
+        ),
+        (
+            {"family": "quadratic", "dim": 2, "domain": {"center": [0.0, math.nan], "radius": 1.0}},
+            "objective.domain.center",
+        ),
+        ({"family": "quadratic", "offset": [0.0], "dim": 4097, "domain": {"radius": 1.0}}, "objective.dim"),
+        (
+            {"family": "nonconvex", "dim": 2, "curvature": [[1.0, 0.0], [0.0, math.inf]]},
+            "objective.curvature",
+        ),
+        (
+            {"family": "mixture", "components": [{"minimizer": [0.0]}, {"dim": 1, "matrix": 2.0}]},
+            "objective.components.1.matrix",
+        ),
+        ({"family": "logistic", "noise_sigma": -0.5}, "objective.noise_sigma"),
+        ({"family": "logistic", "samples": 10**9}, "objective.samples"),
+        ({"family": "logistic", "classes": 2, "feature_dim": 2049}, "objective.feature_dim"),
+        ({"family": "logistic", "classes": 4096, "feature_dim": 1, "samples": 4097}, "objective.samples"),
+        ({"family": "quadratic", "offset": [1.0, 0.0], "minimizer": [5.0, 5.0]}, "objective.minimizer"),
+        ({"family": "quadratic", "dim": 3, "minimizer": [1.0, 2.0]}, "objective.dim"),
+        ({"family": "nonconvex", "dim": 1, "offset": [1.0, 2.0]}, "objective.dim"),
+        (
+            {"family": "mixture", "components": [{"minimizer": [1.0]}, {"dim": 2, "offset": [1.0]}]},
+            "objective.components.1.dim",
+        ),
+        (
+            {"family": "mixture", "components": [{"offset": [1.0], "minimizer": [1.0]}, {"dim": 1}]},
+            "objective.components.0.minimizer",
+        ),
+        # one integer rule: a whole float or a bool is not an integer
+        ({"family": "logistic", "classes": 3.0, "samples": 60}, "objective.classes"),
+        ({"family": "quadratic", "dim": 3.0}, "objective.dim"),
+        ({"family": "quadratic", "dim": True}, "objective.dim"),
+        ({"family": "mixture", "components": [{"dim": 1}, {"dim": 1.0}]}, "objective.components.1.dim"),
+        ({"family": "logistic", "feature_dim": True}, "objective.feature_dim"),
+        ({"family": "logistic", "feature_dim": 0}, "objective.feature_dim"),
+        ({"family": "logistic", "classes": 1}, "objective.classes"),
+        # the shape and definiteness refusals name the curvature too
+        ({"family": "quadratic", "dim": 3, "curvature": [1.0, 2.0]}, "objective.curvature"),
+        ({"family": "quadratic", "dim": 1, "curvature": [[[1.0]]]}, "objective.curvature"),
+        ({"family": "nonconvex", "dim": 2, "curvature": [[1.0, 1.0], [0.0, 1.0]]}, "objective.curvature"),
+        ({"family": "quadratic", "dim": 2, "curvature": 0.0}, "objective.curvature"),
+        (
+            {"family": "mixture", "components": [{"dim": 1}, {"dim": 1, "curvature": -1.0}]},
+            "objective.components.1.curvature",
+        ),
+    ],
+)
+def test_from_spec_rejects_non_finite_and_non_integral_fields(spec, field):
     with pytest.raises(InvalidConfigError) as err:
         from_spec(spec, 0.1)
         domain_from_spec(spec)
