@@ -28,37 +28,32 @@ from .simulation import run as run_simulation
 from .simulation import validate_config
 
 
-#: rows the trace writer converts to Python objects at a time; small enough
-#: that the converted chunk adds well under 0.1 MiB to the writer's peak memory
-_CSV_CHUNK = 256
+#: cells the CSV writers convert to Python objects at a time (256 trace rows, or one
+#: row if a snapshot row is wider), so a writer's memory does not grow with the row count
+_CSV_CHUNK = 2048
 
 
-def _cells(column):
-    """A chunk of one trace column as CSV cells: floats through ``repr``, ints and tags as they are."""
-    if not hasattr(column, "dtype"):  # the component tags, a tuple of str
-        return column
-    values = column.tolist()
-    return map(repr, values) if column.dtype.kind == "f" else values
+def _write_rows(path: Path, header, columns) -> None:
+    """One CSV row per index of ``columns``: a float column's cells through ``repr``, the
+    rest (ints and component tags) through ``str``.  None of these holds a comma, a quote
+    or a newline, so no cell is quoted; a column that could hold one must go through :mod:`csv`."""
+    line = ",".join("%r" if getattr(column, "dtype", None) == float else "%s" for column in columns) + "\n"
+    step = max(1, _CSV_CHUNK // len(columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), step):
+            chunk = (column[start : start + step] for column in columns)
+            rows = zip(*(part.tolist() if hasattr(part, "tolist") else part for part in chunk))
+            fh.write("".join(line % row for row in rows))
 
 
 def _write_trace_csv(trace, path: Path) -> None:
-    """One row per step; columns are converted with ``tolist`` a chunk at a time."""
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for start in range(0, len(trace), _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
-            writer.writerows(zip(*(_cells(column[rows]) for column in columns)))
+    _write_rows(path, TRACE_COLUMNS, [getattr(trace, name) for name in TRACE_COLUMNS])
 
 
 def _write_snapshot_csv(trace, path: Path) -> None:
-    dim = trace.snapshots.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{j}" for j in range(dim)])
-        for step, row in zip(trace.snapshot_steps, trace.snapshots):
-            writer.writerow([int(step)] + [repr(float(v)) for v in row])
+    header = ["t", *(f"x{j}" for j in range(trace.snapshots.shape[1]))]
+    _write_rows(path, header, [trace.snapshot_steps, *trace.snapshots.T])
 
 
 def _final_metrics(trace) -> dict:

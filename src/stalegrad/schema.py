@@ -105,7 +105,7 @@ class Integer:
 
 @dataclass(frozen=True)
 class Number:
-    """A finite float between ``low`` and ``high``; each end is open unless closed."""
+    """A float between ``low`` and ``high``, each end open unless closed; NaN and ±inf fall outside."""
 
     low: float
     high: float = math.inf
@@ -119,8 +119,6 @@ class Number:
             out = float(value)
         except (TypeError, ValueError, OverflowError):
             raise InvalidConfigError(f"must be a number, got {value!r}", field=field) from None
-        if not math.isfinite(out):
-            raise InvalidConfigError(f"must be finite, got {out!r}", field=field)
         above = self.low < out or (self.low_closed and out == self.low)
         below = out < self.high or (self.high_closed and out == self.high)
         if not (above and below):

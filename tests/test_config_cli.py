@@ -204,25 +204,35 @@ def _write_trace_csv_row_by_row(trace, path):
             )
 
 
+def _write_snapshot_csv_row_by_row(trace, path):
+    """The snapshot CSV written one row at a time, converting one cell at a time."""
+    dim = trace.snapshots.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"x{j}" for j in range(dim)])
+        for step, row in zip(trace.snapshot_steps, trace.snapshots):
+            writer.writerow([int(step)] + [repr(float(v)) for v in row])
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_chunked_trace_csv_matches_a_row_by_row_writer(tmp_path, monkeypatch, extra):
-    chunk = 16
-    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    """Both CSV files, written a chunk of 16 rows at a time, against a row-by-row
+    ``csv.writer``; the snapshots hold a negative zero and an exponent-form repr."""
+    rows = 16
     doc = copy.deepcopy(BASE_DOC)
-    doc["run"].update(workers=4, iterations=chunk + extra)
+    doc["run"].update(workers=4, iterations=rows + extra, snapshot_stride=1, x_init=[-0.0, 1e-300])
     trace = cli.run_simulation(parse_sim_config(doc))
-    assert len(trace) == chunk + extra and set(trace.component) == {"slow", "fast"}
-    cli._write_trace_csv(trace, tmp_path / "chunked.csv")
-    _write_trace_csv_row_by_row(trace, tmp_path / "rows.csv")
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-
-
-def test_run_rejects_bad_slow_weight(tmp_path, capsys):
-    doc = dict(BASE_DOC)
-    doc["delay"] = {"slow_weight": 1.2}
-    path = write_doc(tmp_path, doc)
-    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
-    assert "delay.slow_weight" in capsys.readouterr().err
+    assert len(trace) == len(trace.snapshot_steps) == rows + extra and set(trace.component) == {"slow", "fast"}
+    assert repr(trace.snapshots[0].tolist()) == "[-0.0, 1e-300]"
+    writers = [
+        (cli._write_trace_csv, _write_trace_csv_row_by_row, len(TRACE_COLUMNS)),
+        (cli._write_snapshot_csv, _write_snapshot_csv_row_by_row, 1 + trace.snapshots.shape[1]),
+    ]
+    for write, write_row_by_row, width in writers:
+        monkeypatch.setattr(cli, "_CSV_CHUNK", rows * width)  # cells, so `rows` rows a chunk
+        write(trace, tmp_path / "chunked.csv")
+        write_row_by_row(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_run_writes_snapshots_when_strided(tmp_path):
@@ -737,27 +747,22 @@ THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05
         ("run.x_init", "12"),
         ("optimizer.theory", "false"),
         ("optimizer.etta", 0.05),
+        ("delay.slow_weight", 0.0),
+        ("delay.slow_weight", 1.0),
+        ("delay.slow_weight", math.nan),
     ],
 )
 def test_malformed_run_fields_name_their_path(field, value):
-    """A SimConfig built in code skips check_document; constructing it must still refuse it."""
+    """A SimConfig built in code skips check_document; constructing it must still refuse it
+    (before the run, whose delay model checks the slow weight again)."""
     section, key = field.split(".")
     valid = parse_sim_config(THEORY_DOC)
     with pytest.raises(InvalidConfigError) as err:
-        if section == "optimizer":
-            dataclasses.replace(valid, optimizer=dict(valid.optimizer, **{key: value}))
+        if section in ("optimizer", "delay"):
+            dataclasses.replace(valid, **{section: dict(getattr(valid, section), **{key: value})})
         else:
             dataclasses.replace(valid, **{RUN_FIELDS.get(key, key): value})
     assert err.value.field == field
-
-
-def test_sweep_seed_default_is_checked_as_run_seed():
-    doc = copy.deepcopy(THEORY_DOC)
-    doc["run"]["seed"] = "3"
-    doc["sweep"] = {"grid": {"optimizer.eta": [0.01, 0.05]}, "seeds": {"count": 2}}
-    with pytest.raises(InvalidConfigError) as err:
-        ExperimentConfig.from_document(doc)
-    assert err.value.field == "run.seed"
 
 
 _SMALL_RUN = {"workers": 3, "iterations": 20, "seed": 1}
@@ -853,16 +858,30 @@ def _mutated(data, docs) -> dict:
     return doc
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_documents_run_or_name_a_field(data):
-    doc = _mutated(data, _VALID_DOCS)
+def _run_or_name_a_field(doc) -> str:
+    """How ``doc`` ended: it ran, it diverged, or it was refused with a field path."""
     try:
         run(parse_sim_config(doc))
     except InvalidConfigError as exc:
         assert exc.field, f"{exc} names no field"
+        return "refused"
     except DivergedRunError:
-        pass  # a run that blows up still ran
+        return "diverged"  # a run that blows up still ran
+    return "ran"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_run_or_name_a_field(data):
+    _run_or_name_a_field(_mutated(data, _VALID_DOCS))
+
+
+def test_a_mutated_document_that_diverges_raises_without_a_warning():
+    """The derandomized examples above diverge nowhere; this one does.  The suite turns
+    every warning into an error, so an overflow warning would fail it before the raise."""
+    doc = copy.deepcopy(_VALID_DOCS[0])
+    doc["optimizer"]["eta"] = 1e308
+    assert _run_or_name_a_field(doc) == "diverged"
 
 
 _SWEEP_DOCS = [

@@ -102,7 +102,9 @@ def test_single_draw_serves_schedule_and_component():
 
 
 def test_build_validation():
-    """The worker count comes checked from the config; the threshold still refuses a slow weight outside (0, 1)."""
+    """The worker count comes checked from the config.  The threshold still refuses a slow weight
+    outside (0, 1) for callers with no ``SimConfig``, such as the validate suite: q₁ = 0 would fail
+    in ``math.log``, and q₁ ≥ 1 would give a threshold of zero or less and make every ticket slow."""
     for slow_weight in (0.0, 1.2):
         with pytest.raises(InvalidConfigError) as err:
             DelayModel.build(4, slow_weight)

@@ -904,12 +904,6 @@ def test_from_spec_mixture_needs_exactly_two_components(count):
     assert err.value.field == "objective.components"
 
 
-def test_from_spec_unknown_family():
-    with pytest.raises(InvalidConfigError) as err:
-        from_spec({"family": "cubic"}, 0.1)
-    assert "objective.family" in str(err.value)
-
-
 def test_domain_from_spec():
     spec = {"family": "quadratic", "dim": 2, "domain": {"radius": 1.5}}
     ball = domain_from_spec(spec)
