@@ -441,29 +441,13 @@ class NonconvexQuadratic(_NoiseModel):
         )
 
 
-def _pairwise_rows(a: Array) -> Array:
-    """Column sums of a C×n array, each the bits of numpy's pairwise sum of a row of C.
-
-    ``sum(axis=1)`` over an n×C array adds each row's C entries pairwise:
-    fewer than 8 in order, up to 128 into 8 accumulators combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the rest in order, and more
-    than 128 as two halves split at a multiple of 8.  Here the same adds
-    run over whole rows of length n.
-    """
-    c = a.shape[0]
-    if c < 8:
+def _row_sums(a: Array) -> Array:
+    """Column sums of a C×n array, each the bits of numpy's sum of a row of C:
+    numpy adds fewer than 8 values in order, and from 8 on (pairwise) these
+    are its own sums over a contiguous n×C copy."""
+    if a.shape[0] < 8:
         return a.sum(axis=0)
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
-    whole = c - c % 8
-    r = a[:whole].reshape(-1, 8, a.shape[1]).sum(axis=0)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    out = r[0] + r[1]
-    for row in a[whole:]:
-        out += row
-    return out
+    return np.ascontiguousarray(a.T).sum(axis=1)
 
 
 class _Group(NamedTuple):
@@ -471,6 +455,7 @@ class _Group(NamedTuple):
 
     rows: Array  # sample indices of the group
     picks: Array  # labels[rows]·n + rows: each row's true class in the flat class-major C×n array
+    cells: Array  # n_g×C, rows + n·class: each row's classes in that flat array
     onehot: Array  # n_g×C, 1.0 at each row's label
     features: Array  # features[rows]
 
@@ -521,6 +506,7 @@ class Logistic(_NoiseModel):
                 _Group(
                     rows=_read_only(rows),
                     picks=_read_only(labels * n + rows),
+                    cells=_read_only(rows[:, None] + n * np.arange(self.num_classes)),
                     onehot=_read_only(np.eye(self.num_classes)[labels]),
                     features=_read_only(self.features[rows]),
                 )
@@ -540,18 +526,18 @@ class Logistic(_NoiseModel):
         """The class-major C×n log-probabilities at x.
 
         The logits product keeps the n×C BLAS layout that sets its bits; its
-        transpose is copied once, so the max, the shift, the normalizer and
-        its subtraction all run along the sample axis.
+        transpose is copied once, so the max, the shift and the normalizer's
+        subtraction run along the sample axis.
         """
         weights = x.reshape(self.num_classes, self.feature_dim)
         out = np.ascontiguousarray(self.features.dot(weights.T).T)  # shifted and normalized in place
         out -= out.max(axis=0)
-        out -= np.log(_pairwise_rows(np.exp(out)))
+        out -= np.log(_row_sums(np.exp(out)))
         return out
 
     def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
-        """The memo of x: its key, the read-only class-major log-probabilities,
-        the n×C probabilities, and the group gradients taken at x.
+        """The memo of x: its key, the read-only class-major C×n log-probabilities
+        and probabilities, and the group gradients taken at x.
 
         Only the last point is kept, keyed on its exact bytes: a step's
         monitoring re-evaluates the point the previous dispatch just
@@ -561,9 +547,7 @@ class Logistic(_NoiseModel):
         memo = self._memo
         if memo[0] != key:
             log_probs = self._log_softmax(x)
-            # exp of the contiguous array, then the n×C layout the group gradients' product reads
-            probs = np.ascontiguousarray(np.exp(log_probs).T)
-            memo = (key, _read_only(log_probs), _read_only(probs), {})
+            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)), {})
             object.__setattr__(self, "_memo", memo)
         return memo
 
@@ -588,7 +572,7 @@ class Logistic(_NoiseModel):
 
     def _group_grad(self, probs: Array, component: int) -> Array:
         g = self._groups[component]
-        residual = probs.take(g.rows, axis=0)
+        residual = probs.take(g.cells)  # gathered n_g×C, the layout the product reads
         residual -= g.onehot  # p − 0.0 is p; p − 1.0 at the label
         return (residual.T.dot(g.features) / g.rows.shape[0]).ravel()
 

@@ -279,7 +279,6 @@ def run(config: SimConfig) -> RunTrace:
 
     worker_col = np.zeros(T, dtype=np.int64)
     dispatch_col = np.zeros(T, dtype=np.int64)
-    pending_col = np.zeros(T, dtype=np.int64)
     wait_col = np.zeros(T, dtype=np.int64)
     component_col: list[str] = []
     loss_col = np.zeros(T)
@@ -315,7 +314,6 @@ def run(config: SimConfig) -> RunTrace:
     query_prev = query
     for worker in range(M):
         dispatch(worker, 1, query, query_prev, 0.0)
-    pending: set[int] = {1}
 
     step, params = prep.step, prep.params
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises DivergedRunError
@@ -323,11 +321,9 @@ def run(config: SimConfig) -> RunTrace:
             row = t - 1
             clock, worker, k, wait, tag, g, g_prev = pop(heap)
             tau = t - k
-            pending.discard(k)
 
             worker_col[row] = worker
             dispatch_col[row] = k
-            pending_col[row] = len(pending)
             wait_col[row] = wait
             component_col.append(tag)
             loss_col[row] = objective.loss(query)
@@ -356,10 +352,11 @@ def run(config: SimConfig) -> RunTrace:
 
             query_prev = query
             query = new_query
-            pending.add(t + 1)
             dispatch(worker, t + 1, query, query_prev, clock)
 
     t_col = np.arange(1, T + 1, dtype=np.int64)
+    # pending at step t: the indices 2..t not yet returned, and 1 until its first return
+    pending_col = t_col - np.cumsum(dispatch_col >= 2) - np.maximum.accumulate(dispatch_col == 1)
     return RunTrace(
         t=t_col,
         worker_id=worker_col,

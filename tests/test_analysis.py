@@ -51,8 +51,9 @@ def recorded_run(method="ordered_momentum", seed=13, workers=4, iters=300, **opt
 # ---------------------------------------------------------------- pending sets
 
 
-def test_pending_sets_match_recorded_sizes():
-    _, trace = recorded_run(workers=7)
+@pytest.mark.parametrize("workers", [1, 2, 4, 7, 16])
+def test_pending_sets_match_recorded_sizes(workers):
+    _, trace = recorded_run(workers=workers)
     sets = pending_sets(trace)
     assert len(sets) == len(trace)
     for pend, size in zip(sets, trace.pending_size):

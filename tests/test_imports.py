@@ -5,7 +5,9 @@ bound by a module-level import must appear somewhere in that module.
 Imports marked ``# noqa: F401`` are skipped.  A module-level helper of a
 test module (a function, class or constant; not a test, hook or fixture)
 must be read in that module or named by another one, so a deleted test
-leaves no orphan behind.
+leaves no orphan behind.  So must a private module-level name of the
+package (one that starts with ``_`` and is not a dunder), so a refactor
+leaves no orphaned kernel behind.
 
 Every process pays for what it imports, so fresh interpreters probe that
 the CLI loads no process pool, an objective build loads no ``numpy.ma``,
@@ -57,12 +59,19 @@ def test_no_module_has_unused_imports():
     assert found == {}
 
 
-def unused_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
+def unused_helpers(sources: dict[str, str], package: tuple[str, ...] = ()) -> dict[str, list[str]]:
     """By module: the helpers in ``sources`` (module name -> source) that their module never
-    reads and no other module names as ``module.name`` or ``from module import name``."""
+    reads and no other module names as ``module.name`` or ``from module import name``.
+    The helpers of a ``package`` module are its private names, and ``from stalegrad.module``
+    names them too."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
-    named = {(node.module, alias.name) for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = {
+        ((node.module or "").removeprefix("stalegrad."), alias.name)
+        for node in nodes
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
     named |= {(node.value.id, node.attr) for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
     found = {}
     for module, tree in trees.items():
@@ -75,6 +84,9 @@ def unused_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
             and not any("fixture" in ast.unparse(decorator) for decorator in node.decorator_list)
         ]
         helpers += [target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets if isinstance(target, ast.Name)]
+        helpers += [node.target.id for node in tree.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        if module in package:
+            helpers = [name for name in helpers if name.startswith("_") and not name.startswith("__")]
         unused = [name for name in helpers if name not in read and (module, name) not in named]
         if unused:
             found[module] = unused
@@ -85,11 +97,22 @@ def test_unused_helpers_are_found():
     helpers = "import pytest\nLIMIT = SEEN = 3\ndef _orphan(): pass\n@pytest.fixture\ndef ready(): pass\n"
     sources = {"helpers": helpers, "test_a": "from helpers import SEEN\nimport helpers\ndef test_x(ready): helpers.LIMIT\n"}
     assert unused_helpers(sources) == {"helpers": ["_orphan"]}
+    kernels = "__all__ = []\nPUBLIC = 1\n_ORPHAN: int = 2\ndef _read(): pass\ndef _named(): _read()\n"
+    sources = {"kernels": kernels, "test_b": "from stalegrad.kernels import _named\n"}
+    assert unused_helpers(sources, package=("kernels",)) == {"kernels": ["_ORPHAN"]}
 
 
 def test_no_test_module_has_unused_helpers():
     paths = sorted((ROOT / "tests").glob("*.py"))
     assert unused_helpers({path.stem: path.read_text(encoding="utf-8") for path in paths}) == {}
+
+
+def test_no_package_module_has_unused_private_names():
+    folders = ("src/stalegrad", "tests", "bench", "bench/tests", "tools")
+    paths = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
+    package = tuple(path.stem for path in sorted((ROOT / "src/stalegrad").glob("*.py")))
+    found = unused_helpers({path.stem: path.read_text(encoding="utf-8") for path in paths}, package)
+    assert {module: names for module, names in found.items() if module in package} == {}
 
 
 _EVERY_MODULE = """

@@ -631,7 +631,7 @@ def test_logistic_memo_follows_the_point_bytes():
     assert sorted(group_grads) == [0, 1]
     assert not any(a.flags.writeable for a in (log_probs, probs, *group_grads.values()))
     for g in LOGISTIC._groups:
-        assert not any(a.flags.writeable for a in (g.picks, g.onehot, g.features, g.rows))
+        assert not any(a.flags.writeable for a in (g.picks, g.cells, g.onehot, g.features, g.rows))
 
 
 def _former_kernels(objective: Logistic, x):
@@ -657,10 +657,11 @@ def _former_kernels(objective: Logistic, x):
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
-@pytest.mark.parametrize("classes", [2, 3, 8, 9, 16, 130, 300])
+@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 16, 130, 300])
 def test_logistic_kernels_keep_the_former_bits(classes, interleaved):
     """From 8 classes on numpy sums a row pairwise, so a reordered row sum shows
-    here: 8, 9 and 16 take its 8-accumulator branch, 130 and 300 its split."""
+    here: 7 is the widest row it adds in order, 8, 9 and 16 take its
+    8-accumulator branch, 130 and 300 its split."""
     _assert_former_bits(classes, 3, interleaved, np.random.default_rng(classes))
 
 
