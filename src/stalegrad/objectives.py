@@ -48,7 +48,7 @@ def _freeze(a: Array) -> Array:
 
 
 def _read_only(a: Array) -> Array:
-    """Mark ``a`` itself read-only (no copy, dtype kept)."""
+    """Mark ``a`` read-only in place, as every array an objective keeps is."""
     a.setflags(write=False)
     return a
 
@@ -210,7 +210,7 @@ class Quadratic(_NoiseModel):
     ``grad`` memoizes its last point, keyed on its exact bytes: a step's
     monitoring re-evaluates the point the previous dispatch differentiated
     at, and a paired dispatch differentiates at the previous query point
-    first.  The arrays it returns are read-only.
+    first.  The memoized gradient it returns is read-only.
     """
 
     curvature: Array
@@ -334,8 +334,8 @@ class Mixture(_NoiseModel):
         return tuple(c.matrix for c in self.components)
 
     def grad(self, x: Array) -> Array:
-        # no memo: every monitored point is new
-        return _read_only(self._evaluate_grad(_check_dim(x, self.dim)))
+        # no memo: every monitored point is new, and the fresh array is the caller's
+        return self._evaluate_grad(_check_dim(x, self.dim))
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.components[component].grad(x)
@@ -522,18 +522,19 @@ class Logistic(_NoiseModel):
     def dim(self) -> int:
         return self.num_classes * self.feature_dim
 
-    def _log_softmax(self, x: Array) -> Array:
-        """The class-major C×n log-probabilities at x.
+    def _log_softmax(self, x: Array) -> tuple[Array, Array]:
+        """The class-major C×n log-probabilities and probabilities at x.
 
         The logits product keeps the n×C BLAS layout that sets its bits; its
         transpose is copied once, so the max, the shift and the normalizer's
-        subtraction run along the sample axis.
+        subtraction run along the samples, and its exponentials become the probabilities.
         """
         weights = x.reshape(self.num_classes, self.feature_dim)
         out = np.ascontiguousarray(self.features.dot(weights.T).T)  # shifted and normalized in place
         out -= out.max(axis=0)
-        out -= np.log(_row_sums(np.exp(out)))
-        return out
+        probs = np.exp(out)
+        out -= np.log(_row_sums(probs))
+        return out, np.exp(out, out=probs)
 
     def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
         """The memo of x: its key, the read-only class-major C×n log-probabilities
@@ -546,8 +547,7 @@ class Logistic(_NoiseModel):
         key = x.tobytes()
         memo = self._memo
         if memo[0] != key:
-            log_probs = self._log_softmax(x)
-            memo = (key, _read_only(log_probs), _read_only(np.exp(log_probs)), {})
+            memo = (key, *(_read_only(a) for a in self._log_softmax(x)), {})
             object.__setattr__(self, "_memo", memo)
         return memo
 

@@ -26,7 +26,7 @@ from .optimizers import METHOD_TABLE, METHODS
 #: mixture holds three: both components and their mean), and a larger one is
 #: refused before it is allocated; a number or a diagonal is kept as a
 #: d-vector.  A logistic dataset, each T-long column of a run and its
-#: snapshots (⌈T/stride⌉·dim) get the same budget of MAX_DIM² floats.
+#: snapshot rows (T's included) get the same budget of MAX_DIM² floats.
 MAX_DIM = 4096
 
 #: largest ball radius: v·v stays finite for every offset v inside the ball

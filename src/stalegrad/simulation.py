@@ -125,10 +125,11 @@ class RunTrace:
     """Complete record of one run; one row per applied update.
 
     Scalars are recorded for every iteration at the pre-update point x_t;
-    iterate snapshots are strided; ``objective`` is the one the run built and
-    evaluated.  The optional dense arrays (gradients, buffers, per-step
-    iterates) exist only when the config asked for them — they are what the
-    reconstruction oracles consume.
+    ``objective`` is the one the run built and evaluated.  The other arrays
+    are ``None`` unless the config asks for them: ``snapshot_stride`` keeps x_t
+    at steps 1, 1 + stride, … and T, and ``record_gradients`` the dense
+    per-step arrays the reconstruction oracles consume (``descent_iterates``
+    holds T + 1 rows, the initial one first).
     """
 
     t: Array
@@ -141,8 +142,8 @@ class RunTrace:
     loss: Array
     grad_norm: Array
     applied: Array
-    snapshot_steps: Array
-    snapshots: Array
+    snapshot_steps: Array | None
+    snapshots: Array | None
     final_iterate: Array
     config: SimConfig
     resolved_params: Mapping[str, Any]
@@ -165,6 +166,7 @@ class _Prepared:
     method: optimizers.Method
     step: Callable[..., optimizers.State]
     resolved: dict[str, Any]
+    snapshot_steps: Array | None
 
 
 def _theory_constants(objective, x1: Array, spec: Mapping[str, Any]):
@@ -208,7 +210,9 @@ def _prepare(config: SimConfig) -> _Prepared:
     if config.record_gradients and T * objective.dim > MAX_DIM**2:
         message = f"iterations·dim must be at most {MAX_DIM**2} with record_gradients"
         raise InvalidConfigError(message, field="run.iterations")
-    if config.snapshot_stride and math.ceil(T / config.snapshot_stride) * objective.dim > MAX_DIM**2:
+    stride = config.snapshot_stride  # snapshots at steps 1, 1 + stride, … and T
+    steps = None if stride is None else np.append(np.arange(1, T, stride), T)
+    if steps is not None and steps.shape[0] * objective.dim > MAX_DIM**2:
         raise InvalidConfigError(f"snapshots·dim must be at most {MAX_DIM**2}", field="run.snapshot_stride")
 
     if config.x_init is None:
@@ -248,7 +252,7 @@ def _prepare(config: SimConfig) -> _Prepared:
     if params.domain is not None and not params.domain.contains(x1):
         raise InvalidConfigError("initial iterate must lie in the domain", field="run.x_init")
     step = getattr(optimizers, row.step)
-    return _Prepared(objective, model, params, row.initial(x1), row, step, resolved)
+    return _Prepared(objective, model, params, row.initial(x1), row, step, resolved, steps)
 
 
 def validate_config(config: SimConfig) -> None:
@@ -274,8 +278,7 @@ def run(config: SimConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     dim = objective.dim
 
-    stride = config.snapshot_stride or max(1, math.ceil(T / 1000))
-    record = config.record_gradients
+    stride, record = config.snapshot_stride, config.record_gradients
 
     worker_col = np.zeros(T, dtype=np.int64)
     dispatch_col = np.zeros(T, dtype=np.int64)
@@ -284,13 +287,12 @@ def run(config: SimConfig) -> RunTrace:
     loss_col = np.zeros(T)
     grad_norm_col = np.zeros(T)
     applied_col = np.ones(T, dtype=bool)
-    snapshot_steps: list[int] = []
-    snapshots: list[Array] = []
+    snapshots = np.empty((prep.snapshot_steps.shape[0], dim)) if stride else None
     gradients = np.zeros((T, dim)) if record else None
     buffers = np.zeros((T, dim)) if record else None
     pre_iterates = np.zeros((T, dim)) if record else None
     state = prep.state
-    descent_rows = [np.array(state.descent)] if record and method.descent else None
+    descent_iterates = np.full((T + 1, dim), state.descent) if record and method.descent else None
 
     # Entries are (return clock, worker, dispatch index, wait, component tag,
     # gradient, paired gradient).  Each worker has one ticket in flight, so
@@ -328,12 +330,8 @@ def run(config: SimConfig) -> RunTrace:
             component_col.append(tag)
             loss_col[row] = objective.loss(query)
             grad_norm_col[row] = euclidean_norm(objective.grad(query))
-            if record:
-                gradients[row] = g
-                pre_iterates[row] = query
-            if row % stride == 0 or t == T:
-                snapshot_steps.append(t)
-                snapshots.append(np.array(query))
+            if stride and (row % stride == 0 or t == T):
+                snapshots[-1 if t == T else row // stride] = query
 
             before = state
             state = step(params, state, g, t, k, tau, g_prev)
@@ -345,10 +343,12 @@ def run(config: SimConfig) -> RunTrace:
             if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
                 raise DivergedRunError(step=t, last_iterate=np.array(query))
             if record:
+                gradients[row] = g
+                pre_iterates[row] = query
                 if buf is not None:
                     buffers[row] = buf
-                if descent_rows is not None:
-                    descent_rows.append(np.array(state.descent))
+                if descent_iterates is not None:
+                    descent_iterates[t] = state.descent
 
             query_prev = query
             query = new_query
@@ -368,8 +368,8 @@ def run(config: SimConfig) -> RunTrace:
         loss=loss_col,
         grad_norm=grad_norm_col,
         applied=applied_col,
-        snapshot_steps=np.array(snapshot_steps, dtype=np.int64),
-        snapshots=np.array(snapshots),
+        snapshot_steps=prep.snapshot_steps,
+        snapshots=snapshots,
         final_iterate=np.array(query),
         config=config,
         resolved_params=prep.resolved,
@@ -377,7 +377,7 @@ def run(config: SimConfig) -> RunTrace:
         gradients=gradients,
         buffers=buffers,
         pre_iterates=pre_iterates,
-        descent_iterates=None if descent_rows is None else np.array(descent_rows),
+        descent_iterates=descent_iterates,
     )
 
 

@@ -322,7 +322,6 @@ def test_a_family_axis_sweeps_under_a_metric_every_family_reports(tmp_path):
         "optimizer.gamma",
         "optimizer.tau_filter",
         "delay.slow_weight",
-        "objective.noise_sigma",
     ],
 )
 def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, value):
@@ -444,6 +443,8 @@ _FAMILY_AXIS = {
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
         # MAX_DIM² floats at most in snapshots; validated only, so none is allocated
         ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=schema.MAX_DIM + 1)}, "run.snapshot_stride"),
+        # MAX_DIM strided rows and the row of step T
+        ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=2 * schema.MAX_DIM, snapshot_stride=2)}, "run.snapshot_stride"),
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
@@ -461,6 +462,7 @@ _FAMILY_AXIS = {
         "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
         "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
         "string-and-bool-minimizer", "huge-radius", "snapshots-budget",
+        "snapshots-budget-last-row",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):

@@ -42,14 +42,18 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _python_files():
+    folders = ("src/stalegrad", "tests", "bench", "bench/tests", "tools")
+    return [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os, sys\nimport a.b  # noqa: F401\nprint(sys)\n"
     assert unused_imports(source) == ["os"]
 
 
 def test_no_module_has_unused_imports():
-    folders = ("src/stalegrad", "tests", "bench", "bench/tests")
-    paths = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
+    paths = _python_files()
     assert paths
     found = {}
     for path in paths:
@@ -108,8 +112,7 @@ def test_no_test_module_has_unused_helpers():
 
 
 def test_no_package_module_has_unused_private_names():
-    folders = ("src/stalegrad", "tests", "bench", "bench/tests", "tools")
-    paths = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
+    paths = _python_files()
     package = tuple(path.stem for path in sorted((ROOT / "src/stalegrad").glob("*.py")))
     found = unused_helpers({path.stem: path.read_text(encoding="utf-8") for path in paths}, package)
     assert {module: names for module, names in found.items() if module in package} == {}

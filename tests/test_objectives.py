@@ -447,12 +447,6 @@ def test_mixture_minimizer_and_constants_keep_their_bits(d, curvature):
             assert math.isclose(getattr(constants, name), expected[name], rel_tol=1e-12), name
 
 
-def test_mixture_gradients_are_read_only():
-    g = MIXTURE.grad(np.array([0.25, -0.5]))
-    with pytest.raises(ValueError):
-        g[0] = 0.0
-
-
 def test_component_tags():
     """The slow tag selects a mixture's first component, the fast tag its second;
     a single-component family gives the same gradient for either."""

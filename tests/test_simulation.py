@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,20 +107,42 @@ def test_numpy_scalars_hash_and_run_like_python_numbers():
     assert np.array_equal(run(scalar).final_iterate, trace.final_iterate)
 
 
-def test_snapshot_stride():
-    trace = run(momentum_config(total_iterations=55, snapshot_stride=10, record_gradients=True))
-    assert trace.snapshot_steps.tolist() == [1, 11, 21, 31, 41, 51, 55]
+@pytest.mark.parametrize(
+    "T, stride, workers",
+    [(1, 1, 1), (20, 1, 4), (20, 20, 4), (20, 50, 4), (51, 10, 4), (55, 10, 4)],
+    ids=["one-step", "stride-1", "stride-T", "stride-past-T", "T-on-the-stride", "T-off-the-stride"],
+)
+def test_snapshot_stride(T, stride, workers):
+    trace = run(momentum_config(total_iterations=T, num_workers=workers, snapshot_stride=stride, record_gradients=True))
+    assert trace.snapshot_steps.tolist() == sorted(set(range(1, T + 1, stride)) | {T})
+    assert trace.snapshots.shape == (len(trace.snapshot_steps), 2)
     # snapshots hold the pre-update iterate of the recorded step
     for row, step in enumerate(trace.snapshot_steps):
         assert np.array_equal(trace.snapshots[row], trace.pre_iterates[step - 1])
 
 
-def test_default_stride_covers_long_runs():
-    trace = run(momentum_config(total_iterations=2500))
-    assert trace.snapshot_steps[0] == 1
-    assert trace.snapshot_steps[-1] == 2500
-    assert trace.snapshots.shape[0] == len(trace.snapshot_steps)
-    assert len(trace.snapshot_steps) <= 1002
+@pytest.mark.parametrize("stride", [None, 2])
+def test_a_run_allocates_only_the_records_it_is_asked_for(stride):
+    """d = 4096, T = 500: without a stride a run keeps no snapshot, and with one
+    it peaks at its snapshot block plus 2 MiB.  Row copies stacked after the
+    loop peaked at 31.8 MiB without a stride and 16.2 MiB with stride 2."""
+    config = momentum_config(
+        objective={"family": "quadratic", "dim": 4096, "noise_sigma": 0.5},
+        optimizer={"method": "vanilla", "eta": 0.05},
+        total_iterations=500,
+        snapshot_stride=stride,
+    )
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if stride is None:
+        assert trace.snapshots is None and trace.snapshot_steps is None and peak < 2 * 2**20
+    else:
+        assert trace.snapshots.shape == (251, 4096) and peak < trace.snapshots.nbytes + 2 * 2**20
+    assert trace.gradients is None and trace.descent_iterates is None
 
 
 def test_x_init_defaults_to_zero():
