@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTraceError, InvalidComparisonError
-from .objectives import COMPONENT_INDEX, FAST, SLOW
+from .objectives import COMPONENT_INDEX, FAST, SLOW, euclidean_norm
 from .simulation import RunTrace
 
 Array = np.ndarray
@@ -108,9 +108,7 @@ def convergence_metrics(trace: RunTrace, objective) -> MetricSeries:
     optimum = None if constants.f_star is None else float(objective.loss(constants.minimizer))
     final_excess = None if optimum is None else final_loss - optimum
     final_distance = (
-        None
-        if constants.minimizer is None
-        else float(np.linalg.norm(trace.final_iterate - constants.minimizer))
+        None if constants.minimizer is None else euclidean_norm(trace.final_iterate - constants.minimizer)
     )
     return MetricSeries(
         avg_sq_grad_norm=avg_sq,

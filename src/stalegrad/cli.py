@@ -225,15 +225,12 @@ def _aggregate(results: list[dict], metric: str) -> dict:
                 "diverged": point["diverged"],
             }
         )
-        if point["mean"] is not None:
-            best = info["best"]
-            key = (point["mean"], point["eta"] if point["eta"] is not None else math.inf)
-            if best is None or key < (
-                best["mean"],
-                best["eta"] if best["eta"] is not None else math.inf,
-            ):
-                info["best"] = point
-    for info in methods.values():
+    for method, info in methods.items():
+        info["best"] = min(
+            (p for p in grid_points if p["method"] == method and p["mean"] is not None),
+            key=lambda p: (p["mean"], math.inf if p["eta"] is None else p["eta"]),
+            default=None,
+        )
         info["robustness"].sort(
             key=lambda r: (r["eta"] is None, r["eta"] if r["eta"] is not None else 0.0)
         )

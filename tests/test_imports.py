@@ -3,9 +3,9 @@
 No linter ships with the project, so an AST scan stands in for one: a name
 bound by a module-level import must appear somewhere in that module.
 Imports marked ``# noqa: F401`` are skipped.  A module-level helper of a
-test module (a function, class or constant; not a test, hook or fixture)
-must be read in that module or named by another one, so a deleted test
-leaves no orphan behind.  So must a private module-level name of the
+test or tool module (a function, class or constant; not a test, hook or
+fixture) must be read in that module or named by another one, so a deleted
+test leaves no orphan behind.  So must a private module-level name of the
 package (one that starts with ``_`` and is not a dunder), so a refactor
 leaves no orphaned kernel behind.
 
@@ -107,7 +107,7 @@ def test_unused_helpers_are_found():
 
 
 def test_no_test_module_has_unused_helpers():
-    paths = sorted((ROOT / "tests").glob("*.py"))
+    paths = [path for folder in ("tests", "tools") for path in sorted((ROOT / folder).glob("*.py"))]
     assert unused_helpers({path.stem: path.read_text(encoding="utf-8") for path in paths}) == {}
 
 
