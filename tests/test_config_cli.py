@@ -309,6 +309,31 @@ def test_a_family_axis_sweeps_under_a_metric_every_family_reports(tmp_path):
     assert _swept_metric(tmp_path, doc) == "final_loss"
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["fast", math.inf, math.nan, 10**400, True, "0.5"],
+    ids=["word", "inf", "nan", "huge-int", "bool", "numeral"],
+)
+@pytest.mark.parametrize(
+    "field",
+    [
+        "optimizer.eta",
+        "optimizer.beta",
+        "optimizer.gamma",
+        "optimizer.tau_filter",
+        "delay.slow_weight",
+    ],
+)
+def test_run_rejects_malformed_numbers_before_running(tmp_path, capsys, field, value):
+    doc = copy.deepcopy(BASE_DOC)
+    section, key = field.split(".")
+    doc[section][key] = value
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 _QUAD_2D = {"family": "quadratic", "dim": 2}
 _MIXTURE_2D = {"family": "mixture", "components": [{"minimizer": [1.0, 0.0]}, {"minimizer": [-1.0, 0.0]}]}
 _LOGISTIC = {"family": "logistic"}
@@ -340,9 +365,15 @@ _FAMILY_AXIS = {
 @pytest.mark.parametrize(
     "sections, field",
     [
+        ({"objective": {"family": "nonconvex", "dim": 2, "squash_scale": math.inf}}, "objective.squash_scale"),
+        ({"objective": {"family": "logistic", "classes": 2.5}}, "objective.classes"),
+        ({"objective": {"family": "quadratic", "minimizer": [1.0, math.nan]}}, "objective.minimizer"),
+        ({"objective": dict(_QUAD_2D, curvture=[5.0, 9.0])}, "objective.curvture"),
+        ({"objective": dict(_QUAD_2D, noise_simga=3.0)}, "objective.noise_simga"),
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0], "radius": 1.0})}, "objective.domain"),
         ({"run": {"workers": 2, "iterations": 40, "x_init": [0.0]}}, "run.x_init"),
         ({"optimizer": {"method": "vanilla", "eta": 0.05, "theory": True}}, "optimizer.theory"),
+        ({"report": {"metric": "accuracy"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}}, "report.metric"),
         (
             {"objective": _LOGISTIC, "report": {"metric": "final_excess"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}},
             "report.metric",
@@ -354,17 +385,45 @@ _FAMILY_AXIS = {
         ({"sweep": {"grid": {"run.seed": [1, 2, 3]}}}, "sweep.grid.run.seed"),
         (_FAMILY_AXIS, "sweep.grid.objective.family"),
         (dict(_FAMILY_AXIS, report={"metric": "final_excess"}), "report.metric"),
+        ({"objective": dict(_MIXTURE_2D, weights=[0.1, 0.9])}, "objective.weights"),
         ({"objective": dict(_MIXTURE_2D, components=_MIXTURE_2D["components"] * 2)}, "objective.components"),
+        ({"objective": {"family": "quadratic", "matrix": 2.0, "minimizer": [1.0, -1.0]}}, "objective.matrix"),
+        ({"objective": dict(_LOGISTIC, separation=2.0)}, "objective.separation"),
+        ({"objective": dict(_LOGISTIC, data_seed=0)}, "objective.data_seed"),
+        ({"optimizer": {"method": "vanilla", "eta": 0.05, "bound_constant": 1}}, "optimizer.bound_constant"),
+        ({"optimizer": {"method": "delay_adaptive", "lipschitz": 2.0}}, "optimizer.lipschitz"),
+        ({"optimizer": {"method": "delay_adaptive", "delta_gap": 2.0}}, "optimizer.delta_gap"),
+        ({"optimizer": {"method": "delay_adaptive", "sigma": 2.0}}, "optimizer.sigma"),
         ({"objective": _LOGISTIC, "optimizer": {"method": "delay_adaptive"}}, "optimizer.method"),
+        ({"delay": {"slow_weight": 0.1, "arrival_probs": [0.5, 0.5]}}, "delay.arrival_probs"),
+        ({"sweep": {"grid": {"optimizer.eta": [0.05]}, "write_traces": False}}, "sweep.write_traces"),
+        ({"objective": {"family": "quadratic", "dim": True}}, "objective.dim"),
+        ({"objective": dict(_LOGISTIC, feature_dim=True)}, "objective.feature_dim"),
+        ({"objective": dict(_LOGISTIC, feature_dim=0)}, "objective.feature_dim"),
+        ({"output": {"dir": 5}}, "output.dir"),
+        ({"run": {"workers": 2, "iterations": 10**9}}, "run.iterations"),
         (
             {"objective": _QUAD_2D, "run": {"workers": 2, "iterations": 9_000_000, "record_gradients": True}},
             "run.iterations",
         ),
+        ({"objective": {"family": "quadratic", "minimizer": [[1.0, 2.0], [3.0, 4.0]]}}, "objective.minimizer"),
+        ({"objective": {"family": "quadratic", "minimizer": []}}, "objective.minimizer"),
+        ({"objective": {"family": "quadratic", "offset": [[1.0], [2.0]]}}, "objective.offset"),
+        ({"objective": {"family": "quadratic", "offset": []}}, "objective.offset"),
+        (
+            {"objective": dict(_MIXTURE_2D, components=[{"minimizer": [[1.0, 0.0]]}, {"minimizer": [-1.0, 0.0]}])},
+            "objective.components.0.minimizer",
+        ),
+        ({"objective": dict(_MIXTURE_2D, components=[{"dim": 2}, {"offset": []}])}, "objective.components.1.offset"),
         ({"objective": {"family": "quadratic", "curvature": 1.0e308, "minimizer": [1.0e308, 1.0]}}, "objective.minimizer"),
         ({"sweep": {"grid": {"report.metric": ["final_loss", "final_excess"]}}}, "sweep.grid.report.metric"),
         ({"sweep": {"grid": {"sweep.parallelism": [1, 2]}}}, "sweep.grid.sweep.parallelism"),
         ({"sweep": {"grid": {"optimiser.eta": [0.1]}}}, "sweep.grid.optimiser.eta"),
         ({"sweep": {"grid": {"seed": [1, 2]}}}, "sweep.grid.seed"),
+        ({"objective": dict(_QUAD_2D, family=["quadratic"])}, "objective.family"),
+        ({"objective": dict(_MIXTURE_2D, components=5)}, "objective.components"),
+        ({"objective": dict(_MIXTURE_2D, components=[_MIXTURE_2D["components"][0], 3])}, "objective.components.1"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [[0.0, 0.0]], "radius": 1})}, "objective.domain.center"),
         ({"objective": dict(_LOGISTIC, samples=1)}, "objective.samples"),
         ({"objective": _LOGISTIC, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
         ({"objective": _UNEQUAL_MIXTURE, "optimizer": _THEORY_MOMENTUM}, "optimizer.theory"),
@@ -378,20 +437,32 @@ _FAMILY_AXIS = {
         ({"optimizer": _THEORY_MOMENTUM, "run": _run_from([1e308, 0.0])}, "run.x_init"),
         ({"optimizer": _ADAPTIVE, "run": _run_from([1e308, 0.0])}, "run.x_init"),
         ({"objective": _QUAD_2D, "optimizer": _ADAPTIVE}, "optimizer.method"),
+        ({"optimizer": {"method": "vanilla", "eta": True}}, "optimizer.eta"),
+        ({"delay": {"slow_weight": "0.1"}}, "delay.slow_weight"),
+        ({"objective": {"family": "quadratic", "minimizer": ["1.5", True]}}, "objective.minimizer"),
+        ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
         # MAX_DIM² floats at most in snapshots; validated only, so none is allocated
         ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=schema.MAX_DIM + 1)}, "run.snapshot_stride"),
         # MAX_DIM strided rows and the row of step T
         ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=2 * schema.MAX_DIM, snapshot_stride=2)}, "run.snapshot_stride"),
     ],
     ids=[
-        "domain-dim", "x_init-length", "theory-unsupported", "logistic-excess", "logistic-distance",
-        "seed-axis", "family-axis", "family-axis-excess", "three-components",
-        "adaptive-unsupported", "recorded-iterations-cap", "overflowing-minimizer", "report-axis",
-        "sweep-axis", "misspelt-section-axis", "sectionless-axis", "one-sample", "theory-logistic",
-        "theory-unequal-curvatures", "theory-mu2-logistic", "huge-x_init-in-ball", "huge-center",
-        "huge-nonconvex-minimizer-theory", "huge-minimizer-adaptive",
-        "huge-component-minimizer-theory", "huge-x_init-theory", "huge-x_init-adaptive",
-        "adaptive-noise-free", "snapshots-budget", "snapshots-budget-last-row",
+        "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
+        "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
+        "logistic-excess", "logistic-distance", "seed-axis", "family-axis", "family-axis-excess",
+        "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
+        "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
+        "dim-true", "feature_dim-true", "feature_dim-zero", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
+        "nested-minimizer", "empty-minimizer", "nested-offset", "empty-offset",
+        "nested-component-minimizer", "empty-component-offset", "overflowing-minimizer",
+        "report-axis", "sweep-axis", "misspelt-section-axis", "sectionless-axis", "family-list",
+        "components-number", "component-number", "nested-center", "one-sample",
+        "theory-logistic", "theory-unequal-curvatures", "theory-mu2-logistic",
+        "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
+        "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
+        "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
+        "string-and-bool-minimizer", "huge-radius", "snapshots-budget",
+        "snapshots-budget-last-row",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):

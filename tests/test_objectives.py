@@ -310,6 +310,7 @@ def test_mixture_weights_must_be_a_distribution():
 @pytest.mark.parametrize(
     "spec",
     [
+        pytest.param({"family": "quadratic", "dim": 2}, id="Quadratic"),
         pytest.param({"family": "mixture", "components": [{"dim": 2}, {"dim": 2}]}, id="Mixture"),
         pytest.param({"family": "nonconvex", "dim": 2}, id="NonconvexQuadratic"),
         pytest.param({"family": "logistic"}, id="Logistic"),

@@ -216,6 +216,27 @@ def test_filtered_runs_mark_skipped_updates():
     assert np.all(trace.tau[skipped] > 1)
 
 
+def test_logistic_run_evaluates_each_point_once(monkeypatch):
+    """Monitoring re-uses the softmax the last dispatch computed: one per new point."""
+    calls = []
+    original = Logistic._log_softmax
+
+    def counting(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Logistic, "_log_softmax", counting)
+    T = 60
+    run(
+        momentum_config(
+            objective={"family": "logistic", "classes": 3, "feature_dim": 4, "noise_sigma": 0.1},
+            optimizer={"method": "vanilla", "eta": 0.05},
+            total_iterations=T,
+        )
+    )
+    assert 0 < len(calls) <= T + 1
+
+
 def test_quadratic_run_evaluates_each_point_once(monkeypatch):
     """The paired method's monitor and x_prev gradients reuse the memo: T+1 in all."""
     calls = []
