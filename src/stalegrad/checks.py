@@ -270,7 +270,6 @@ def _check_staleness_separation() -> None:
         optimizer={"method": "vanilla", "eta": 0.01},
         total_iterations=500,
         num_workers=7,
-        delay={"slow_weight": 0.1},
         seed=12,
     )
     trace = run_simulation(config)
@@ -325,7 +324,6 @@ _UNROLLED_CONFIG = SimConfig(
     optimizer={"method": "ordered_momentum", "eta": 0.003, "beta": 0.05},
     total_iterations=300,
     num_workers=4,
-    delay={"slow_weight": 0.1},
     seed=13,
     record_gradients=True,
 )
@@ -355,7 +353,6 @@ def _check_sync_momentum_equivalence() -> None:
         optimizer={"method": "ordered_momentum", "eta": eta, "beta": beta},
         total_iterations=total,
         num_workers=1,
-        delay={"slow_weight": 0.1},
         seed=seed,
         record_gradients=True,
         x_init=(2.0, -1.0, 1.0),
@@ -391,7 +388,6 @@ def _check_sync_mu2_equivalence() -> None:
         optimizer={"method": "ordered_mu2", "eta": eta},
         total_iterations=total,
         num_workers=1,
-        delay={"slow_weight": 0.1},
         seed=seed,
         x_init=(1.0, -0.5),
     )
@@ -414,7 +410,6 @@ def _check_mu2_identity_contraction() -> None:
         optimizer={"method": "ordered_mu2", "eta": 0.005},
         total_iterations=300,
         num_workers=4,
-        delay={"slow_weight": 0.1},
         seed=16,
         record_gradients=True,
         x_init=(1.0, -0.5),

@@ -56,6 +56,12 @@ def _write_snapshot_csv(trace, path: Path) -> None:
     _write_rows(path, header, [trace.snapshot_steps, *trace.snapshots.T])
 
 
+def _write_json(document, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(document), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _final_metrics(trace) -> dict:
     series = analysis.convergence_metrics(trace, trace.objective)
     final = {**vars(series), "avg_sq_grad_norm": series.final_avg_sq_grad_norm}
@@ -138,9 +144,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
         "seed_count": experiment.seed_count,
     }
     summary_path = out / "run_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, summary_path)
     print(f"summary -> {summary_path}")
     return 1 if diverged == experiment.seed_count else 0
 
@@ -164,8 +168,8 @@ def _sweep_worker(expanded) -> dict:
     }
     try:
         trace = run_simulation(config)
-    except DivergedRunError:
-        result["diverged"] = True
+    except DivergedRunError as exc:
+        result.update(diverged=True, eta=_jsonable(exc.resolved_params.get("eta")))
         return result
     except StalegradError as exc:
         result["error"] = str(exc)
@@ -324,9 +328,7 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
                     ]
                 )
 
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, out / "summary.json")
 
     print(
         f"{summary['runs_total']} runs ({summary['diverged_total']} diverged, "

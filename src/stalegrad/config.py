@@ -47,7 +47,7 @@ def load_document(path) -> dict:
     except OSError as exc:
         raise InvalidConfigError(str(exc)) from exc
     except yaml.YAMLError as exc:
-        raise InvalidConfigError(f"not valid YAML: {exc}") from exc
+        raise InvalidConfigError(f"not valid YAML: {' '.join(str(exc).split())}") from exc  # one error line
     if not isinstance(doc, Mapping):
         raise InvalidConfigError("config document must be a mapping of sections")
     return dict(doc)

@@ -32,14 +32,16 @@ class ProtocolError(StalegradError):
 class DivergedRunError(StalegradError):
     """A simulation produced a non-finite iterate.
 
-    Carries the last finite iterate and the iteration at which the
-    divergence was detected, so sweep runners can record the failure
+    Carries the last finite iterate, the iteration at which the
+    divergence was detected and the run's resolved parameters (its η,
+    given or theory-derived), so sweep runners can record the failure
     without losing the run.
     """
 
-    def __init__(self, step: int, last_iterate: np.ndarray):
+    def __init__(self, step: int, last_iterate: np.ndarray, resolved_params: dict):
         self.step = step
         self.last_iterate = last_iterate
+        self.resolved_params = resolved_params
         super().__init__(f"non-finite iterate produced at iteration {step}")
 
 

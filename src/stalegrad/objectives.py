@@ -22,7 +22,7 @@ vector, so their difference is noise-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple
 
@@ -394,51 +394,30 @@ def squash_deriv(u: Array) -> Array:
 
 
 @dataclass(frozen=True)
-class NonconvexQuadratic(_NoiseModel):
+class NonconvexQuadratic(Quadratic):
     """A quadratic plus a bounded coordinatewise distortion.
 
     f(x) = ½xᵀAx − bᵀx + scale·Σᵢ s(xᵢ − mᵢ) with s(u) = u²/(1+u²) and m the
     quadratic's minimizer.  Both terms are minimized at m, so the global
     minimizer and f* stay in closed form, and since s'' ∈ [−½, 2] with
     s''(0) = 2 the gradient-Lipschitz constant is exactly
-    λ_max(A) + 2·scale (attained at m).
+    λ_max(A) + 2·scale (attained at m).  The quadratic part's gradient is
+    :class:`Quadratic`'s, memo included.
     """
 
-    base: Quadratic
-    squash_scale: float  # positive
-    noise_sigma: float = 0.0
-
-    @cached_property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def minimizer(self) -> Array:
-        return self.base.minimizer
+    squash_scale: float = field(kw_only=True)  # positive
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        return self.base.loss(x) + self.squash_scale * float(np.sum(squash(x - self.minimizer)))
+        return super().loss(x) + self.squash_scale * float(np.sum(squash(x - self.minimizer)))
 
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
-        return self.base.grad(x) + self.squash_scale * squash_deriv(x - self.minimizer)
-
-    def component_grad(self, x: Array, component: int) -> Array:
-        return self.grad(x)
+        return super().grad(x) + self.squash_scale * squash_deriv(x - self.minimizer)
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:
-        x1 = np.zeros(self.dim) if x_init is None else _check_dim(x_init, self.dim)
-        m = self.minimizer
-        f_star = self.base.loss(m)
-        return TheoryConstants(
-            lipschitz=self.base.max_eigenvalue + 2.0 * self.squash_scale,
-            sigma=self.noise_sigma,
-            sigma_l=0.0,
-            delta_gap=self.loss(x1) - f_star,
-            minimizer=m,
-            f_star=f_star,
-        )
+        # the squash term is 0 at m, so f* is the quadratic's
+        return replace(super().theory_constants(x_init), lipschitz=self.max_eigenvalue + 2.0 * self.squash_scale)
 
 
 def _row_sums(a: Array) -> Array:
@@ -635,9 +614,11 @@ def make_logistic(
     )
 
 
-def _quadratic_from_spec(values: Mapping[str, Any], noise_sigma: float, path: str = "objective") -> Quadratic:
-    """A quadratic from checked ``values``: from ``offset``, from ``minimizer`` (b = A·minimizer),
-    or a zero b of ``dim``."""
+def _quadratic_from_spec(
+    values: Mapping[str, Any], noise_sigma: float, path: str = "objective", kind: type = Quadratic, **extra
+) -> Quadratic:
+    """A ``kind`` of quadratic, given its ``extra`` fields, from checked ``values``: from ``offset``,
+    from ``minimizer`` (b = A·minimizer), or a zero b of ``dim``."""
     if "offset" in values and "minimizer" in values:
         raise InvalidConfigError("give offset or minimizer, not both", field=f"{path}.minimizer")
     dim = values.get("dim")
@@ -658,7 +639,7 @@ def _quadratic_from_spec(values: Mapping[str, Any], noise_sigma: float, path: st
                 offset = curvature * vector if curvature.ndim == 1 else curvature @ vector
             if not np.all(np.isfinite(offset)):
                 raise InvalidConfigError("curvature·minimizer overflows", field=f"{path}.minimizer")
-        return Quadratic(curvature=curvature, offset=offset, noise_sigma=noise_sigma)
+        return kind(curvature=curvature, offset=offset, noise_sigma=noise_sigma, **extra)
 
 
 def from_spec(spec: Mapping[str, Any], slow_weight: float):
@@ -677,10 +658,10 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
         components = tuple(
             _quadratic_from_spec(c, 0.0, f"objective.components.{i}") for i, c in enumerate(values["components"])
         )
-        return Mixture(components, (slow_weight, 1.0 - slow_weight), noise_sigma)
+        with blame("objective.components"):  # components of different dimensions
+            return Mixture(components, (slow_weight, 1.0 - slow_weight), noise_sigma)
     if family == "nonconvex":
-        base = _quadratic_from_spec(values, 0.0)
-        return NonconvexQuadratic(base=base, squash_scale=values["squash_scale"], noise_sigma=noise_sigma)
+        return _quadratic_from_spec(values, noise_sigma, kind=NonconvexQuadratic, squash_scale=values["squash_scale"])
     classes, feature_dim, samples = values["classes"], values["feature_dim"], values["samples"]
     if classes * feature_dim > MAX_DIM:
         raise InvalidConfigError(f"classes·feature_dim must be at most {MAX_DIM}", field="objective.feature_dim")

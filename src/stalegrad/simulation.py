@@ -341,7 +341,7 @@ def run(config: SimConfig) -> RunTrace:
             new_query = state.query
             buf = state.buffer
             if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
-                raise DivergedRunError(step=t, last_iterate=np.array(query))
+                raise DivergedRunError(step=t, last_iterate=np.array(query), resolved_params=prep.resolved)
             if record:
                 gradients[row] = g
                 pre_iterates[row] = query

@@ -14,12 +14,13 @@ from stalegrad.analysis import (
     delay_separation,
     error_decomposition_series,
     f1_from_confusion,
+    f1_scores,
     pending_sets,
     verify_trace_invariants,
     waiting_time_gof,
 )
 from stalegrad.errors import InsufficientTraceError, InvalidComparisonError
-from stalegrad.objectives import from_spec, make_logistic
+from stalegrad.objectives import BallDomain, from_spec, make_logistic
 from stalegrad.simulation import SimConfig, run
 
 MIX_SPEC = {
@@ -90,10 +91,14 @@ def test_unrolled_single_worker_is_plain_ema():
 
 def test_unrolled_needs_recorded_gradients():
     # the decomposition reads the recorded buffers, which a plain run lacks
-    config, _ = recorded_run(iters=20)
+    config, trace = recorded_run(iters=20)
     plain = run(dataclasses.replace(config, record_gradients=False))
     with pytest.raises(InsufficientTraceError):
         error_decomposition_series(plain, from_spec(config.objective, 0.1))
+    # and the recorded β, which a run of a method without one lacks
+    no_beta = dataclasses.replace(trace, resolved_params={"method": "vanilla", "eta": 0.003})
+    with pytest.raises(InsufficientTraceError, match="no momentum parameter"):
+        error_decomposition_series(no_beta, from_spec(config.objective, 0.1))
 
 
 # ---------------------------------------------------------------- decomposition
@@ -201,6 +206,20 @@ def test_f1_macro_one_iff_diagonal():
     assert f1_from_confusion(degenerate).macro < 1.0
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (([1, 2], [0, 1], [1]), "count vectors must share one shape"),
+        (([[1, 2]], [[0, 1]], [[1, 0]]), "count vectors must share one shape"),
+        (([1, 2], [0, -1], [1, 0]), "counts must be nonnegative"),
+    ],
+    ids=["shapes", "not-vectors", "negative"],
+)
+def test_f1_scores_refuse_counts_they_cannot_score(counts, message):
+    with pytest.raises(InvalidComparisonError, match=message):
+        f1_scores(*counts)
+
+
 # ---------------------------------------------------------------- GOF / separation
 
 
@@ -256,6 +275,15 @@ def test_invariants_catch_doctored_traces():
     failures = verify_trace_invariants(bad_pending, objective)
     assert any("pending" in f for f in failures)
 
+    for config_change, message in (
+        ({"total_iterations": len(trace) + 1}, "record count differs from the configured iteration count"),
+        ({"num_workers": 2}, "pending set exceeded M-1 = 1"),
+    ):
+        doctored = dataclasses.replace(trace, config=dataclasses.replace(trace.config, **config_change))
+        assert verify_trace_invariants(doctored, objective) == [message]
+    steep = dataclasses.replace(trace, grad_norm=10.0 * trace.grad_norm + 1.0)
+    assert verify_trace_invariants(steep, objective) == ["gradient-norm bound 2L(f - f*) violated"]
+
     config, trace = recorded_run(method="ordered_mu2", workers=4, iters=200)
     objective = from_spec(config.objective, 0.1)
     assert verify_trace_invariants(trace, objective) == []
@@ -264,6 +292,9 @@ def test_invariants_catch_doctored_traces():
     bad_identity = dataclasses.replace(trace, descent_iterates=nudged)
     failures = verify_trace_invariants(bad_identity, objective)
     assert "weighted-average identity violated" in failures
+    tiny_ball = BallDomain(center=np.zeros(2), radius=1e-9)  # no step of the run fits its diameter
+    failures = verify_trace_invariants(trace, objective, domain=tiny_ball)
+    assert failures == ["successive-query contraction bound violated"]
 
 
 def test_recorded_naive_mu2_trace_verifies_clean():

@@ -29,7 +29,7 @@ from stalegrad.config import (
     load_document,
     parse_sim_config,
 )
-from stalegrad.errors import DivergedRunError, InvalidConfigError
+from stalegrad.errors import DivergedRunError, InvalidConfigError, StalegradError
 from stalegrad.simulation import RUN_FIELDS, TRACE_COLUMNS, config_hash, run, validate_config
 
 MINIMAL_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "minimal.yaml")
@@ -441,6 +441,9 @@ _FAMILY_AXIS = {
         ({"delay": {"slow_weight": "0.1"}}, "delay.slow_weight"),
         ({"objective": {"family": "quadratic", "minimizer": ["1.5", True]}}, "objective.minimizer"),
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0, 0.0], "radius": 1e300}), "optimizer": _MU2}, "objective.domain.radius"),
+        ({"objective": dict(_MIXTURE_2D, components=[{"minimizer": [1.0, 0.0]}, {"minimizer": [1.0, 0.0, 2.0]}])}, "objective.components"),
+        ({"sweep": {"grid": {"optimizer..eta": [0.1]}}}, "sweep.grid.optimizer..eta"),
+        ({"objective": {"family": "quadratic", "curvature": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "minimizer": [1.0, -1.0]}}, "objective.curvature"),
         # MAX_DIM² floats at most in snapshots; validated only, so none is allocated
         ({"objective": _WIDEST, "run": dict(_AT_THE_BUDGET, workers=2, iterations=schema.MAX_DIM + 1)}, "run.snapshot_stride"),
         # MAX_DIM strided rows and the row of step T
@@ -461,8 +464,8 @@ _FAMILY_AXIS = {
         "huge-x_init-in-ball", "huge-center", "huge-nonconvex-minimizer-theory",
         "huge-minimizer-adaptive", "huge-component-minimizer-theory", "huge-x_init-theory",
         "huge-x_init-adaptive", "adaptive-noise-free", "bool-eta", "string-slow_weight",
-        "string-and-bool-minimizer", "huge-radius", "snapshots-budget",
-        "snapshots-budget-last-row",
+        "string-and-bool-minimizer", "huge-radius", "component-dimensions", "empty-grid-segment",
+        "non-square-curvature", "snapshots-budget", "snapshots-budget-last-row",
     ],
 )
 def test_run_rejects_bad_objective_fields_before_running(tmp_path, capsys, sections, field):
@@ -604,6 +607,13 @@ def test_each_mapping_refuses_an_unknown_key_and_a_non_mapping(tmp_path, capsys,
     else:
         start = f"{mapping}: must be a mapping" if mapping else "config document must be a mapping"
         _assert_sweep_refuses(tmp_path, capsys, _setting(doc, mapping, 5), start)
+
+
+def test_blame_names_the_field_of_a_raw_error():
+    """No document reaches this guard (the table refuses first), but a raw error while building gets a field path."""
+    with pytest.raises(InvalidConfigError, match=r"^objective: malformed entry: ValueError\('bad'\)$"):
+        with schema.blame("objective"):
+            raise ValueError("bad")
 
 
 def test_the_readme_key_block_names_the_32_keys_of_the_table():
@@ -967,6 +977,37 @@ def test_report_check_catches_tampering(tmp_path, capsys):
         assert cli.main(["report", str(out), "--check"]) == 2, tamper.__name__
         assert "CHECK FAIL" in capsys.readouterr().out
 
+    (out / "runs.csv").write_text(pristine)
+    pristine_summary = (out / "summary.json").read_text()
+    vanilla = summary["methods"]["vanilla"]
+    for tampered, failure in (
+        ({"methods": {**summary["methods"], "naive_momentum": vanilla}}, "method naive_momentum missing from runs.csv"),
+        ({"methods": {"vanilla": dict(vanilla, best=None)}}, "vanilla: best-configuration presence mismatch"),
+        (
+            {"methods": {"vanilla": dict(vanilla, best=dict(vanilla["best"], mean=vanilla["best"]["mean"] * 1.01))}},
+            "vanilla: best mean mismatch",
+        ),
+        ({"acceptance": dict(summary["acceptance"], vanilla_unstable_gt_10=False)}, "acceptance flag vanilla_unstable_gt_10 is false"),
+    ):
+        (out / "summary.json").write_text(json.dumps(dict(summary, **tampered)))
+        assert cli.main(["report", str(out), "--check"]) == 2, failure
+        assert f"CHECK FAIL: {failure}" in capsys.readouterr().out.splitlines()
+    (out / "summary.json").write_text(pristine_summary)
+    assert cli.main(["report", str(out), "--check"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "No such file"), ("objective: [unclosed\n", "not valid YAML")], ids=["missing", "not-yaml"]
+)
+def test_a_document_that_cannot_be_read_is_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "config.yaml"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("text", ["{not json\n", "[]\n"], ids=["not-json", "not-a-summary"])
 def test_report_refuses_a_file_that_is_not_a_sweep_summary(tmp_path, capsys, text):
@@ -1001,8 +1042,46 @@ def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["diverged_total"] == 2
     assert summary["acceptance"]["vanilla_unstable_gt_10"] is True
+    # a diverged grid point keeps the eta its runs used, in every output
+    assert [point["eta"] for point in summary["grid_points"]] == [0.05, 1e100]
+    assert [row["eta"] for row in summary["methods"]["vanilla"]["robustness"]] == [0.05, 1e100]
+    runs = list(csv.DictReader((out / "runs.csv").read_text().splitlines()))
+    assert [row["eta"] for row in runs] == ["0.05", "0.05", "1e+100", "1e+100"]
+    assert (out / "robustness.csv").read_text().splitlines()[-1] == "vanilla,1e+100,final_excess,,,2"
     assert cli.main(["report", str(out), "--check"]) == 0
     assert "CHECK PASS" in capsys.readouterr().out
+
+
+def test_a_method_that_diverges_at_every_grid_point_has_no_best(tmp_path, capsys):
+    doc = sweep_doc()
+    doc["sweep"] = dict(doc["sweep"], grid={"optimizer.eta": [1e100, 1e200]})
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  vanilla: no convergent grid point"
+    assert cli.main(["report", str(out)]) == 0
+    best_row = capsys.readouterr().out.split("best configuration per method\n", 1)[1].splitlines()[1]
+    assert best_row.split() == ["vanilla", "-", "diverged", "-"]
+
+
+def test_a_run_that_fails_is_counted_in_its_grid_point(tmp_path, monkeypatch, capsys):
+    """A run refused while it runs is the run's error, and its grid point's, not the sweep's."""
+    simulate = cli.run_simulation
+
+    def refuse_the_smaller_eta(config):
+        if config.optimizer["eta"] == 0.02:
+            raise InvalidConfigError("refused while running", field="optimizer.eta")
+        return simulate(config)
+
+    monkeypatch.setattr(cli, "run_simulation", refuse_the_smaller_eta)
+    doc = sweep_doc()
+    failed = cli._sweep_worker(ExperimentConfig.from_document(doc).expand()[2])
+    assert failed["error"] == "optimizer.eta: refused while running" and failed["metrics"] is None
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("4 runs (0 diverged, 2 failed)")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error_total"] == 2
+    assert [(point["errors"], point["mean"] is None) for point in summary["grid_points"]] == [(0, False), (2, True)]
 
 
 def test_a_diverging_run_names_its_step_in_the_summary(tmp_path, capsys):
@@ -1063,6 +1142,13 @@ def _late_tickets(draw_ticket, *args):  # every wait one step longer: the suppor
     return wait + 1, tag
 
 
+def _lenient_replay(replay_check, *args):  # a replay it cannot compare reads as a mismatch
+    try:
+        return replay_check(*args)
+    except StalegradError:
+        return False
+
+
 # (owner, attribute, mutant(original, *args), the check that must fail, its message)
 _MUTANTS = {
     "ordered-weight-is-beta": (optimizers, "ordered_weight", lambda f, beta, tau: beta, "unrolled_equivalence", "direct sum"),
@@ -1092,6 +1178,9 @@ _MUTANTS = {
         "waiting_time_support", "infinite",
     ),
     "macro-f1-ulp": (analysis, "f1_scores", lambda f, *a: _up(f(*a), "macro"), "f1_scores", "macro score"),
+    # a weight for any beta, in (0, 1) or not
+    "unchecked-beta": (optimizers, "ordered_weight", lambda f, beta, tau: beta * (1.0 - beta) ** tau, "ordered_weight_properties", "rejected"),
+    "lenient-replay": (checks, "replay_check", _lenient_replay, "replay_determinism", "different experiment"),
 }
 
 

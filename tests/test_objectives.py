@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stalegrad import reference
 from stalegrad.errors import ContractViolationError, InvalidConfigError
 from stalegrad.objectives import (
     COMPONENT_INDEX,
@@ -47,9 +48,7 @@ MIXTURE = Mixture(
 
 ROOT2 = 2.0 ** 0.25
 NONCONVEX = NonconvexQuadratic(
-    base=Quadratic(curvature=0.5 * np.eye(2), offset=0.5 * np.array([ROOT2, ROOT2])),
-    squash_scale=0.25,
-    noise_sigma=1.0,
+    curvature=0.5 * np.eye(2), offset=0.5 * np.array([ROOT2, ROOT2]), squash_scale=0.25, noise_sigma=1.0
 )
 
 LOGISTIC = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
@@ -537,7 +536,8 @@ def test_nonconvex_constants_are_exact():
     assert abs(constants.lipschitz - 1.0) <= 1e-12
     assert abs(constants.delta_gap - 1.0) <= 1e-12
     assert constants.sigma == 1.0
-    assert math.isclose(constants.f_star, NONCONVEX.base.loss(NONCONVEX.minimizer), rel_tol=1e-12)
+    quadratic_part = Quadratic(curvature=NONCONVEX.curvature, offset=NONCONVEX.offset)
+    assert math.isclose(constants.f_star, quadratic_part.loss(NONCONVEX.minimizer), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------- logistic
@@ -574,6 +574,22 @@ def test_logistic_refuses_bad_group_tags(group_of, message):
             group_weights=(0.1, 0.9),
             num_classes=2,
         )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"labels": [0, 1, 0]}, "one entry per sample", id="short-labels"),
+        pytest.param({"labels": [0, 1, 2, 1]}, "labels must index into num_classes", id="label-out-of-range"),
+        pytest.param({"num_classes": 1, "labels": [0, 0, 0, 0]}, "num_classes >= 2", id="one-class"),
+        pytest.param({"group_weights": (0.5, 0.6)}, "group weights must be positive", id="weights-sum"),
+        pytest.param({"group_weights": (0.0, 1.0)}, "group weights must be positive", id="zero-weight"),
+    ],
+)
+def test_logistic_refuses_bad_labels_and_weights(change, message):
+    data = {"features": np.ones((4, 2)), "labels": [0, 1, 0, 1], "group_of": [0, 1, 1, 1]}
+    with pytest.raises(InvalidConfigError, match=message):
+        Logistic(**{**data, "group_weights": (0.1, 0.9), "num_classes": 2, **change})
 
 
 def test_logistic_loss_finite_and_constants():
@@ -756,11 +772,11 @@ def test_quadratic_memo_is_safe_across_threads():
 
 
 def test_quadratic_memo_serves_mixtures_and_the_nonconvex_base():
-    """Memoized component and base gradients change no full or component gradient."""
+    """Memoized component and quadratic-part gradients change no full or component gradient."""
     fresh_mixture = Mixture(
         components=tuple(_fresh(c) for c in MIXTURE.components), weights=MIXTURE.weights
     )
-    fresh_nonconvex = NonconvexQuadratic(base=_fresh(NONCONVEX.base), squash_scale=0.25)
+    fresh_nonconvex = NonconvexQuadratic(curvature=NONCONVEX.curvature, offset=NONCONVEX.offset, squash_scale=0.25)
     points = np.random.default_rng(24).standard_normal((3, 2))
     for objective, fresh in ((MIXTURE, fresh_mixture), (NONCONVEX, fresh_nonconvex)):
         for i in (0, 1, 1, 2, 0):
@@ -830,6 +846,19 @@ def test_projection_sends_a_far_point_to_the_boundary(far):
     assert np.allclose(projected, direction / np.linalg.norm(direction), rtol=1e-12, atol=0.0)
     assert ball.contains(projected, tol=0.0)
     assert np.array_equal(ball.project(projected), projected)
+
+
+def test_reference_projection_tightens_to_the_domains_bits():
+    """Far from the origin, the radially scaled point rounds outside a small ball:
+    both projections tighten it until it lies inside, to the same bits."""
+    center, radius = np.array([1e6, -1e6]), 1e-3
+    x = center + np.array([1.0, 2.0])
+    offset = x - center
+    first = center + radius / np.linalg.norm(offset) * offset  # the radially scaled point
+    assert np.linalg.norm(first - center) > radius
+    projected = reference.project_ball(center, radius, x)
+    assert np.linalg.norm(projected - center) <= radius
+    assert np.array_equal(projected, BallDomain(center=center, radius=radius).project(x))
 
 
 @settings(max_examples=200, deadline=None)

@@ -278,6 +278,13 @@ def test_naive_mu2_recursion():
         step_baseline(params, state, vec(1.0), 2, 2, 0, None)
 
 
+def test_step_baseline_refuses_a_method_with_its_own_step():
+    params, state = start("ordered_momentum", np.zeros(1), eta=0.1, beta=0.5)
+    with pytest.raises(InvalidConfigError, match="unknown baseline 'ordered_momentum'") as err:
+        step_baseline(params, state, vec(1.0), 1, 1, 0, None)
+    assert err.value.field == "optimizer.method"
+
+
 def test_baseline_validation():
     cases = [
         ("vanilla", {"eta": 0.0}, "optimizer.eta"),
@@ -317,6 +324,24 @@ def test_theorem1_validation():
         theorem1_params(lipschitz=0.0, delta_gap=1.0, sigma=1.0, total_iterations=10, num_workers=2)
     with pytest.raises(InvalidConfigError):
         theorem1_params(lipschitz=1.0, delta_gap=1.0, sigma=1.0, total_iterations=0, num_workers=2)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"lipschitz": 0.0}, "lipschitz must be positive"),
+        ({"diameter": -1.0}, "diameter must be positive"),
+        ({"sigma": -1.0}, "noise levels must be nonnegative"),
+        ({"sigma_l": -1.0}, "noise levels must be nonnegative"),
+        ({"total_iterations": 0}, "iteration and worker counts must be positive"),
+        ({"num_workers": 0}, "iteration and worker counts must be positive"),
+    ],
+    ids=["lipschitz", "diameter", "sigma", "sigma_l", "iterations", "workers"],
+)
+def test_theorem2_window_validation(change, message):
+    values = {"lipschitz": 1.0, "sigma": 1.0, "sigma_l": 0.0, "diameter": 2.0, "total_iterations": 10, "num_workers": 2}
+    with pytest.raises(InvalidConfigError, match=message):
+        theorem2_step_window(**{**values, **change})
 
 
 def test_window_grid_hits_endpoints_exactly():

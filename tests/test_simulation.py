@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stalegrad import reference
 from stalegrad.delays import DelayModel
 from stalegrad.errors import (
     DivergedRunError,
@@ -96,6 +97,7 @@ def test_diverged_run_error_carries_context():
         run(config)
     assert 1 <= err.value.step <= 50
     assert np.all(np.isfinite(err.value.last_iterate))
+    assert err.value.resolved_params == {"method": "vanilla", "eta": 1e100}
 
 
 def test_numpy_scalars_hash_and_run_like_python_numbers():
@@ -143,6 +145,25 @@ def test_a_run_allocates_only_the_records_it_is_asked_for(stride):
     else:
         assert trace.snapshots.shape == (251, 4096) and peak < trace.snapshots.nbytes + 2 * 2**20
     assert trace.gradients is None and trace.descent_iterates is None
+
+
+def test_a_noise_free_single_worker_mu2_run_is_the_reference_method():
+    spec = {"family": "quadratic", "curvature": [1.0, 2.0], "offset": [1.0, -1.0]}
+    config = SimConfig(
+        objective=dict(spec, domain={"center": [0.0, 0.0], "radius": 2.0}),
+        optimizer={"method": "ordered_mu2", "eta": 0.05},
+        total_iterations=100,
+        num_workers=1,
+        seed=4,
+        record_gradients=True,
+    )
+    trace = run(config)
+    oracle = reference.anytime_storm(
+        np.diag(spec["curvature"]), np.array(spec["offset"]), np.zeros(2), 2.0, np.zeros(2),
+        eta=0.05, sigma=0.0, steps=100, seed=4,
+    )
+    ours = np.vstack([trace.pre_iterates, trace.final_iterate])
+    assert np.max(np.abs(ours - oracle)) <= 1e-12
 
 
 def test_x_init_defaults_to_zero():
