@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientTraceError, InvalidComparisonError
+from .errors import ContractViolationError
 from .objectives import COMPONENT_INDEX, FAST, SLOW, euclidean_norm
 from .simulation import RunTrace
 
@@ -54,10 +54,10 @@ class ErrorDecomposition:
 def error_decomposition_series(trace: RunTrace, objective) -> list[ErrorDecomposition]:
     """Per-step decomposition for an ordered-momentum trace, with its recorded β."""
     if trace.buffers is None or trace.pre_iterates is None:
-        raise InsufficientTraceError("the run did not record buffers and iterates")
+        raise ContractViolationError("the run did not record buffers and iterates")
     beta = trace.resolved_params.get("beta")
     if beta is None:
-        raise InsufficientTraceError("no momentum parameter recorded for this trace")
+        raise ContractViolationError("no momentum parameter recorded for this trace")
     out = []
     for i, pend in enumerate(pending_sets(trace)):
         t = int(trace.t[i])
@@ -135,9 +135,9 @@ def f1_scores(true_positive, false_positive, false_negative) -> F1Scores:
     fp = np.asarray(false_positive, dtype=np.int64)
     fn = np.asarray(false_negative, dtype=np.int64)
     if tp.shape != fp.shape or tp.shape != fn.shape or tp.ndim != 1:
-        raise InvalidComparisonError("count vectors must share one shape")
+        raise ContractViolationError("count vectors must share one shape")
     if (tp < 0).any() or (fp < 0).any() or (fn < 0).any():
-        raise InvalidComparisonError("counts must be nonnegative")
+        raise ContractViolationError("counts must be nonnegative")
     denom = 2 * tp + fp + fn
     per_class = np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1), 0.0)
     return F1Scores(per_class=per_class, macro=math.fsum(per_class.tolist()) / tp.shape[0])
@@ -175,7 +175,7 @@ def waiting_time_gof(waits, p: float) -> GofResult:
             break
         k += 1
     if k < 1:
-        raise InvalidComparisonError("too few samples for a goodness-of-fit cell split")
+        raise ContractViolationError("too few samples for a goodness-of-fit cell split")
     expected = np.array([n * p * (1.0 - p) ** j for j in range(k)] + [n * (1.0 - p) ** k])
     observed = np.array(
         [np.count_nonzero(waits == j + 1) for j in range(k)] + [np.count_nonzero(waits > k)],
@@ -211,7 +211,7 @@ def delay_separation(trace: RunTrace) -> tuple[float, float]:
     slow = trace.tau[tags == SLOW]
     fast = trace.tau[tags == FAST]
     if slow.size == 0 or fast.size == 0:
-        raise InvalidComparisonError("trace lacks one of the component groups")
+        raise ContractViolationError("trace lacks one of the component groups")
     return float(slow.mean()), float(fast.mean())
 
 

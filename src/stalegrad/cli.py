@@ -456,12 +456,19 @@ def cmd_report(directory: str, check: bool = False) -> int:
                 failures.append(f"{method}: best grid point mismatch")
             elif not _agrees(stored_best["mean"], fresh_best["mean"]):
                 failures.append(f"{method}: best mean mismatch")
+    for method in sorted(recomputed["methods"].keys() - summary["methods"].keys()):
+        failures.append(f"method {method} missing from summary.json")
     fresh_points = {point["grid_index"]: point for point in recomputed["grid_points"]}
     for point in summary["grid_points"]:
         fresh = fresh_points.get(point["grid_index"])
         for stat in ("mean", "sd", "diverged"):
             if fresh is None or not _agrees(point[stat], fresh[stat]):
                 failures.append(f"grid point {point['grid_index']}: {stat} mismatch")
+    for grid_index in sorted(fresh_points.keys() - {point["grid_index"] for point in summary["grid_points"]}):
+        failures.append(f"grid point {grid_index} missing from summary.json")
+    for total in ("runs_total", "diverged_total"):
+        if summary[total] != recomputed[total]:
+            failures.append(f"{total} mismatch: {summary[total]!r} in summary.json, {recomputed[total]} in runs.csv")
     for name, value in summary.get("acceptance", {}).items():
         if value is False:
             failures.append(f"acceptance flag {name} is false")
@@ -514,12 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one configuration over its seed battery")
     p_run.add_argument("config", help="path to a YAML config document")
     p_run.add_argument("--output-dir", help="override the output directory")
+    p_run.set_defaults(handler=lambda args: cmd_run(args.config, args.output_dir))
 
     p_sweep = sub.add_parser("sweep", help="expand and execute a hyperparameter grid")
     p_sweep.add_argument("config", help="path to a YAML config document with a sweep section")
     p_sweep.add_argument("--output-dir", help="override the output directory")
+    p_sweep.set_defaults(handler=lambda args: cmd_sweep(args.config, args.output_dir))
 
-    sub.add_parser("validate", help="run the invariant suite and report pass/fail per invariant")
+    p_validate = sub.add_parser("validate", help="run the invariant suite and report pass/fail per invariant")
+    p_validate.set_defaults(handler=lambda args: cmd_validate())
 
     p_report = sub.add_parser("report", help="render a sweep summary as a text report")
     p_report.add_argument("directory", help="sweep output directory containing summary.json")
@@ -528,24 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-derive the aggregation from runs.csv and fail on any mismatch",
     )
+    p_report.set_defaults(handler=lambda args: cmd_report(args.directory, args.check))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args.config, args.output_dir)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.output_dir)
-        if args.command == "validate":
-            return cmd_validate()
-        if args.command == "report":
-            return cmd_report(args.directory, args.check)
+        return args.handler(args)
     except StalegradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

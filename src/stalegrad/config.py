@@ -55,9 +55,9 @@ def load_document(path) -> dict:
 
 def _check_sections(doc: Mapping) -> None:
     """Known sections, each a mapping, the required ones present, and the run keys:
-    ``SimConfig`` takes those as fields, so the names are checked here."""
-    schema.known(doc, "")
-    schema.known(doc["run"], "run")
+    ``SimConfig`` takes those as fields, so they are walked here."""
+    schema.walk(doc, "")
+    schema.walk(doc["run"], "run")
 
 
 def check_document(doc: Mapping) -> dict:

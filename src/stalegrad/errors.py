@@ -22,11 +22,8 @@ class InvalidConfigError(StalegradError):
 
 
 class ContractViolationError(StalegradError):
-    """An argument violated a documented precondition (wrong shape, bad hash, ...)."""
-
-
-class ProtocolError(StalegradError):
-    """A gradient report is missing data the update rule requires."""
+    """An argument violated a documented precondition (wrong shape, bad hash, a missing
+    gradient pair, a trace without what an analysis reads, counts it cannot compare, ...)."""
 
 
 class DivergedRunError(StalegradError):
@@ -52,14 +49,3 @@ class ReplayDivergenceError(StalegradError):
         self.first_index = first_index
         super().__init__(f"replay diverged from the recorded trace at iteration {first_index}")
 
-
-class InsufficientTraceError(StalegradError):
-    """The trace lacks optional recordings (raw gradients, iterates) the caller needs."""
-
-
-class InvalidComparisonError(StalegradError):
-    """A statistic was given data it cannot compare.
-
-    F1 count vectors that are mismatched in shape or negative, waits too few
-    for goodness-of-fit cells, or a trace that lacks a component group.
-    """

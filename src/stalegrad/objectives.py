@@ -41,16 +41,15 @@ SLOW, FAST = "slow", "fast"
 COMPONENT_INDEX = {SLOW: 0, FAST: 1}
 
 
-def _freeze(a: Array) -> Array:
-    out = np.array(a, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
 def _read_only(a: Array) -> Array:
     """Mark ``a`` read-only in place, as every array an objective keeps is."""
     a.setflags(write=False)
     return a
+
+
+def _freeze(a: Array) -> Array:
+    """A read-only float64 copy of ``a``."""
+    return _read_only(np.array(a, dtype=np.float64))
 
 
 _FLOAT64 = np.dtype(np.float64)

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, ProtocolError
+from .errors import ContractViolationError, InvalidConfigError
 
 if TYPE_CHECKING:  # objectives imports the config table, which reads this module's methods
     from .objectives import BallDomain
@@ -138,9 +138,7 @@ def step_ordered_mu2(
     a missing pair is tolerated only for dispatch index 1.
     """
     if g_prev is None and k >= 2:
-        raise ProtocolError(
-            "the update needs the same-sample gradient at the previous query point"
-        )
+        raise ContractViolationError("the update needs the same-sample gradient at the previous query point")
     increment = float(k) * g
     if k >= 2:
         increment = increment - float(k - 1) * g_prev
@@ -175,9 +173,7 @@ def step_baseline(
         return State(state.query - params.eta * momentum, momentum, None)
     if method == "naive_mu2":
         if g_prev is None:
-            raise ProtocolError(
-                "the update needs the same-sample gradient at the previous query point"
-            )
+            raise ContractViolationError("the update needs the same-sample gradient at the previous query point")
         correction = g + (1.0 - params.beta) * (state.buffer - g_prev)
         descent = state.descent - params.eta * correction
         gamma = params.gamma

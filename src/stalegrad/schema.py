@@ -257,10 +257,16 @@ def _reads(row: Key | str, reader: str | None) -> bool:
     return reader is None or not row.readers or reader in row.readers
 
 
-def known(node: Any, prefix: str, reader: str | None = None, field: str | None = None) -> Mapping:
-    """``node`` if it is a mapping of the keys and mappings under ``prefix`` that ``reader``
-    reads, with each required one.  A section is required when a key directly in it is.
-    Its mappings are checked to be mappings; what reads each one walks it."""
+def walk(node: Any, prefix: str, reader: str | None = None, field: str | None = None) -> dict:
+    """Check the mapping ``node`` of the keys and mappings under ``prefix`` that ``reader``
+    reads in one pass, in table order: refused on its dotted path (``field``, when errors
+    name another one) if it is not a mapping, or has an unknown key, a required key or
+    section missing (a section is required when a key directly in it is) or a bad value;
+    else each value returned as the builders take it.  A default fills each key left out,
+    and ``null`` leaves out one that has none.  A mapping inside ``node`` is returned as
+    given once checked to be one (what reads it walks it), and the document as it was:
+    ``config_hash`` reads it.
+    """
     field = prefix if field is None else field
     names = {name: row for name, row in _CHILDREN[prefix].items() if _reads(row, reader)}
     if not isinstance(node, Mapping):
@@ -269,37 +275,21 @@ def known(node: Any, prefix: str, reader: str | None = None, field: str | None =
     if unknown:
         message = f"unknown key; expected one of {', '.join(names)}"
         raise InvalidConfigError(message, field=f"{field}.{unknown[0]}" if field else str(unknown[0]))
+    out = {}
     for name, row in names.items():
         path, value = f"{field}.{name}" if field else name, node.get(name)
-        if isinstance(row, Key):
-            if value is None and row.default is REQUIRED:
-                raise InvalidConfigError("value is required", field=path)
-        elif value is not None:
-            if not isinstance(value, Mapping):
-                known(value, row, reader, path)  # refuses it, naming the keys it may hold
-        elif not prefix and any(getattr(key, "default", None) is REQUIRED for key in _CHILDREN[row].values()):
-            raise InvalidConfigError("section is required", field=path)
-    return node
-
-
-def walk(node: Any, prefix: str, reader: str | None = None, field: str | None = None) -> dict:
-    """Check the mapping ``node`` at ``prefix`` (see :func:`known`), read by ``reader``,
-    and each value by its row's kind: refused on its dotted path (``field``, when errors
-    name another one), or returned as the builders take it.  A default fills each key
-    left out, and ``null`` leaves out one that has none.  A mapping inside ``node`` is
-    returned as given, and the document as it was: ``config_hash`` reads it.
-    """
-    field = prefix if field is None else field
-    known(node, prefix, reader, field)
-    out = {}
-    for name, row in _CHILDREN[prefix].items():
-        value = node.get(name)
         if isinstance(row, str):
             if value is not None:
+                if not isinstance(value, Mapping):
+                    walk(value, row, reader, path)  # refuses it, naming the keys it may hold
                 out[name] = value
+            elif not prefix and any(getattr(key, "default", None) is REQUIRED for key in _CHILDREN[row].values()):
+                raise InvalidConfigError("section is required", field=path)
+        elif value is None and row.default is REQUIRED:
+            raise InvalidConfigError("value is required", field=path)
         elif value is not None or (name in node and row.default is not None):
-            out[name] = row.kind.check(value, f"{field}.{name}")  # null refused where there is a default
-        elif row.default is not None and _reads(row, reader):
+            out[name] = row.kind.check(value, path)  # null refused where there is a default
+        elif row.default is not None:
             out[name] = row.default
     return out
 

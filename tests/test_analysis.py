@@ -19,7 +19,7 @@ from stalegrad.analysis import (
     verify_trace_invariants,
     waiting_time_gof,
 )
-from stalegrad.errors import InsufficientTraceError, InvalidComparisonError
+from stalegrad.errors import ContractViolationError
 from stalegrad.objectives import BallDomain, from_spec, make_logistic
 from stalegrad.simulation import SimConfig, run
 
@@ -93,11 +93,11 @@ def test_unrolled_needs_recorded_gradients():
     # the decomposition reads the recorded buffers, which a plain run lacks
     config, trace = recorded_run(iters=20)
     plain = run(dataclasses.replace(config, record_gradients=False))
-    with pytest.raises(InsufficientTraceError):
+    with pytest.raises(ContractViolationError, match="did not record buffers and iterates"):
         error_decomposition_series(plain, from_spec(config.objective, 0.1))
     # and the recorded β, which a run of a method without one lacks
     no_beta = dataclasses.replace(trace, resolved_params={"method": "vanilla", "eta": 0.003})
-    with pytest.raises(InsufficientTraceError, match="no momentum parameter"):
+    with pytest.raises(ContractViolationError, match="no momentum parameter"):
         error_decomposition_series(no_beta, from_spec(config.objective, 0.1))
 
 
@@ -216,7 +216,7 @@ def test_f1_macro_one_iff_diagonal():
     ids=["shapes", "not-vectors", "negative"],
 )
 def test_f1_scores_refuse_counts_they_cannot_score(counts, message):
-    with pytest.raises(InvalidComparisonError, match=message):
+    with pytest.raises(ContractViolationError, match=message):
         f1_scores(*counts)
 
 
@@ -237,7 +237,7 @@ def test_gof_rejects_degenerate_waits():
 
 
 def test_gof_needs_enough_mass_for_cells():
-    with pytest.raises(InvalidComparisonError):
+    with pytest.raises(ContractViolationError, match="too few samples"):
         waiting_time_gof(np.array([1, 1, 2]), 0.99)
 
 
@@ -256,7 +256,7 @@ def test_chi2_tail_with_two_dof_is_the_exponential():
 
 def test_delay_separation_on_a_real_trace():
     _, single = recorded_run(method="vanilla", workers=1, iters=50)  # all fast updates
-    with pytest.raises(InvalidComparisonError):
+    with pytest.raises(ContractViolationError, match="lacks one of the component groups"):
         delay_separation(single)
 
 

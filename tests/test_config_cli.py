@@ -402,6 +402,7 @@ _FAMILY_AXIS = {
         ({"objective": dict(_LOGISTIC, feature_dim=0)}, "objective.feature_dim"),
         ({"output": {"dir": 5}}, "output.dir"),
         ({"run": {"workers": 2, "iterations": 10**9}}, "run.iterations"),
+        ({"run": {"workers": "x"}}, "run.workers"),  # one pass in table order: workers before iterations
         (
             {"objective": _QUAD_2D, "run": {"workers": 2, "iterations": 9_000_000, "record_gradients": True}},
             "run.iterations",
@@ -455,7 +456,8 @@ _FAMILY_AXIS = {
         "logistic-excess", "logistic-distance", "seed-axis", "family-axis", "family-axis-excess",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
-        "dim-true", "feature_dim-true", "feature_dim-zero", "output-dir-number", "iterations-cap", "recorded-iterations-cap",
+        "dim-true", "feature_dim-true", "feature_dim-zero", "output-dir-number", "iterations-cap",
+        "bad-workers-before-missing-iterations", "recorded-iterations-cap",
         "nested-minimizer", "empty-minimizer", "nested-offset", "empty-offset",
         "nested-component-minimizer", "empty-component-offset", "overflowing-minimizer",
         "report-axis", "sweep-axis", "misspelt-section-axis", "sectionless-axis", "family-list",
@@ -988,12 +990,30 @@ def test_report_check_catches_tampering(tmp_path, capsys):
             "vanilla: best mean mismatch",
         ),
         ({"acceptance": dict(summary["acceptance"], vanilla_unstable_gt_10=False)}, "acceptance flag vanilla_unstable_gt_10 is false"),
+        ({"grid_points": summary["grid_points"][:1]}, "grid point 1 missing from summary.json"),
+        ({"runs_total": 3}, "runs_total mismatch: 3 in summary.json, 4 in runs.csv"),
+        ({"diverged_total": 1}, "diverged_total mismatch: 1 in summary.json, 0 in runs.csv"),
     ):
         (out / "summary.json").write_text(json.dumps(dict(summary, **tampered)))
         assert cli.main(["report", str(out), "--check"]) == 2, failure
         assert f"CHECK FAIL: {failure}" in capsys.readouterr().out.splitlines()
     (out / "summary.json").write_text(pristine_summary)
     assert cli.main(["report", str(out), "--check"]) == 0
+
+    # a method deleted from summary.json with its grid point and runs: each deletion is named
+    doc = dict(BASE_DOC, optimizer=dict(BASE_DOC["optimizer"], beta=0.5), sweep={"grid": {"optimizer.method": ["vanilla", "naive_momentum"]}})
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    both = json.loads((out / "summary.json").read_text())
+    del both["methods"]["naive_momentum"]
+    both.update(grid_points=both["grid_points"][:1], runs_total=1)
+    (out / "summary.json").write_text(json.dumps(both))
+    capsys.readouterr()
+    assert cli.main(["report", str(out), "--check"]) == 2
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")] == [
+        "CHECK FAIL: method naive_momentum missing from summary.json",
+        "CHECK FAIL: grid point 1 missing from summary.json",
+        "CHECK FAIL: runs_total mismatch: 1 in summary.json, 2 in runs.csv",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stalegrad import optimizers
-from stalegrad.errors import InvalidConfigError, ProtocolError
+from stalegrad.errors import ContractViolationError, InvalidConfigError
 from stalegrad.objectives import BallDomain
 from stalegrad.optimizers import (
     METHOD_TABLE,
@@ -132,7 +132,7 @@ def test_mu2_weighted_average_identity_by_hand():
 def test_mu2_missing_pair_is_a_protocol_error():
     params, state = start("ordered_mu2", np.zeros(1), eta=0.5, domain=BALL)
     state = step_ordered_mu2(params, state, vec(2.0), 1, 1, 0, None)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ContractViolationError, match="same-sample gradient"):
         step_ordered_mu2(params, state, vec(1.0), 2, 2, 0, None)
 
 
@@ -209,8 +209,8 @@ def test_method_table_row_matches_its_state_and_step(method):
     assert _shape(row, after)
     try:
         step(params, after, np.ones(2), 3, 2, 1, None)
-    except ProtocolError:
-        refused = True
+    except ContractViolationError as exc:
+        refused = "same-sample gradient" in str(exc)
     else:
         refused = False
     assert refused == row.paired
@@ -274,7 +274,7 @@ def test_naive_mu2_recursion():
     assert state.buffer[0] == 0.5
     assert state.descent[0] == -0.25
     assert state.query[0] == -0.125
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ContractViolationError, match="same-sample gradient"):
         step_baseline(params, state, vec(1.0), 2, 2, 0, None)
 
 
