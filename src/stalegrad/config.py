@@ -55,7 +55,8 @@ def load_document(path) -> dict:
 
 def _check_sections(doc: Mapping) -> None:
     """Known sections, each a mapping, the required ones present, and the run keys:
-    ``SimConfig`` takes those as fields, so they are walked here."""
+    ``SimConfig`` takes those as fields, so they are walked here, and walked
+    again, on purpose, when ``SimConfig`` checks its sections."""
     schema.walk(doc, "")
     schema.walk(doc["run"], "run")
 

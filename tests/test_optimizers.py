@@ -207,13 +207,11 @@ def test_method_table_row_matches_its_state_and_step(method):
     with pytest.raises(AttributeError):
         after.query = x1
     assert _shape(row, after)
-    try:
-        step(params, after, np.ones(2), 3, 2, 1, None)
-    except ContractViolationError as exc:
-        refused = "same-sample gradient" in str(exc)
+    if row.paired:
+        with pytest.raises(ContractViolationError, match="same-sample gradient"):
+            step(params, after, np.ones(2), 3, 2, 1, None)
     else:
-        refused = False
-    assert refused == row.paired
+        step(params, after, np.ones(2), 3, 2, 1, None)
 
 
 def test_step_names_are_the_ones_the_bench_tracer_wraps():
