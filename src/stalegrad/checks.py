@@ -306,7 +306,7 @@ def _check_ordered_weight_properties() -> None:
 
 def _check_zero_rule() -> None:
     row = optimizers.METHOD_TABLE["ordered_momentum"]
-    params = optimizers.make_params("ordered_momentum", {"eta": 1.0, "beta": 0.5})
+    params = optimizers.Params("ordered_momentum", eta=1.0, beta=0.5)
     step = optimizers.step_ordered_momentum
     state = step(params, row.initial(np.array([0.0])), np.array([1.0]), 1, 1, 0, None)
     _ensure(state.buffer[0] == 0.5 and state.query[0] == -0.5, "plain first step")

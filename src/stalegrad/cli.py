@@ -220,15 +220,7 @@ def _aggregate(results: list[dict], metric: str) -> dict:
     methods: dict[str, dict] = {}
     for point in grid_points:
         info = methods.setdefault(point["method"], {"best": None, "robustness": []})
-        info["robustness"].append(
-            {
-                "eta": point["eta"],
-                "grid_index": point["grid_index"],
-                "mean": point["mean"],
-                "sd": point["sd"],
-                "diverged": point["diverged"],
-            }
-        )
+        info["robustness"].append({key: point[key] for key in ("eta", "grid_index", "mean", "sd", "diverged")})
     for method, info in methods.items():
         info["best"] = min(
             (p for p in grid_points if p["method"] == method and p["mean"] is not None),
@@ -397,7 +389,7 @@ def _reaggregate_from_csv(path: Path, metric: str) -> dict:
                     "method": row["method"],
                     "eta": float(row["eta"]) if row["eta"] else None,
                     "diverged": bool(int(row["diverged"])),
-                    "error": None,
+                    "error": not row[metric] and not int(row["diverged"]),  # a finished run has its metric
                     "overrides": [
                         pair.split("=", 1)
                         for pair in row["overrides"].split(";")
@@ -461,14 +453,14 @@ def cmd_report(directory: str, check: bool = False) -> int:
     fresh_points = {point["grid_index"]: point for point in recomputed["grid_points"]}
     for point in summary["grid_points"]:
         fresh = fresh_points.get(point["grid_index"])
-        for stat in ("mean", "sd", "diverged"):
-            if fresh is None or not _agrees(point[stat], fresh[stat]):
+        for stat in ("mean", "sd", "diverged", "errors"):
+            if fresh is None or not _agrees(point.get(stat, 0), fresh[stat]):
                 failures.append(f"grid point {point['grid_index']}: {stat} mismatch")
     for grid_index in sorted(fresh_points.keys() - {point["grid_index"] for point in summary["grid_points"]}):
         failures.append(f"grid point {grid_index} missing from summary.json")
-    for total in ("runs_total", "diverged_total"):
-        if summary[total] != recomputed[total]:
-            failures.append(f"{total} mismatch: {summary[total]!r} in summary.json, {recomputed[total]} in runs.csv")
+    for total in ("runs_total", "diverged_total", "error_total"):
+        if summary.get(total, 0) != recomputed[total]:
+            failures.append(f"{total} mismatch: {summary.get(total, 0)!r} in summary.json, {recomputed[total]} in runs.csv")
     for name, value in summary.get("acceptance", {}).items():
         if value is False:
             failures.append(f"acceptance flag {name} is false")

@@ -21,6 +21,7 @@ import yaml
 
 from . import schema
 from .errors import InvalidConfigError
+from .optimizers import METHODS
 from .schema import RUN_SECTIONS
 from .simulation import DEFAULT_DELAY, RUN_FIELDS, SimConfig
 
@@ -53,22 +54,18 @@ def load_document(path) -> dict:
     return dict(doc)
 
 
-def _check_sections(doc: Mapping) -> None:
-    """Known sections, each a mapping, the required ones present, and the run keys:
-    ``SimConfig`` takes those as fields, so they are walked here, and walked
-    again, on purpose, when ``SimConfig`` checks its sections."""
-    schema.walk(doc, "")
-    schema.walk(doc["run"], "run")
-
-
 def check_document(doc: Mapping) -> dict:
-    """Check what the commands read of a document: its sections, the run keys,
-    and the sweep, output and report sections, grid axes included.
+    """Check what the commands read of a document: its sections (known, each a
+    mapping, the required ones present), the run keys, and the sweep, output
+    and report sections, grid axes included.
 
     Returns those three sections checked, defaults filled in; the run
     sections are checked by ``SimConfig`` and the objective where it is built.
+    ``SimConfig`` takes the run keys as fields, so they are walked here, and
+    walked again, on purpose, when it checks its sections.
     """
-    _check_sections(doc)
+    schema.walk(doc, "")
+    schema.walk(doc["run"], "run")
     commands = [section for section in schema.names("") if section not in RUN_SECTIONS]
     checked = {section: schema.walk(doc.get(section) or {}, section) for section in commands}
     sweep = checked["sweep"]
@@ -86,10 +83,15 @@ def check_document(doc: Mapping) -> dict:
 
 
 def parse_sim_config(doc: Mapping) -> SimConfig:
-    _check_sections(doc)
+    """The run ``doc`` describes.  Its optimizer leaves out the keys that only other
+    methods on an ``optimizer.method`` grid axis read; ``SimConfig`` refuses any
+    other key its method does not read."""
+    axis = check_document(doc)["sweep"].get("grid", {}).get("optimizer.method", ())
+    others = {name for method in axis if method in METHODS for name in schema.names("optimizer", method)}
+    own = schema.names("optimizer", doc["optimizer"].get("method"))
     return SimConfig(
         objective=dict(doc["objective"]),
-        optimizer=dict(doc["optimizer"]),
+        optimizer={key: value for key, value in doc["optimizer"].items() if key in own or key not in others},
         delay=dict(doc.get("delay") or DEFAULT_DELAY),
         **{RUN_FIELDS.get(key, key): value for key, value in doc["run"].items()},
     )

@@ -316,10 +316,7 @@ class Mixture(_NoiseModel):
         object.__setattr__(self, "curvature", _freeze(curvature))
         object.__setattr__(self, "offset", _freeze(offset))
 
-    @cached_property
-    def dim(self) -> int:
-        return self.components[0].dim
-
+    dim = Quadratic.dim
     matrix = Quadratic.matrix
     _times = Quadratic._times
     loss = Quadratic.loss
@@ -407,11 +404,9 @@ class NonconvexQuadratic(Quadratic):
     squash_scale: float = field(kw_only=True)  # positive
 
     def loss(self, x: Array) -> float:
-        x = _check_dim(x, self.dim)
         return super().loss(x) + self.squash_scale * float(np.sum(squash(x - self.minimizer)))
 
     def grad(self, x: Array) -> Array:
-        x = _check_dim(x, self.dim)
         return super().grad(x) + self.squash_scale * squash_deriv(x - self.minimizer)
 
     def theory_constants(self, x_init: Array | None = None) -> TheoryConstants:

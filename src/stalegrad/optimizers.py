@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -312,8 +312,3 @@ METHOD_TABLE: dict[str, Method] = {
 }
 
 METHODS = tuple(METHOD_TABLE)
-
-
-def make_params(method: str, values: Mapping[str, Any]) -> Params:
-    """``method``'s :class:`Params` from ``values``, whose ranges ``schema.KEYS`` checked."""
-    return Params(method, **{name: values[name] for name in METHOD_TABLE[method].takes})

@@ -3,10 +3,11 @@
 A row of :data:`KEYS` gives a key's dotted path, its kind, its default, and
 the families or methods that read it (none named: every run, or the
 commands).  Each mapping of a document is walked by what reads it:
-``SimConfig`` the optimizer, delay and run sections, ``objectives.from_spec``
-the objective, ``domain_from_spec`` its domain, ``config.check_document``
-the rest.  A rule relating two values (iterations at least workers, offset
-or minimizer, ...) is checked where the two meet.
+``SimConfig`` the optimizer (by its method), delay and run sections,
+``objectives.from_spec`` the objective (by its family), ``domain_from_spec``
+its domain, ``config.check_document`` the rest.  A rule relating two values
+(iterations at least workers, offset or minimizer, ...) is checked where the
+two meet.
 """
 
 from __future__ import annotations
@@ -294,9 +295,9 @@ def walk(node: Any, prefix: str, reader: str | None = None, field: str | None = 
     return out
 
 
-def names(prefix: str) -> tuple[str, ...]:
-    """The names of the keys and mappings directly under ``prefix``, in table order."""
-    return tuple(_CHILDREN[prefix])
+def names(prefix: str, reader: str | None = None) -> tuple[str, ...]:
+    """The names of the keys and mappings directly under ``prefix`` that ``reader`` reads, in table order."""
+    return tuple(name for name, row in _CHILDREN[prefix].items() if _reads(row, reader))
 
 
 def check(path: str, value: Any) -> Any:

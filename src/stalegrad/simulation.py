@@ -59,9 +59,9 @@ class SimConfig:
     ``objective`` and ``optimizer`` are nested documents in the same shape
     the YAML config uses; ``delay`` holds ``slow_weight``.
 
-    Building one walks the optimizer, delay and run sections through
-    ``schema.KEYS`` and names the field at fault, so a config from YAML,
-    from code or from ``dataclasses.replace`` fails here, not at
+    Building one walks the optimizer (by its method), delay and run sections
+    through ``schema.KEYS`` and names the field at fault, so a config from
+    YAML, from code or from ``dataclasses.replace`` fails here, not at
     :func:`run`; the objective is checked where it is built.  ``x_init`` is
     stored as a tuple of floats; the checked values, defaults filled in, are
     kept beside the fields (not in them, so the hash never reads them).
@@ -79,8 +79,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         run = {key: getattr(self, RUN_FIELDS.get(key, key)) for key in schema.names("run")}
-        sections = (("optimizer", self.optimizer), ("run", run), ("delay", self.delay))
-        checked = {name: schema.walk(section, name) for name, section in sections}
+        method = self.optimizer.get("method") if isinstance(self.optimizer, Mapping) else None
+        reader = method if isinstance(method, str) and method in optimizers.METHODS else None  # else refused
+        checked = {"optimizer": schema.walk(self.optimizer, "optimizer", reader)}
+        checked.update(run=schema.walk(run, "run"), delay=schema.walk(self.delay, "delay"))
         if checked["run"]["iterations"] < checked["run"]["workers"]:
             raise InvalidConfigError("iterations must be at least the worker count", field="run.iterations")
         if self.x_init is not None:
@@ -223,16 +225,13 @@ def _prepare(config: SimConfig) -> _Prepared:
             raise InvalidConfigError(f"x_init must have {objective.dim} entries", field="run.x_init")
 
     opt = dict(config.checked["optimizer"])
-    method, theory = opt.pop("method"), opt.pop("theory")  # opt keeps the step sizes given
+    method, theory = opt.pop("method"), opt.pop("theory", False)  # opt keeps the step sizes given
     row = optimizers.METHOD_TABLE[method]
     if "domain" in row.takes and domain is None:
         raise InvalidConfigError("the projected method needs objective.domain", field="objective.domain")
 
     resolved: dict[str, Any] = {"method": method}
     if theory:
-        if row.theory is None:
-            message = f"theory-derived parameters are not defined for {method!r}"
-            raise InvalidConfigError(message, field="optimizer.theory")
         with blame("optimizer.theory"):  # e.g. sigma = 0 on a noise-free objective
             resolved.update(row.theory(_theory_constants(objective, x1, config.objective), domain, T, M))
     resolved.update(opt)  # a given step size wins over the derived one
@@ -248,7 +247,7 @@ def _prepare(config: SimConfig) -> _Prepared:
             return schema.check(f"optimizer.{name}", resolved[name])
         return resolved[name]
 
-    params = optimizers.make_params(method, {name: value(name) for name in row.takes})
+    params = optimizers.Params(method, **{name: value(name) for name in row.takes})
     if params.domain is not None and not params.domain.contains(x1):
         raise InvalidConfigError("initial iterate must lie in the domain", field="run.x_init")
     step = getattr(optimizers, row.step)

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from stalegrad import cli
+from stalegrad import cli, schema
 from stalegrad.config import apply_override, load_document
 from stalegrad.errors import InvalidConfigError
 from stalegrad.optimizers import METHODS
@@ -97,7 +97,7 @@ FAMILIES = {
     },
 }
 
-#: one hyperparameter set shared by every method; each method reads what it needs
+#: one hyperparameter set shared by every method; each method is given the keys it reads
 OPTIMIZER = {"eta": 0.05, "beta": 0.2, "gamma": 0.5, "tau_filter": 3}
 
 _SWEEP_FILES = ("runs.csv", "robustness.csv", "summary.json")
@@ -118,10 +118,12 @@ def battery() -> dict[str, SimConfig]:
     out = {}
     for family, spec in FAMILIES.items():
         for method in METHODS:
+            reads = schema.names("optimizer", method)
+            optimizer = {"method": method, **{key: value for key, value in OPTIMIZER.items() if key in reads}}
             for workers in WORKERS:
                 config = SimConfig(
                     objective=spec,
-                    optimizer={"method": method, **OPTIMIZER},
+                    optimizer=optimizer,
                     total_iterations=ITERATIONS,
                     num_workers=workers,
                     delay={"slow_weight": SLOW_WEIGHT},

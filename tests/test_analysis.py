@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stalegrad import reference
+from stalegrad import reference, schema
 from stalegrad.analysis import (
     _chi2_tail,
     confusion_counts,
@@ -31,12 +31,11 @@ MIX_SPEC = {
 
 
 def recorded_run(method="ordered_momentum", seed=13, workers=4, iters=300, **opt):
-    options = {"method": method, "eta": 0.003, "beta": 0.05}
-    options.update(opt)
+    options = {"method": method, "eta": 0.003, "beta": 0.05, **opt}
+    options = {key: value for key, value in options.items() if key in schema.names("optimizer", method)}
     spec = dict(MIX_SPEC)
     if method == "ordered_mu2":
         spec["domain"] = {"center": [0.0, 0.0], "radius": 3.0}
-        options = {"method": method, "eta": options["eta"]}
     config = SimConfig(
         objective=spec,
         optimizer=options,

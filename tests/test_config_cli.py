@@ -33,6 +33,7 @@ from stalegrad.errors import DivergedRunError, InvalidConfigError, StalegradErro
 from stalegrad.simulation import RUN_FIELDS, TRACE_COLUMNS, config_hash, run, validate_config
 
 MINIMAL_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "minimal.yaml")
+BIAS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "bias_comparison.yaml")
 
 BASE_DOC = {
     "objective": {
@@ -162,6 +163,24 @@ def test_expansion_shares_the_document_and_leaves_it_alone():
     assert doc == pristine
     assert [e.config.delay["slow_weight"] for e in expanded[::2]] == [0.1, 0.2, 0.1, 0.2]
     assert all(e.config.objective["curvature"] is doc["objective"]["curvature"] for e in expanded)
+
+
+def test_a_method_axis_gives_each_run_the_keys_its_method_reads(tmp_path):
+    """One optimizer section serves every method on the axis; each run keeps what its method reads."""
+    doc = load_document(BIAS_CONFIG)
+    base = {"method": "ordered_momentum", "eta": 0.004, "beta": 0.01}
+    assert parse_sim_config(doc).optimizer == base
+    points = {e.grid_index: e.config.optimizer for e in ExperimentConfig.from_document(doc).expand()}
+    assert points == {
+        0: base,
+        1: {"method": "vanilla", "eta": 0.004},
+        2: {"method": "delay_filtered", "eta": 0.004, "tau_filter": 7},
+        3: {"method": "naive_momentum", "eta": 0.004, "beta": 0.01},
+    }
+    alone = {section: doc[section] for section in ("objective", "delay", "run")}
+    assert config_hash(parse_sim_config(doc)) == config_hash(parse_sim_config(dict(alone, optimizer=base)))
+    short = dict(doc, run=dict(doc["run"], iterations=100), sweep=dict(doc["sweep"], seeds={"count": 1}))
+    assert cli.main(["run", write_doc(tmp_path, short), "--output-dir", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------- run command
@@ -373,6 +392,7 @@ _FAMILY_AXIS = {
         ({"objective": dict(_QUAD_2D, domain={"center": [0.0], "radius": 1.0})}, "objective.domain"),
         ({"run": {"workers": 2, "iterations": 40, "x_init": [0.0]}}, "run.x_init"),
         ({"optimizer": {"method": "vanilla", "eta": 0.05, "theory": True}}, "optimizer.theory"),
+        ({"optimizer": {"method": "vanilla", "eta": 0.05, "beta": 0.5, "gamma": 0.3, "tau_filter": 2}}, "optimizer.beta"),
         ({"report": {"metric": "accuracy"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}}, "report.metric"),
         (
             {"objective": _LOGISTIC, "report": {"metric": "final_excess"}, "sweep": {"grid": {"optimizer.eta": [0.05]}}},
@@ -452,7 +472,7 @@ _FAMILY_AXIS = {
     ],
     ids=[
         "inf-squash", "half-class", "nan-minimizer", "misspelt-curvature", "misspelt-noise",
-        "domain-dim", "x_init-length", "theory-unsupported", "unknown-metric",
+        "domain-dim", "x_init-length", "theory-unsupported", "unread-optimizer-keys", "unknown-metric",
         "logistic-excess", "logistic-distance", "seed-axis", "family-axis", "family-axis-excess",
         "weights", "three-components", "matrix", "separation", "data_seed", "bound_constant",
         "lipschitz", "delta_gap", "sigma", "adaptive-unsupported", "arrival_probs", "write_traces",
@@ -493,13 +513,14 @@ _FAMILY_SPECS = {
 }
 
 
-def _sweep_document(family: str, path: str) -> dict:
-    """A valid sweep document of ``family``, with a grid axis other than ``path``."""
+def _sweep_document(family: str, path: str, method: str = "naive_mu2") -> dict:
+    """A valid sweep document of ``family`` and ``method``, with a grid axis other than ``path``."""
     axis = {"delay.slow_weight": [0.1]} if path == "run.snapshot_stride" else {"run.snapshot_stride": [5]}
+    optimizer = {"method": method, "eta": 0.05, "beta": 0.5, "gamma": 0.5, "tau_filter": 2.0}
     return copy.deepcopy(
         {
             "objective": dict(_FAMILY_SPECS[family], domain={"center": [0.0, 0.0], "radius": 1.0}),
-            "optimizer": {"method": "vanilla", "eta": 0.05, "beta": 0.5, "gamma": 0.5, "tau_filter": 2.0},
+            "optimizer": {key: value for key, value in optimizer.items() if key in schema.names("optimizer", method)},
             "delay": {"slow_weight": 0.1},
             "run": {"workers": 2, "iterations": 20, "seed": 3},
             "sweep": {"grid": axis, "seeds": {"count": 1}},
@@ -512,6 +533,8 @@ def _document_reading(key: schema.Key, path: str) -> dict:
     ``objective.components``); a grid axis elsewhere."""
     if path.startswith("objective.components."):
         return _sweep_document("mixture", path)
+    if path.startswith("optimizer.") and key.readers:
+        return _sweep_document("quadratic", path, key.readers[0])
     return _sweep_document(key.readers[0] if path.startswith("objective.") else "quadratic", path)
 
 
@@ -743,6 +766,8 @@ THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05
         ("run.x_init", "12"),
         ("optimizer.theory", "false"),
         ("optimizer.etta", 0.05),
+        ("optimizer.gamma", 0.5),  # a key ordered momentum does not read
+        ("optimizer.tau_filter", 2.0),
         ("delay.slow_weight", 0.0),
         ("delay.slow_weight", 1.0),
         ("delay.slow_weight", math.nan),
@@ -993,6 +1018,8 @@ def test_report_check_catches_tampering(tmp_path, capsys):
         ({"grid_points": summary["grid_points"][:1]}, "grid point 1 missing from summary.json"),
         ({"runs_total": 3}, "runs_total mismatch: 3 in summary.json, 4 in runs.csv"),
         ({"diverged_total": 1}, "diverged_total mismatch: 1 in summary.json, 0 in runs.csv"),
+        ({"error_total": 3}, "error_total mismatch: 3 in summary.json, 0 in runs.csv"),
+        ({"grid_points": [dict(summary["grid_points"][0], errors=2), *summary["grid_points"][1:]]}, "grid point 0: errors mismatch"),
     ):
         (out / "summary.json").write_text(json.dumps(dict(summary, **tampered)))
         assert cli.main(["report", str(out), "--check"]) == 2, failure
@@ -1013,6 +1040,19 @@ def test_report_check_catches_tampering(tmp_path, capsys):
         "CHECK FAIL: method naive_momentum missing from summary.json",
         "CHECK FAIL: grid point 1 missing from summary.json",
         "CHECK FAIL: runs_total mismatch: 1 in summary.json, 2 in runs.csv",
+    ]
+
+    # runs.csv has no error column: a run with no metric that did not diverge failed with an error
+    doc["sweep"]["seeds"] = {"count": 2}
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    both = json.loads((out / "summary.json").read_text())
+    both["error_total"], both["grid_points"][0]["errors"] = 3, 2
+    (out / "summary.json").write_text(json.dumps(both))
+    capsys.readouterr()
+    assert cli.main(["report", str(out), "--check"]) == 2
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")] == [
+        "CHECK FAIL: grid point 0: errors mismatch",
+        "CHECK FAIL: error_total mismatch: 3 in summary.json, 0 in runs.csv",
     ]
 
 
@@ -1102,6 +1142,8 @@ def test_a_run_that_fails_is_counted_in_its_grid_point(tmp_path, monkeypatch, ca
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error_total"] == 2
     assert [(point["errors"], point["mean"] is None) for point in summary["grid_points"]] == [(0, False), (2, True)]
+    assert cli.main(["report", str(out), "--check"]) == 0  # the errors reproduce from runs.csv
+    assert "CHECK PASS" in capsys.readouterr().out
 
 
 def test_a_diverging_run_names_its_step_in_the_summary(tmp_path, capsys):

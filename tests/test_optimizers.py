@@ -17,9 +17,9 @@ from stalegrad.optimizers import (
     METHOD_TABLE,
     METHODS,
     AdaptiveConstants,
+    Params,
     State,
     delay_adaptive_step_size,
-    make_params,
     ordered_weight,
     step_baseline,
     step_ordered_momentum,
@@ -32,7 +32,7 @@ from stalegrad.simulation import SimConfig, validate_config
 
 def start(method, x1, **values):
     """``method``'s params from ``values`` and its state at ``x1``."""
-    return make_params(method, values), METHOD_TABLE[method].initial(np.asarray(x1, dtype=float))
+    return Params(method, **values), METHOD_TABLE[method].initial(np.asarray(x1, dtype=float))
 
 
 def vec(v):
@@ -192,7 +192,7 @@ def _shape(row, state):
 @pytest.mark.parametrize("method", METHODS)
 def test_method_table_row_matches_its_state_and_step(method):
     row = METHOD_TABLE[method]
-    params = make_params(method, {name: MINIMAL_VALUES[name] for name in row.takes})
+    params = Params(method, **{name: MINIMAL_VALUES[name] for name in row.takes})
     x1 = np.array([0.25, -0.5])
     state = row.initial(x1)
     assert _shape(row, state)

@@ -224,6 +224,25 @@ def test_unknown_method_is_named():
     assert "optimizer.method" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        ({"method": "delay_adaptive", "eta": 0.05}, "optimizer.eta: unknown key; expected one of method"),
+        ({"method": "vanilla", "beta": 0.5}, "optimizer.beta: unknown key; expected one of method, eta"),
+        (
+            {"method": "vanilla", "eta": 0.05, "beta": 0.5, "gamma": 0.3, "tau_filter": 2},
+            "optimizer.beta: unknown key; expected one of method, eta",
+        ),
+        ({"method": "naive_mu2", "eta": 0.05, "theory": True}, "optimizer.theory: unknown key; expected one of method, eta, beta, gamma"),
+    ],
+    ids=["adaptive-eta", "vanilla-beta", "vanilla-every-key", "naive-theory"],
+)
+def test_a_key_the_method_does_not_read_is_refused(optimizer, message):
+    with pytest.raises(InvalidConfigError) as err:
+        momentum_config(optimizer=optimizer)
+    assert str(err.value) == message
+
+
 def test_filtered_runs_mark_skipped_updates():
     config = momentum_config(
         optimizer={"method": "delay_filtered", "eta": 0.02, "tau_filter": 1.0},
