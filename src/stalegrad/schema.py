@@ -269,15 +269,15 @@ def walk(node: Any, prefix: str, reader: str | None = None, field: str | None = 
     ``config_hash`` reads it.
     """
     field = prefix if field is None else field
-    names = {name: row for name, row in _CHILDREN[prefix].items() if _reads(row, reader)}
+    rows = {name: _CHILDREN[prefix][name] for name in names(prefix, reader)}
     if not isinstance(node, Mapping):
-        raise InvalidConfigError(f"must be a mapping of {', '.join(names)}", field=field)
-    unknown = sorted(set(node) - set(names), key=str)
+        raise InvalidConfigError(f"must be a mapping of {', '.join(rows)}", field=field)
+    unknown = sorted(set(node) - set(rows), key=str)
     if unknown:
-        message = f"unknown key; expected one of {', '.join(names)}"
+        message = f"unknown key; expected one of {', '.join(rows)}"
         raise InvalidConfigError(message, field=f"{field}.{unknown[0]}" if field else str(unknown[0]))
     out = {}
-    for name, row in names.items():
+    for name, row in rows.items():
         path, value = f"{field}.{name}" if field else name, node.get(name)
         if isinstance(row, str):
             if value is not None:
