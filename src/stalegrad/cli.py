@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .config import ExperimentConfig, load_document, parse_sim_config
+from .config import ExperimentConfig, load_document
 from .errors import DivergedRunError, InvalidConfigError, StalegradError
 from .schema import METRICS
 from .simulation import TRACE_COLUMNS, _jsonable, config_hash
@@ -102,7 +102,7 @@ def _output_dir(experiment: ExperimentConfig, override: str | None) -> Path:
 def cmd_run(config_path: str, output_dir: str | None = None) -> int:
     doc = load_document(config_path)
     experiment = ExperimentConfig.from_document(doc)
-    configs = experiment.seeded(parse_sim_config(doc))
+    configs = experiment.seeded(experiment.base)
     validate_config(configs[0])  # validation reads no seed, so this checks every seed's config
     out = _output_dir(experiment, output_dir)
 
@@ -157,7 +157,6 @@ def _sweep_worker(expanded) -> dict:
     config = expanded.config
     result = {
         "grid_index": expanded.grid_index,
-        "seed_index": expanded.seed_index,
         "seed": config.seed,
         "overrides": [[path, _jsonable(value)] for path, value in expanded.overrides],
         "method": config.optimizer.get("method"),
@@ -191,8 +190,7 @@ def _group_sd(values: list[float]) -> float:
 
 
 def _aggregate(results: list[dict], metric: str) -> dict:
-    """Deterministic fold over per-run results, sorted by (grid point, seed)."""
-    results = sorted(results, key=lambda r: (r["grid_index"], r["seed_index"]))
+    """Deterministic fold over per-run results, in ``expand``'s (grid point, seed) order."""
     by_grid: dict[int, list[dict]] = {}
     for row in results:
         by_grid.setdefault(row["grid_index"], []).append(row)
@@ -257,15 +255,28 @@ def _aggregate(results: list[dict], metric: str) -> dict:
     }
 
 
+def _robustness_table(summary: dict) -> list[list[str]]:
+    """``robustness.csv``'s cells as they read back: methods by name, each one's grid points by eta."""
+    table = [["method", "eta", "metric", "mean", "sd", "diverged"]]
+    for method in sorted(summary["methods"]):
+        for row in summary["methods"][method]["robustness"]:
+            eta, mean, sd = (_number_cell(row[stat]) for stat in ("eta", "mean", "sd"))
+            table.append([method, eta, summary["metric"], mean, sd, str(row["diverged"])])
+    return table
+
+
+def _write_table(path: Path, rows) -> None:
+    """Rows of cells through :mod:`csv`, which quotes a cell holding a comma or a quote."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
     doc = load_document(config_path)
     experiment = ExperimentConfig.from_document(doc)
     if not experiment.grid:
         raise InvalidConfigError("sweep needs at least one grid axis", field="sweep.grid")
     expanded = experiment.expand()
-    for item in expanded:
-        if item.seed_index == 0:  # validation reads no seed, so this checks the point's every seed
-            validate_config(item.config)
     families = {item.config.objective.get("family") for item in expanded}
     metrics = {_select_metric(experiment.report, family) for family in families}
     if len(metrics) > 1:  # an explicit report.metric is the same at every point
@@ -287,39 +298,13 @@ def cmd_sweep(config_path: str, output_dir: str | None = None) -> int:
     summary["grid"] = [[path, list(values)] for path, values in experiment.grid]
     summary["seeds"] = [item.config.seed for item in expanded[: experiment.seed_count]]
 
-    with open(out / "runs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["grid_index", "seed", "method", "eta", "diverged", *METRICS, "overrides"])
-        for row in sorted(results, key=lambda r: (r["grid_index"], r["seed_index"])):
-            metrics = row["metrics"] or {}
-            writer.writerow(
-                [
-                    row["grid_index"],
-                    row["seed"],
-                    row["method"],
-                    _number_cell(row["eta"]),
-                    int(row["diverged"]),
-                    *(_number_cell(metrics.get(name)) for name in METRICS),
-                    ";".join(f"{path}={value}" for path, value in row["overrides"]),
-                ]
-            )
-
-    with open(out / "robustness.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "eta", "metric", "mean", "sd", "diverged"])
-        for method in sorted(summary["methods"]):
-            for row in summary["methods"][method]["robustness"]:
-                writer.writerow(
-                    [
-                        method,
-                        _number_cell(row["eta"]),
-                        metric,
-                        _number_cell(row["mean"]),
-                        _number_cell(row["sd"]),
-                        row["diverged"],
-                    ]
-                )
-
+    table = [["grid_index", "seed", "method", "eta", "diverged", *METRICS, "overrides"]]
+    for row in results:
+        cells = [row["grid_index"], row["seed"], row["method"], _number_cell(row["eta"]), int(row["diverged"])]
+        metrics = [_number_cell((row["metrics"] or {}).get(name)) for name in METRICS]
+        table.append([*cells, *metrics, ";".join(f"{path}={value}" for path, value in row["overrides"])])
+    _write_table(out / "runs.csv", table)
+    _write_table(out / "robustness.csv", _robustness_table(summary))
     _write_json(summary, out / "summary.json")
 
     print(
@@ -380,11 +365,10 @@ def _format_report(summary: dict) -> str:
 def _reaggregate_from_csv(path: Path, metric: str) -> dict:
     results = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
+        for row in csv.DictReader(fh):
             results.append(
                 {
                     "grid_index": int(row["grid_index"]),
-                    "seed_index": i,
                     "seed": int(row["seed"]),
                     "method": row["method"],
                     "eta": float(row["eta"]) if row["eta"] else None,
@@ -414,8 +398,8 @@ def _agrees(stored, fresh) -> bool:
 
 def cmd_report(directory: str, check: bool = False) -> int:
     out = Path(directory)
-    summary_path, runs_path = out / "summary.json", out / "runs.csv"
-    for needed in (summary_path, runs_path) if check else (summary_path,):
+    summary_path, runs_path, robustness_path = out / "summary.json", out / "runs.csv", out / "robustness.csv"
+    for needed in (summary_path, runs_path, robustness_path) if check else (summary_path,):
         if not needed.exists():
             raise InvalidConfigError(f"no {needed.name} under {out}")
     try:
@@ -467,6 +451,9 @@ def cmd_report(directory: str, check: bool = False) -> int:
         fresh_value = recomputed["acceptance"].get(name)
         if isinstance(value, bool) and fresh_value is not None and fresh_value != value:
             failures.append(f"acceptance flag {name} does not reproduce")
+    with open(robustness_path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+        if list(csv.reader(fh)) != _robustness_table(recomputed):
+            failures.append("robustness.csv does not reproduce from runs.csv")
     if failures:
         for failure in failures:
             print(f"CHECK FAIL: {failure}")

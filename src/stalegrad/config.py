@@ -23,7 +23,7 @@ from . import schema
 from .errors import InvalidConfigError
 from .optimizers import METHODS
 from .schema import RUN_SECTIONS
-from .simulation import DEFAULT_DELAY, RUN_FIELDS, SimConfig
+from .simulation import DEFAULT_DELAY, RUN_FIELDS, SimConfig, validate_config
 
 
 class _Loader(yaml.SafeLoader):
@@ -54,39 +54,11 @@ def load_document(path) -> dict:
     return dict(doc)
 
 
-def check_document(doc: Mapping) -> dict:
-    """Check what the commands read of a document: its sections (known, each a
-    mapping, the required ones present), the run keys, and the sweep, output
-    and report sections, grid axes included.
-
-    Returns those three sections checked, defaults filled in; the run
-    sections are checked by ``SimConfig`` and the objective where it is built.
-    ``SimConfig`` takes the run keys as fields, so they are walked here, and
-    walked again, on purpose, when it checks its sections.
-    """
-    schema.walk(doc, "")
-    schema.walk(doc["run"], "run")
-    commands = [section for section in schema.names("") if section not in RUN_SECTIONS]
-    checked = {section: schema.walk(doc.get(section) or {}, section) for section in commands}
-    sweep = checked["sweep"]
-    sweep["seeds"] = schema.walk(sweep.get("seeds", {}), "sweep.seeds")
-    for path, values in sweep.get("grid", {}).items():
-        if str(path).split(".")[0] not in RUN_SECTIONS:
-            message = f"a grid axis varies a key of {', '.join(sorted(RUN_SECTIONS))}"
-            raise InvalidConfigError(message, field=f"sweep.grid.{path}")
-        if path == "run.seed":
-            message = "seeds come from sweep.seeds, not a grid axis"
-            raise InvalidConfigError(message, field="sweep.grid.run.seed")
-        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
-            raise InvalidConfigError("axis must be a nonempty list", field=f"sweep.grid.{path}")
-    return checked
-
-
-def parse_sim_config(doc: Mapping) -> SimConfig:
+def _run_config(doc: Mapping, grid: tuple[tuple[str, tuple], ...]) -> SimConfig:
     """The run ``doc`` describes.  Its optimizer leaves out the keys that only other
-    methods on an ``optimizer.method`` grid axis read; ``SimConfig`` refuses any
+    methods on an ``optimizer.method`` axis of ``grid`` read; ``SimConfig`` refuses any
     other key its method does not read."""
-    axis = check_document(doc)["sweep"].get("grid", {}).get("optimizer.method", ())
+    axis = dict(grid).get("optimizer.method", ())
     others = {name for method in axis if method in METHODS for name in schema.names("optimizer", method)}
     own = schema.names("optimizer", doc["optimizer"].get("method"))
     return SimConfig(
@@ -95,6 +67,11 @@ def parse_sim_config(doc: Mapping) -> SimConfig:
         delay=dict(doc.get("delay") or DEFAULT_DELAY),
         **{RUN_FIELDS.get(key, key): value for key, value in doc["run"].items()},
     )
+
+
+def parse_sim_config(doc: Mapping) -> SimConfig:
+    """The run ``doc`` describes, the whole document checked (see ``ExperimentConfig``)."""
+    return ExperimentConfig.from_document(doc).base
 
 
 def apply_override(doc: Mapping, dotted_path: str, value) -> dict:
@@ -124,9 +101,10 @@ class ExpandedRun:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One base document plus the sweep axes that vary around it."""
+    """One base document, the run it describes, and the sweep axes that vary around it."""
 
     document: Mapping
+    base: SimConfig
     grid: tuple[tuple[str, tuple], ...]
     seed_base: int
     seed_count: int
@@ -136,12 +114,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "ExperimentConfig":
-        checked = check_document(doc)
-        base = parse_sim_config(doc)
-        sweep, seeds = checked["sweep"], checked["sweep"]["seeds"]
+        """Check ``doc`` once: its sections (known, each a mapping, the required ones
+        present), the run keys (``SimConfig`` takes them as fields), the sweep, output and
+        report sections with the grid axes, then, building the base run, the run sections;
+        the objective is checked where it is built."""
+        schema.walk(doc, "")
+        schema.walk(doc["run"], "run")
+        commands = [section for section in schema.names("") if section not in RUN_SECTIONS]
+        checked = {section: schema.walk(doc.get(section) or {}, section) for section in commands}
+        sweep = checked["sweep"]
+        seeds = schema.walk(sweep.get("seeds", {}), "sweep.seeds")
+        for path, values in sweep.get("grid", {}).items():
+            if str(path).split(".")[0] not in RUN_SECTIONS:
+                message = f"a grid axis varies a key of {', '.join(sorted(RUN_SECTIONS))}"
+                raise InvalidConfigError(message, field=f"sweep.grid.{path}")
+            if path == "run.seed":
+                message = "seeds come from sweep.seeds, not a grid axis"
+                raise InvalidConfigError(message, field="sweep.grid.run.seed")
+            if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
+                raise InvalidConfigError("axis must be a nonempty list", field=f"sweep.grid.{path}")
         grid = tuple((str(path), tuple(values)) for path, values in sweep.get("grid", {}).items())
+        base = _run_config(doc, grid)
         return cls(
             document=dict(doc),
+            base=base,
             grid=grid,
             seed_base=seeds.get("base", base.seed),
             seed_count=seeds["count"],
@@ -155,15 +151,25 @@ class ExperimentConfig:
         return [replace(config, seed=self.seed_base + i) for i in range(self.seed_count)]
 
     def expand(self) -> list[ExpandedRun]:
-        """All grid points × seeds, in grid-major, seed-minor order."""
-        paths = [path for path, _ in self.grid]
-        axes = [values for _, values in self.grid]
+        """All grid points × seeds, in grid-major, seed-minor order.  Each point walks what an
+        axis can change (the section layout: ``delay`` replaces a section; the run keys), then
+        its run is built and validated at its first seed (validation reads no seed).  A
+        point's refusal names its field, then the point."""
         runs: list[ExpandedRun] = []
-        for grid_index, combo in enumerate(itertools.product(*axes)):
-            doc = self.document
-            for path, value in zip(paths, combo):
-                doc = apply_override(doc, path, value)
-            overrides = tuple(zip(paths, combo))
-            for seed_index, config in enumerate(self.seeded(parse_sim_config(doc))):
-                runs.append(ExpandedRun(grid_index, seed_index, overrides, config))
+        for grid_index, combo in enumerate(itertools.product(*(values for _, values in self.grid))):
+            overrides = tuple(zip((path for path, _ in self.grid), combo))
+            try:
+                doc = self.document
+                for path, value in overrides:
+                    doc = apply_override(doc, path, value)
+                schema.walk(doc, "")
+                schema.walk(doc["run"], "run")
+                configs = self.seeded(_run_config(doc, self.grid))
+                validate_config(configs[0])
+            except InvalidConfigError as exc:
+                if not overrides:  # the document's own run: there is no point to name
+                    raise
+                point = "; ".join(f"{path}={value}" for path, value in overrides)
+                raise InvalidConfigError(f"{exc.message} (grid point {grid_index}: {point})", exc.field) from None
+            runs.extend(ExpandedRun(grid_index, i, overrides, config) for i, config in enumerate(configs))
         return runs

@@ -13,11 +13,12 @@ class InvalidConfigError(StalegradError):
     """A configuration value is missing, malformed, or out of range.
 
     ``field`` holds a dotted path into the config document (e.g.
-    ``"delay.slow_weight"``) when the offending entry is known.
+    ``"delay.slow_weight"``) when the offending entry is known, and
+    ``message`` the text without it.
     """
 
     def __init__(self, message: str, field: str | None = None):
-        self.field = field
+        self.message, self.field = message, field
         super().__init__(f"{field}: {message}" if field else message)
 
 

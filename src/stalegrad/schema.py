@@ -5,7 +5,7 @@ the families or methods that read it (none named: every run, or the
 commands).  Each mapping of a document is walked by what reads it:
 ``SimConfig`` the optimizer (by its method), delay and run sections,
 ``objectives.from_spec`` the objective (by its family), ``domain_from_spec``
-its domain, ``config.check_document`` the rest.  A rule relating two values
+its domain, ``config.ExperimentConfig.from_document`` the rest.  A rule relating two values
 (iterations at least workers, offset or minimizer, ...) is checked where the
 two meet.
 """

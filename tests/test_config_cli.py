@@ -1,5 +1,6 @@
 """Config documents, grid expansion, and the four CLI subcommands."""
 
+import collections
 import copy
 import csv
 import dataclasses
@@ -25,7 +26,6 @@ import stalegrad.schema as schema
 from stalegrad.config import (
     ExperimentConfig,
     apply_override,
-    check_document,
     load_document,
     parse_sim_config,
 )
@@ -80,11 +80,11 @@ def test_grid_axis_must_be_a_list():
     doc = dict(BASE_DOC)
     doc["sweep"] = {"grid": {"optimizer.eta": 0.05}}
     with pytest.raises(InvalidConfigError) as err:
-        check_document(doc)
+        ExperimentConfig.from_document(doc)
     assert "sweep.grid.optimizer.eta" in str(err.value)
     doc["sweep"] = {"grid": {"optimizer.method": "vanilla"}}
     with pytest.raises(InvalidConfigError):
-        check_document(doc)
+        ExperimentConfig.from_document(doc)
 
 
 def test_apply_override_leaves_the_document_alone():
@@ -181,6 +181,72 @@ def test_a_method_axis_gives_each_run_the_keys_its_method_reads(tmp_path):
     assert config_hash(parse_sim_config(doc)) == config_hash(parse_sim_config(dict(alone, optimizer=base)))
     short = dict(doc, run=dict(doc["run"], iterations=100), sweep=dict(doc["sweep"], seeds={"count": 1}))
     assert cli.main(["run", write_doc(tmp_path, short), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+#: a method axis on which no method reads the base method's ``beta``
+_METHOD_AXIS_DOC = {
+    "objective": {"family": "quadratic", "dim": 2},
+    "optimizer": {"method": "ordered_momentum", "eta": 0.01, "beta": 0.1},
+    "run": {"workers": 2, "iterations": 20},
+    "sweep": {"grid": {"optimizer.method": ["vanilla", "delay_filtered"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            _METHOD_AXIS_DOC,
+            "optimizer.beta: unknown key; expected one of method, eta (grid point 0: optimizer.method=vanilla)",
+        ),
+        (
+            dict(
+                BASE_DOC,
+                objective={"family": "quadratic", "dim": 2},
+                sweep={"grid": {"optimizer.eta": [0.05], "objective.domain.radius": [1.0, -1.0]}},
+            ),
+            "objective.domain.radius: must be in (0, 1e+150], got -1.0"
+            " (grid point 1: optimizer.eta=0.05; objective.domain.radius=-1.0)",
+        ),
+    ],
+    ids=["optimizer-key", "objective"],
+)
+def test_a_refused_grid_point_names_its_field_and_its_overrides(tmp_path, capsys, doc, message):
+    with pytest.raises(InvalidConfigError) as err:
+        ExperimentConfig.from_document(doc).expand()
+    assert str(err.value) == message and err.value.field == message.split(":")[0]
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "run")]) == 0  # the document's own run is sound
+
+
+def test_a_document_without_a_grid_expands_to_its_own_run_and_refuses_it_unnamed():
+    doc = dict(BASE_DOC, optimizer={"method": "vanilla"})
+    experiment = ExperimentConfig.from_document(doc)  # eta is a run's, checked when it is validated
+    with pytest.raises(InvalidConfigError, match=r"^optimizer\.eta: missing$"):
+        experiment.expand()
+    assert [e.config for e in ExperimentConfig.from_document(BASE_DOC).expand()] == [parse_sim_config(BASE_DOC)]
+
+
+def test_each_command_walks_the_command_sections_once(tmp_path, monkeypatch):
+    walked = collections.Counter()
+    walk = schema.walk
+
+    def counted(node, prefix, *args):
+        walked[prefix] += 1
+        return walk(node, prefix, *args)
+
+    monkeypatch.setattr(schema, "walk", counted)
+    grid = {"optimizer.eta": [0.01 * (i + 1) for i in range(7)], "delay.slow_weight": [0.1, 0.2]}
+    sweep = write_doc(tmp_path, dict(BASE_DOC, sweep={"grid": grid}))
+    commands = ("sweep", "output", "report", "sweep.seeds")
+    assert cli.main(["sweep", sweep, "--output-dir", str(tmp_path / "sweep")]) == 0
+    assert [walked[prefix] for prefix in commands] == [1, 1, 1, 1]
+    walked.clear()
+    assert cli.main(["run", write_doc(tmp_path, BASE_DOC, "run.yaml"), "--output-dir", str(tmp_path / "run")]) == 0
+    assert [walked[prefix] for prefix in commands] == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------- run command
@@ -774,7 +840,7 @@ THEORY_DOC = dict(BASE_DOC, optimizer={"method": "ordered_momentum", "eta": 0.05
     ],
 )
 def test_malformed_run_fields_name_their_path(field, value):
-    """A SimConfig built in code skips check_document; constructing it must still refuse it
+    """A SimConfig built in code skips ExperimentConfig.from_document; constructing it must still refuse it
     (before the run, whose delay model checks the slow weight again)."""
     section, key = field.split(".")
     valid = parse_sim_config(THEORY_DOC)
@@ -1005,6 +1071,16 @@ def test_report_check_catches_tampering(tmp_path, capsys):
         assert "CHECK FAIL" in capsys.readouterr().out
 
     (out / "runs.csv").write_text(pristine)
+    robustness = (out / "robustness.csv").read_text()
+    rows = list(csv.reader(robustness.splitlines()))
+    rows[1][3] = "999.0"  # the first row's mean
+    with open(out / "robustness.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert cli.main(["report", str(out), "--check"]) == 2
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")] == [
+        "CHECK FAIL: robustness.csv does not reproduce from runs.csv"
+    ]
+    (out / "robustness.csv").write_text(robustness)
     pristine_summary = (out / "summary.json").read_text()
     vanilla = summary["methods"]["vanilla"]
     for tampered, failure in (
@@ -1092,6 +1168,16 @@ def test_report_check_refuses_a_missing_or_malformed_runs_table(tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "runs.csv" in err[0]
     assert (out / "report.txt").exists() == (damage == "columns")  # a missing table is found first
+
+
+def test_report_check_refuses_a_sweep_without_its_robustness_table(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", write_doc(tmp_path, sweep_doc()), "--output-dir", str(out)]) == 0
+    (out / "robustness.csv").unlink()
+    capsys.readouterr()
+    assert cli.main(["report", str(out), "--check"]) == 1
+    assert capsys.readouterr().err == f"error: no robustness.csv under {out}\n"
+    assert not (out / "report.txt").exists()
 
 
 def test_diverged_runs_are_counted_and_reported(tmp_path, capsys):
