@@ -374,26 +374,41 @@ def _reaggregate_from_csv(path: Path, metric: str) -> dict:
                     "eta": float(row["eta"]) if row["eta"] else None,
                     "diverged": bool(int(row["diverged"])),
                     "error": not row[metric] and not int(row["diverged"]),  # a finished run has its metric
-                    "overrides": [
-                        pair.split("=", 1)
-                        for pair in row["overrides"].split(";")
-                        if pair
-                    ],
-                    "metrics": (
-                        None
-                        if not row[metric]
-                        else {metric: float(row[metric])}
-                    ),
+                    "overrides": row["overrides"],  # text, which the audit skips
+                    "metrics": {metric: float(row[metric])} if row[metric] else None,
                 }
             )
     return _aggregate(results, metric)
 
 
 def _agrees(stored, fresh) -> bool:
-    """Both absent, or equal within 1e-9 relative (counts exactly)."""
-    if stored is None or fresh is None:
-        return stored is fresh
-    return math.isclose(stored, fresh, rel_tol=1e-9)
+    """Equal and of one type, or two numbers, one a float, within 1e-9 relative."""
+    if isinstance(stored, float) or isinstance(fresh, float):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (stored, fresh))
+        return numbers and math.isclose(stored, fresh, rel_tol=1e-9)
+    return type(stored) is type(fresh) and stored == fresh
+
+
+def _differences(stored, fresh, path: str = ""):
+    """Where ``summary.json`` (``stored``) and its re-derivation from ``runs.csv`` (``fresh``)
+    part: a key or entry one side lacks, named once at its own path, or a value that differs.
+    An ``overrides`` entry is skipped: ``runs.csv`` keeps override values as text."""
+    if isinstance(stored, list) and isinstance(fresh, list):
+        stored, fresh, form = dict(enumerate(stored)), dict(enumerate(fresh)), "{}[{}]"
+    elif isinstance(stored, dict) and isinstance(fresh, dict):
+        form = "{}.{}" if path else "{1}"
+    else:
+        if not _agrees(stored, fresh):
+            yield f"{path}: {stored!r} in summary.json, {fresh!r} in runs.csv"
+        return
+    for key in sorted((stored.keys() | fresh.keys()) - {"overrides"}):
+        where = form.format(path, key)
+        if key not in fresh:
+            yield f"{where} missing from runs.csv"
+        elif key not in stored:
+            yield f"{where} missing from summary.json"
+        else:
+            yield from _differences(stored[key], fresh[key], where)
 
 
 def cmd_report(directory: str, check: bool = False) -> int:
@@ -414,43 +429,15 @@ def cmd_report(directory: str, check: bool = False) -> int:
     if not check:
         return 0
 
-    failures = []
     try:
         recomputed = _reaggregate_from_csv(runs_path, summary["metric"])
     except (ValueError, LookupError) as exc:  # a missing column or a cell that does not parse
         raise InvalidConfigError(f"{runs_path} is not a sweep's runs table: {exc!r}") from None
-    for method, info in summary["methods"].items():
-        fresh = recomputed["methods"].get(method)
-        if fresh is None:
-            failures.append(f"method {method} missing from runs.csv")
-            continue
-        stored_best, fresh_best = info["best"], fresh["best"]
-        if (stored_best is None) != (fresh_best is None):
-            failures.append(f"{method}: best-configuration presence mismatch")
-        elif stored_best is not None:
-            if stored_best["grid_index"] != fresh_best["grid_index"]:
-                failures.append(f"{method}: best grid point mismatch")
-            elif not _agrees(stored_best["mean"], fresh_best["mean"]):
-                failures.append(f"{method}: best mean mismatch")
-    for method in sorted(recomputed["methods"].keys() - summary["methods"].keys()):
-        failures.append(f"method {method} missing from summary.json")
-    fresh_points = {point["grid_index"]: point for point in recomputed["grid_points"]}
-    for point in summary["grid_points"]:
-        fresh = fresh_points.get(point["grid_index"])
-        for stat in ("mean", "sd", "diverged", "errors"):
-            if fresh is None or not _agrees(point.get(stat, 0), fresh[stat]):
-                failures.append(f"grid point {point['grid_index']}: {stat} mismatch")
-    for grid_index in sorted(fresh_points.keys() - {point["grid_index"] for point in summary["grid_points"]}):
-        failures.append(f"grid point {grid_index} missing from summary.json")
-    for total in ("runs_total", "diverged_total", "error_total"):
-        if summary.get(total, 0) != recomputed[total]:
-            failures.append(f"{total} mismatch: {summary.get(total, 0)!r} in summary.json, {recomputed[total]} in runs.csv")
-    for name, value in summary.get("acceptance", {}).items():
-        if value is False:
-            failures.append(f"acceptance flag {name} is false")
-        fresh_value = recomputed["acceptance"].get(name)
-        if isinstance(value, bool) and fresh_value is not None and fresh_value != value:
-            failures.append(f"acceptance flag {name} does not reproduce")
+    # grid and seeds are written from the document, not derived from the runs
+    audited = {key: value for key, value in summary.items() if key not in ("grid", "seeds")}
+    failures = list(_differences(audited, recomputed))
+    flags = sorted(recomputed["acceptance"].items())  # read here, so a deleted flag cannot hide
+    failures += [f"acceptance flag {name} is false" for name, value in flags if value is False]
     with open(robustness_path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         if list(csv.reader(fh)) != _robustness_table(recomputed):
             failures.append("robustness.csv does not reproduce from runs.csv")

@@ -28,7 +28,8 @@ class ContractViolationError(StalegradError):
 
 
 class DivergedRunError(StalegradError):
-    """A simulation produced a non-finite iterate.
+    """A simulation produced a non-finite iterate, or a finite iterate whose
+    monitored loss or squared gradient norm is not finite.
 
     Carries the last finite iterate, the iteration at which the
     divergence was detected and the run's resolved parameters (its η,
@@ -40,7 +41,7 @@ class DivergedRunError(StalegradError):
         self.step = step
         self.last_iterate = last_iterate
         self.resolved_params = resolved_params
-        super().__init__(f"non-finite iterate produced at iteration {step}")
+        super().__init__(f"run diverged at iteration {step}")
 
 
 class ReplayDivergenceError(StalegradError):

@@ -327,8 +327,10 @@ def run(config: SimConfig) -> RunTrace:
             dispatch_col[row] = k
             wait_col[row] = wait
             component_col.append(tag)
-            loss_col[row] = objective.loss(query)
-            grad_norm_col[row] = euclidean_norm(objective.grad(query))
+            loss_col[row] = loss = objective.loss(query)
+            grad_norm_col[row] = norm = euclidean_norm(objective.grad(query))
+            if not (math.isfinite(loss) and math.isfinite(norm * norm)):  # avg_sq_grad_norm sums the square
+                raise DivergedRunError(step=t, last_iterate=np.array(query), resolved_params=prep.resolved)
             if stride and (row % stride == 0 or t == T):
                 snapshots[-1 if t == T else row // stride] = query
 

@@ -16,6 +16,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import make_golden
 import stalegrad.analysis as analysis
 import stalegrad.checks as checks
 import stalegrad.cli as cli
@@ -1082,24 +1083,73 @@ def test_report_check_catches_tampering(tmp_path, capsys):
     ]
     (out / "robustness.csv").write_text(robustness)
     pristine_summary = (out / "summary.json").read_text()
-    vanilla = summary["methods"]["vanilla"]
-    for tampered, failure in (
-        ({"methods": {**summary["methods"], "naive_momentum": vanilla}}, "method naive_momentum missing from runs.csv"),
-        ({"methods": {"vanilla": dict(vanilla, best=None)}}, "vanilla: best-configuration presence mismatch"),
+    vanilla, point = summary["methods"]["vanilla"], summary["grid_points"][0]
+    low, ratio = vanilla["robustness"][0], summary["acceptance"]["vanilla_metric_ratio"]
+    other_eta = next(p["eta"] for p in summary["grid_points"] if p["eta"] != vanilla["best"]["eta"])
+    # each row: the path of one value of summary.json, its tampered value, and the CHECK lines
+    for keys, value, *failures in (
+        (("methods", "naive_momentum"), vanilla, "methods.naive_momentum missing from runs.csv"),
+        (("methods", "vanilla", "best"), None, "methods.vanilla.best: None in summary.json, {"),
         (
-            {"methods": {"vanilla": dict(vanilla, best=dict(vanilla["best"], mean=vanilla["best"]["mean"] * 1.01))}},
-            "vanilla: best mean mismatch",
+            ("methods", "vanilla", "best", "mean"),
+            vanilla["best"]["mean"] * 1.01,
+            f"methods.vanilla.best.mean: {vanilla['best']['mean'] * 1.01!r} in summary.json, {vanilla['best']['mean']!r} in runs.csv",
         ),
-        ({"acceptance": dict(summary["acceptance"], vanilla_unstable_gt_10=False)}, "acceptance flag vanilla_unstable_gt_10 is false"),
-        ({"grid_points": summary["grid_points"][:1]}, "grid point 1 missing from summary.json"),
-        ({"runs_total": 3}, "runs_total mismatch: 3 in summary.json, 4 in runs.csv"),
-        ({"diverged_total": 1}, "diverged_total mismatch: 1 in summary.json, 0 in runs.csv"),
-        ({"error_total": 3}, "error_total mismatch: 3 in summary.json, 0 in runs.csv"),
-        ({"grid_points": [dict(summary["grid_points"][0], errors=2), *summary["grid_points"][1:]]}, "grid point 0: errors mismatch"),
+        (
+            ("methods", "vanilla", "best", "eta"),
+            other_eta,
+            f"methods.vanilla.best.eta: {other_eta!r} in summary.json, {vanilla['best']['eta']!r} in runs.csv",
+        ),
+        (
+            ("methods", "vanilla", "best", "sd"),
+            vanilla["best"]["sd"] * 2,
+            f"methods.vanilla.best.sd: {vanilla['best']['sd'] * 2!r} in summary.json, {vanilla['best']['sd']!r} in runs.csv",
+        ),
+        (
+            ("methods", "vanilla", "robustness", 0, "mean"),
+            low["mean"] * 2,
+            f"methods.vanilla.robustness[0].mean: {low['mean'] * 2!r} in summary.json, {low['mean']!r} in runs.csv",
+        ),
+        (
+            ("acceptance", "vanilla_unstable_gt_10"),
+            False,
+            "acceptance.vanilla_unstable_gt_10: False in summary.json, True in runs.csv",
+        ),
+        (
+            ("acceptance", "vanilla_metric_ratio"),
+            ratio * 2,
+            f"acceptance.vanilla_metric_ratio: {ratio * 2!r} in summary.json, {ratio!r} in runs.csv",
+        ),
+        (
+            ("acceptance",),
+            {},
+            "acceptance.vanilla_metric_ratio missing from summary.json",
+            "acceptance.vanilla_unstable_gt_10 missing from summary.json",
+        ),
+        (("grid_points",), summary["grid_points"][:1], "grid_points[1] missing from summary.json"),
+        (("grid_points", 0, "eta"), 0.5, f"grid_points[0].eta: 0.5 in summary.json, {point['eta']!r} in runs.csv"),
+        (
+            ("grid_points", 0, "method"),
+            "naive_momentum",
+            "grid_points[0].method: 'naive_momentum' in summary.json, 'vanilla' in runs.csv",
+        ),
+        (("grid_points", 0, "seeds"), [*point["seeds"], 99], "grid_points[0].seeds[2] missing from runs.csv"),
+        (("grid_points", 0, "errors"), 2, "grid_points[0].errors: 2 in summary.json, 0 in runs.csv"),
+        (("runs_total",), 3, "runs_total: 3 in summary.json, 4 in runs.csv"),
+        (("diverged_total",), 1, "diverged_total: 1 in summary.json, 0 in runs.csv"),
+        (("error_total",), 3, "error_total: 3 in summary.json, 0 in runs.csv"),
     ):
-        (out / "summary.json").write_text(json.dumps(dict(summary, **tampered)))
-        assert cli.main(["report", str(out), "--check"]) == 2, failure
-        assert f"CHECK FAIL: {failure}" in capsys.readouterr().out.splitlines()
+        tampered = json.loads(pristine_summary)
+        *parents, last = keys
+        node = tampered
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        (out / "summary.json").write_text(json.dumps(tampered))
+        assert cli.main(["report", str(out), "--check"]) == 2, failures
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")]
+        assert len(lines) == len(failures), lines
+        assert all(line.startswith(f"CHECK FAIL: {failure}") for line, failure in zip(lines, failures)), lines
     (out / "summary.json").write_text(pristine_summary)
     assert cli.main(["report", str(out), "--check"]) == 0
 
@@ -1113,9 +1163,9 @@ def test_report_check_catches_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", str(out), "--check"]) == 2
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")] == [
-        "CHECK FAIL: method naive_momentum missing from summary.json",
-        "CHECK FAIL: grid point 1 missing from summary.json",
-        "CHECK FAIL: runs_total mismatch: 1 in summary.json, 2 in runs.csv",
+        "CHECK FAIL: grid_points[1] missing from summary.json",
+        "CHECK FAIL: methods.naive_momentum missing from summary.json",
+        "CHECK FAIL: runs_total: 1 in summary.json, 2 in runs.csv",
     ]
 
     # runs.csv has no error column: a run with no metric that did not diverge failed with an error
@@ -1127,9 +1177,31 @@ def test_report_check_catches_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", str(out), "--check"]) == 2
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")] == [
-        "CHECK FAIL: grid point 0: errors mismatch",
-        "CHECK FAIL: error_total mismatch: 3 in summary.json, 0 in runs.csv",
+        "CHECK FAIL: error_total: 3 in summary.json, 0 in runs.csv",
+        "CHECK FAIL: grid_points[0].errors: 2 in summary.json, 0 in runs.csv",
     ]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        "configs/bias_comparison.yaml",
+        "configs/robustness_window.yaml",
+        "bench/configs/window_sweep.yaml",
+        "bench/configs/logistic_battery.yaml",
+    ],
+)
+def test_an_untampered_sweep_of_a_shipped_document_passes_the_audit(tmp_path, capsys, document):
+    doc = load_document(Path(__file__).resolve().parent.parent / document)
+    for path, value in make_golden._SHORT_SWEEP.items():
+        doc = apply_override(doc, path, value)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", write_doc(tmp_path, doc), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    cli.main(["report", str(out), "--check"])
+    # a false flag is a statistical outcome of the seed; the benchmark's output check skips it too
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK FAIL")]
+    assert [line for line in failures if not re.fullmatch(r"CHECK FAIL: acceptance flag \S+ is false", line)] == []
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Event loop: exactly-once arrivals, pending bookkeeping, replay, snapshots."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
-from stalegrad import reference
+from stalegrad import cli, reference
 from stalegrad.delays import DelayModel
 from stalegrad.errors import (
     DivergedRunError,
@@ -98,6 +100,31 @@ def test_diverged_run_error_carries_context():
     assert 1 <= err.value.step <= 50
     assert np.all(np.isfinite(err.value.last_iterate))
     assert err.value.resolved_params == {"method": "vanilla", "eta": 1e100}
+
+
+def test_a_loss_that_overflows_at_a_finite_iterate_diverges(tmp_path):
+    """η = 3 on unit curvature doubles the distance to the minimizer each step: the loss
+    overflows near step 512 while the iterate stays finite (about 2⁸⁰⁰ at T = 800).
+    The run diverges there, with no overflow warning, and a sweep counts it."""
+    objective = {"family": "quadratic", "curvature": [1.0, 1.0], "minimizer": [1.0, -1.0], "noise_sigma": 0.5}
+    optimizer = {"method": "vanilla", "eta": 3.0}
+    config = SimConfig(objective=objective, optimizer=optimizer, total_iterations=800, num_workers=1, seed=3)
+    with pytest.raises(DivergedRunError) as err:
+        run(config)
+    assert 1 <= err.value.step <= 800
+    assert np.all(np.isfinite(err.value.last_iterate))
+
+    doc = {
+        "objective": objective,
+        "optimizer": optimizer,
+        "run": {"workers": 1, "iterations": 800, "seed": 3},
+        "sweep": {"grid": {"optimizer.eta": [0.05, 3.0]}, "seeds": {"count": 2}},
+    }
+    (tmp_path / "sweep.yaml").write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(tmp_path / "sweep.yaml"), "--output-dir", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["diverged_total"] == 2
+    assert cli.main(["report", str(out), "--check"]) == 0
 
 
 def test_numpy_scalars_hash_and_run_like_python_numbers():
