@@ -94,7 +94,6 @@ def apply_override(doc: Mapping, dotted_path: str, value) -> dict:
 @dataclass(frozen=True)
 class ExpandedRun:
     grid_index: int
-    seed_index: int
     overrides: tuple[tuple[str, object], ...]
     config: SimConfig
 
@@ -171,5 +170,5 @@ class ExperimentConfig:
                     raise
                 point = "; ".join(f"{path}={value}" for path, value in overrides)
                 raise InvalidConfigError(f"{exc.message} (grid point {grid_index}: {point})", exc.field) from None
-            runs.extend(ExpandedRun(grid_index, i, overrides, config) for i, config in enumerate(configs))
+            runs.extend(ExpandedRun(grid_index, overrides, config) for config in configs)
         return runs

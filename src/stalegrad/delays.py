@@ -3,9 +3,10 @@
 Worker i (1-based) succeeds each wall-clock step with probability
 p_i = i / Σ_j j, so its waiting time is geometric on {1, 2, ...}.  A ticket
 whose wait exceeds the worker's threshold τ_i = log(q₁)/log(1−p_i) carries
-the slow component; since ℙ{T_i > τ_i} = q₁ exactly, every worker — and
-the pool as a whole — samples the slow component with probability q₁
-while slow samples ride the long waits.
+the slow component, so slow samples ride the long waits.  Waits are
+integers, so ℙ{T_i > τ_i} = (1−p_i)^⌊τ_i⌋ ≥ q₁, not q₁: at M = 7 and
+q₁ = 0.1 that is 0.1001–0.1155 per worker, and the pool's slow share of
+arrivals is 0.1084 (0.1196 at M = 4).  ROADMAP item 19 would draw it at q₁.
 
 One draw per ticket serves both purposes: it schedules the return and
 decides the component, which is precisely the data/delay coupling the

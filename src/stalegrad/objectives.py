@@ -150,9 +150,27 @@ class BallDomain:
 
 
 class _NoiseModel:
-    """Shared stochastic-gradient scheme; see the module docstring."""
+    """Shared stochastic-gradient scheme; see the module docstring.
+
+    The one memo keeps the last point, keyed on its exact bytes, with the
+    read-only values evaluated there.  A step's monitor re-evaluates the point
+    the last dispatch took, and a paired dispatch takes x_prev, that point,
+    first: so the memo serves 2 of 3 gradient lookups per step on ``ordered_mu2``,
+    1 of 2 on ``vanilla``, none on an unpaired mixture, and on logistic one
+    softmax per new point (9,388 for the 10,028 dispatches of ``logistic_battery``).
+    """
 
     # subclasses provide: dim, noise_sigma (nonnegative), component_grad
+    _memo: tuple = (None, None)  # (key, values); a new point replaces it whole
+
+    def _values_at(self, x: Array) -> dict:
+        """The memo's values at x: those of the last point if x has its bytes, else a new dict."""
+        key = x.tobytes()
+        memo = self._memo  # read once: another thread may replace it
+        if memo[0] != key:
+            memo = (key, {})
+            object.__setattr__(self, "_memo", memo)
+        return memo[1]
 
     @cached_property
     def _noise_scale(self) -> float:
@@ -206,10 +224,7 @@ class Quadratic(_NoiseModel):
     ``max_eigenvalue`` is λ_max(A), and ``matrix`` builds the dense A on
     demand for reference code.
 
-    ``grad`` memoizes its last point, keyed on its exact bytes: a step's
-    monitoring re-evaluates the point the previous dispatch differentiated
-    at, and a paired dispatch differentiates at the previous query point
-    first.  The memoized gradient it returns is read-only.
+    ``grad`` returns a read-only gradient, kept in the memo (see ``_NoiseModel``).
     """
 
     curvature: Array
@@ -229,7 +244,6 @@ class Quadratic(_NoiseModel):
         if not low > 0:  # a NaN diagonal fails too
             raise InvalidConfigError("curvature matrix must be positive definite")
         object.__setattr__(self, "max_eigenvalue", float(high))
-        object.__setattr__(self, "_memo", (None, None))
 
     @cached_property
     def dim(self) -> int:
@@ -253,13 +267,10 @@ class Quadratic(_NoiseModel):
 
     def grad(self, x: Array) -> Array:
         x = _check_dim(x, self.dim)
-        key = x.tobytes()
-        memo = self._memo
-        if memo[0] == key:
-            return memo[1]
-        g = _read_only(self._evaluate_grad(x))
-        object.__setattr__(self, "_memo", (key, g))
-        return g
+        values = self._values_at(x)
+        if "grad" not in values:
+            values["grad"] = _read_only(self._evaluate_grad(x))
+        return values["grad"]
 
     def _evaluate_grad(self, x: Array) -> Array:
         return self._times(x) - self.offset
@@ -424,9 +435,8 @@ def _row_sums(a: Array) -> Array:
 
 
 class _Group(NamedTuple):
-    """One sample group, precomputed once per objective."""
+    """One sample group, with sample indices ``rows``, precomputed once per objective."""
 
-    rows: Array  # sample indices of the group
     picks: Array  # labels[rows]·n + rows: each row's true class in the flat class-major C×n array
     cells: Array  # n_g×C, rows + n·class: each row's classes in that flat array
     onehot: Array  # n_g×C, 1.0 at each row's label
@@ -438,8 +448,8 @@ class Logistic(_NoiseModel):
     """Multinomial cross-entropy over a fixed dataset split into two groups.
 
     Parameters are a flattened C×d weight matrix.  The loss is the
-    group-weighted mean of per-group mean losses, so the slow group's
-    weight matches its sampling probability under the delay model.
+    group-weighted mean of per-group mean losses, the slow group weighted by
+    the delay model's q₁ (see ``from_spec``).
 
     The documented smoothness bound is L = (C−1)/C · maxᵢ‖φᵢ‖²: every
     per-sample Hessian is (diag(p) − ppᵀ) ⊗ φφᵀ and λ_max(diag(p) − ppᵀ)
@@ -477,7 +487,6 @@ class Logistic(_NoiseModel):
             labels = self.labels[rows]
             groups.append(
                 _Group(
-                    rows=_read_only(rows),
                     picks=_read_only(labels * n + rows),
                     cells=_read_only(rows[:, None] + n * np.arange(self.num_classes)),
                     onehot=_read_only(np.eye(self.num_classes)[labels]),
@@ -485,7 +494,6 @@ class Logistic(_NoiseModel):
                 )
             )
         object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_memo", (b"", None, None, {}))
 
     @property
     def feature_dim(self) -> int:
@@ -509,45 +517,36 @@ class Logistic(_NoiseModel):
         out -= np.log(_row_sums(probs))
         return out, np.exp(out, out=probs)
 
-    def _memo_at(self, x: Array) -> tuple[bytes, Array, Array, dict[int, Array]]:
-        """The memo of x: its key, the read-only class-major C×n log-probabilities
-        and probabilities, and the group gradients taken at x.
-
-        Only the last point is kept, keyed on its exact bytes: a step's
-        monitoring re-evaluates the point the previous dispatch just
-        differentiated at, and reuses that dispatch's group gradient.
-        """
-        key = x.tobytes()
-        memo = self._memo
-        if memo[0] != key:
-            memo = (key, *(_read_only(a) for a in self._log_softmax(x)), {})
-            object.__setattr__(self, "_memo", memo)
-        return memo
+    def _softmax(self, values: dict, x: Array) -> tuple[Array, Array]:
+        """The read-only softmax pair at x, kept in ``values``, x's memo."""
+        if "softmax" not in values:
+            values["softmax"] = tuple(_read_only(a) for a in self._log_softmax(x))
+        return values["softmax"]
 
     def loss(self, x: Array) -> float:
         x = _check_dim(x, self.dim)
-        log_probs = self._memo_at(x)[1]
+        log_probs = self._softmax(self._values_at(x), x)[0]
         (g0, g1), (w0, w1) = self._groups, self.group_weights
         # −Σ/n is the bits of (−log p).mean(), as negation commutes with rounding;
         # starting from 0.0, as sum() does, keeps a zero loss at +0.0
         return (
             0.0
-            + w0 * (-float(log_probs.take(g0.picks).sum()) / g0.rows.shape[0])
-            + w1 * (-float(log_probs.take(g1.picks).sum()) / g1.rows.shape[0])
+            + w0 * (-float(log_probs.take(g0.picks).sum()) / g0.picks.shape[0])
+            + w1 * (-float(log_probs.take(g1.picks).sum()) / g1.picks.shape[0])
         )
 
     def component_grad(self, x: Array, component: int) -> Array:
         x = _check_dim(x, self.dim)
-        _, _, probs, grads = self._memo_at(x)
-        if component not in grads:
-            grads[component] = _read_only(self._group_grad(probs, component))
-        return grads[component]
+        values = self._values_at(x)
+        if component not in values:
+            values[component] = _read_only(self._group_grad(self._softmax(values, x)[1], component))
+        return values[component]
 
     def _group_grad(self, probs: Array, component: int) -> Array:
         g = self._groups[component]
         residual = probs.take(g.cells)  # gathered n_g×C, the layout the product reads
         residual -= g.onehot  # p − 0.0 is p; p − 1.0 at the label
-        return (residual.T.dot(g.features) / g.rows.shape[0]).ravel()
+        return (residual.T.dot(g.features) / g.picks.shape[0]).ravel()
 
     def grad(self, x: Array) -> Array:
         w0, w1 = self.group_weights
@@ -640,8 +639,9 @@ def from_spec(spec: Mapping[str, Any], slow_weight: float):
     """Build an objective from its config-document form, checked by ``schema.KEYS``.
 
     ``slow_weight`` comes from the delay section and weighs the slow
-    component of a mixture and the slow group of the logistic family, so
-    the objective's weights are the realized sampling proportions.
+    component of a mixture and the slow group of the logistic family: the
+    weights are q₁, not the realized sampling proportions, which the delay
+    model's integer waits put above q₁ (see ``delays``; ROADMAP item 19).
     """
     family = schema.check("objective.family", spec.get("family"))
     values = schema.walk(spec, "objective", family)

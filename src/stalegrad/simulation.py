@@ -329,8 +329,6 @@ def run(config: SimConfig) -> RunTrace:
             component_col.append(tag)
             loss_col[row] = loss = objective.loss(query)
             grad_norm_col[row] = norm = euclidean_norm(objective.grad(query))
-            if not (math.isfinite(loss) and math.isfinite(norm * norm)):  # avg_sq_grad_norm sums the square
-                raise DivergedRunError(step=t, last_iterate=np.array(query), resolved_params=prep.resolved)
             if stride and (row % stride == 0 or t == T):
                 snapshots[-1 if t == T else row // stride] = query
 
@@ -339,9 +337,10 @@ def run(config: SimConfig) -> RunTrace:
             if state is before:  # the rule dropped the report
                 applied_col[row] = False
 
-            new_query = state.query
-            buf = state.buffer
-            if not _all_finite(new_query) or (buf is not None and not _all_finite(buf)):
+            new_query, buf = state.query, state.buffer
+            # x_t's loss and squared gradient norm (avg_sq_grad_norm sums the square), x_{t+1}, its buffer
+            finite = math.isfinite(loss) and math.isfinite(norm * norm) and _all_finite(new_query)
+            if not (finite and (buf is None or _all_finite(buf))):
                 raise DivergedRunError(step=t, last_iterate=np.array(query), resolved_params=prep.resolved)
             if record:
                 gradients[row] = g

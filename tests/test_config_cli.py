@@ -148,9 +148,8 @@ def test_expansion_is_grid_major_seed_minor():
     experiment = ExperimentConfig.from_document(doc)
     expanded = experiment.expand()
     assert len(expanded) == 399
-    order = [(e.grid_index, e.seed_index) for e in expanded]
-    assert order == [(g, s) for g in range(57) for s in range(7)]
-    assert all(e.config.seed == 3 + e.seed_index for e in expanded)
+    order = [(e.grid_index, e.config.seed) for e in expanded]
+    assert order == [(g, 3 + s) for g in range(57) for s in range(7)]
     # the overrides really landed in the expanded configs
     assert expanded[7].config.optimizer["beta"] == 0.2
 

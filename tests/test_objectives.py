@@ -637,11 +637,11 @@ def test_logistic_memo_follows_the_point_bytes():
     x[0] += 1.0
     fresh = make_logistic(num_classes=3, feature_dim=4, num_samples=60, slow_weight=0.1)
     assert np.array_equal(LOGISTIC.grad(x), fresh.grad(x))
-    _, log_probs, probs, group_grads = LOGISTIC._memo_at(x)
-    assert sorted(group_grads) == [0, 1]
-    assert not any(a.flags.writeable for a in (log_probs, probs, *group_grads.values()))
+    key, values = LOGISTIC._memo
+    assert key == x.tobytes() and sorted(values, key=str) == [0, 1, "softmax"]
+    assert not any(a.flags.writeable for a in (*values["softmax"], values[0], values[1]))
     for g in LOGISTIC._groups:
-        assert not any(a.flags.writeable for a in (g.picks, g.cells, g.onehot, g.features, g.rows))
+        assert not any(a.flags.writeable for a in (g.picks, g.cells, g.onehot, g.features))
 
 
 def _former_kernels(objective: Logistic, x):

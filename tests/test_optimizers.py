@@ -276,6 +276,30 @@ def test_naive_mu2_recursion():
         step_baseline(params, state, vec(1.0), 2, 2, 0, None)
 
 
+def test_naive_momentum_weights_the_new_gradient_by_beta():
+    """At β = ¼ from x₁ = 1 a swapped β and 1−β shows; η, β, g and x₁ are binary
+    fractions, so every value is exact."""
+    params, state = start("naive_momentum", vec(1.0), eta=0.5, beta=0.25)
+    state = step_baseline(params, state, vec(2.0), 1, 1, 0, None)
+    assert (state.buffer[0], state.query[0]) == (0.5, 0.75)  # m = βg, x = 1 − ηm
+    for k in (1, 2):  # τ = 1 or 0: the delay does not enter
+        after = step_baseline(params, state, vec(4.0), 2, k, 2 - k, None)
+        # m = βg + (1−β)m = 1 + 0.375; x = 0.75 − 0.5·1.375
+        assert (after.buffer[0], after.query[0]) == (1.375, 0.0625)
+
+
+def test_naive_mu2_averages_the_query_by_gamma():
+    """γ = ¼ from x₁ = 1: x ← γw + (1−γ)x, which a swapped γ and 1−γ breaks;
+    exact as above."""
+    params, state = start("naive_mu2", vec(1.0), eta=0.5, beta=0.25, gamma=0.25)
+    state = step_baseline(params, state, vec(2.0), 1, 1, 0, vec(2.0))
+    # d = g + (1−β)(0 − g̃) = 0.5; w = 1 − 0.25; x = ¼·0.75 + ¾·1
+    assert (state.buffer[0], state.descent[0], state.query[0]) == (0.5, 0.75, 0.9375)
+    state = step_baseline(params, state, vec(1.0), 2, 2, 0, vec(3.0))
+    # d = 1 + 0.75·(0.5 − 3) = −0.875; w = 0.75 + 0.4375; x = ¼·1.1875 + ¾·0.9375
+    assert (state.buffer[0], state.descent[0], state.query[0]) == (-0.875, 1.1875, 1.0)
+
+
 def test_step_baseline_refuses_a_method_with_its_own_step():
     params, state = start("ordered_momentum", np.zeros(1), eta=0.1, beta=0.5)
     with pytest.raises(InvalidConfigError, match="unknown baseline 'ordered_momentum'") as err:
