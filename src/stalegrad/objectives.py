@@ -150,27 +150,9 @@ class BallDomain:
 
 
 class _NoiseModel:
-    """Shared stochastic-gradient scheme; see the module docstring.
-
-    The one memo keeps the last point, keyed on its exact bytes, with the
-    read-only values evaluated there.  A step's monitor re-evaluates the point
-    the last dispatch took, and a paired dispatch takes x_prev, that point,
-    first: so the memo serves 2 of 3 gradient lookups per step on ``ordered_mu2``,
-    1 of 2 on ``vanilla``, none on an unpaired mixture, and on logistic one
-    softmax per new point (9,388 for the 10,028 dispatches of ``logistic_battery``).
-    """
+    """Shared stochastic-gradient scheme; see the module docstring."""
 
     # subclasses provide: dim, noise_sigma (nonnegative), component_grad
-    _memo: tuple = (None, None)  # (key, values); a new point replaces it whole
-
-    def _values_at(self, x: Array) -> dict:
-        """The memo's values at x: those of the last point if x has its bytes, else a new dict."""
-        key = x.tobytes()
-        memo = self._memo  # read once: another thread may replace it
-        if memo[0] != key:
-            memo = (key, {})
-            object.__setattr__(self, "_memo", memo)
-        return memo[1]
 
     @cached_property
     def _noise_scale(self) -> float:
@@ -192,7 +174,7 @@ class _NoiseModel:
         """Gradients at x and x_prev sharing one sample (component and noise).
 
         x_prev goes first: it is the point the previous dispatch evaluated
-        last, so a memo still holds it.
+        last, so the logistic memo still holds it.
         """
         noise = self._noise(rng)
         g_prev = self.component_grad(x_prev, component) + noise
@@ -224,7 +206,7 @@ class Quadratic(_NoiseModel):
     ``max_eigenvalue`` is λ_max(A), and ``matrix`` builds the dense A on
     demand for reference code.
 
-    ``grad`` returns a read-only gradient, kept in the memo (see ``_NoiseModel``).
+    ``grad`` computes Ax − b afresh at every call, and the array is the caller's.
     """
 
     curvature: Array
@@ -261,19 +243,11 @@ class Quadratic(_NoiseModel):
         return a.__mul__ if a.ndim == 1 else a.dot
 
     def loss(self, x: Array) -> float:
-        # It reads no memo, so a check can compare grad against it.
         x = _check_dim(x, self.dim)
         return 0.5 * float(x.dot(self._times(x))) - float(self.offset.dot(x))
 
     def grad(self, x: Array) -> Array:
-        x = _check_dim(x, self.dim)
-        values = self._values_at(x)
-        if "grad" not in values:
-            values["grad"] = _read_only(self._evaluate_grad(x))
-        return values["grad"]
-
-    def _evaluate_grad(self, x: Array) -> Array:
-        return self._times(x) - self.offset
+        return self._times(_check_dim(x, self.dim)) - self.offset
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.grad(x)
@@ -331,7 +305,7 @@ class Mixture(_NoiseModel):
     matrix = Quadratic.matrix
     _times = Quadratic._times
     loss = Quadratic.loss
-    _evaluate_grad = Quadratic._evaluate_grad
+    grad = Quadratic.grad
     minimizer = Quadratic.minimizer
 
     def _curvatures(self) -> tuple[Array, ...]:
@@ -339,10 +313,6 @@ class Mixture(_NoiseModel):
         if all(c.curvature.ndim == 1 for c in self.components):
             return tuple(c.curvature for c in self.components)
         return tuple(c.matrix for c in self.components)
-
-    def grad(self, x: Array) -> Array:
-        # no memo: every monitored point is new, and the fresh array is the caller's
-        return self._evaluate_grad(_check_dim(x, self.dim))
 
     def component_grad(self, x: Array, component: int) -> Array:
         return self.components[component].grad(x)
@@ -409,7 +379,7 @@ class NonconvexQuadratic(Quadratic):
     minimizer and f* stay in closed form, and since s'' ∈ [−½, 2] with
     s''(0) = 2 the gradient-Lipschitz constant is exactly
     λ_max(A) + 2·scale (attained at m).  The quadratic part's gradient is
-    :class:`Quadratic`'s, memo included.
+    :class:`Quadratic`'s.
     """
 
     squash_scale: float = field(kw_only=True)  # positive
@@ -455,6 +425,12 @@ class Logistic(_NoiseModel):
     per-sample Hessian is (diag(p) − ppᵀ) ⊗ φφᵀ and λ_max(diag(p) − ppᵀ)
     ≤ ½ ≤ (C−1)/C for C ≥ 2.  No closed-form minimizer exists, so only the
     smoothness constant and the noise level are reported.
+
+    The memo keeps the last point, keyed on its exact bytes, with the
+    read-only softmax and group gradients evaluated there.  A step's monitor
+    re-evaluates the point the last dispatch took, and a paired dispatch
+    takes x_prev, that point, first: so a run computes one softmax per new
+    point (9,388 for the 10,028 dispatches of ``logistic_battery``).
     """
 
     features: Array
@@ -494,6 +470,17 @@ class Logistic(_NoiseModel):
                 )
             )
         object.__setattr__(self, "_groups", tuple(groups))
+
+    _memo = (None, None)  # (key, values), unannotated so not a field; a new point replaces it whole
+
+    def _values_at(self, x: Array) -> dict:
+        """The memo's values at x: those of the last point if x has its bytes, else a new dict."""
+        key = x.tobytes()
+        memo = self._memo  # read once: another thread may replace it
+        if memo[0] != key:
+            memo = (key, {})
+            object.__setattr__(self, "_memo", memo)
+        return memo[1]
 
     @property
     def feature_dim(self) -> int:

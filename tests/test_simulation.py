@@ -10,7 +10,6 @@ import pytest
 import yaml
 
 from stalegrad import cli, reference
-from stalegrad.delays import DelayModel
 from stalegrad.errors import (
     DivergedRunError,
     InvalidConfigError,
@@ -305,24 +304,19 @@ def test_logistic_run_evaluates_each_point_once(monkeypatch):
 
 
 def test_quadratic_run_evaluates_each_point_once(monkeypatch):
-    """The paired method's monitor and x_prev gradients reuse the memo: T+1 in all."""
-    calls = []
-    original = Quadratic._evaluate_grad
-
-    def counting(self, x):
-        calls.append(1)
-        return original(self, x)
-
-    monkeypatch.setattr(Quadratic, "_evaluate_grad", counting)
-    T = 80
+    """A quadratic keeps no memo: each step evaluates the monitored point and its
+    paired dispatch's two points, and each of the M initial dispatches two: 3T+2M."""
+    calls = _count_calls(monkeypatch, Quadratic, "grad")
+    T, M = 80, 4
     run(
         momentum_config(
             objective=dict(QUAD_SPEC, domain={"center": [0.0, 0.0], "radius": 3.0}),
             optimizer={"method": "ordered_mu2", "eta": 0.01},
             total_iterations=T,
+            num_workers=M,
         )
     )
-    assert 0 < len(calls) <= T + 1
+    assert len(calls) == 3 * T + 2 * M == 248
 
 
 LOGISTIC_SPEC = {
@@ -380,42 +374,33 @@ def test_trace_carries_the_objective_built_from_the_delay_weight():
 
 
 def _count_mixture_gradients(monkeypatch) -> list:
-    """Count the components' and the mixture mean's ``_evaluate_grad`` calls in one list."""
-    calls = _count_calls(monkeypatch, Quadratic, "_evaluate_grad")
-    return _count_calls(monkeypatch, Mixture, "_evaluate_grad", calls)
+    """Count the components' and the mixture mean's ``grad`` calls in one list."""
+    calls = _count_calls(monkeypatch, Quadratic, "grad")
+    return _count_calls(monkeypatch, Mixture, "grad", calls)
 
 
 def test_unpaired_mixture_run_evaluates_each_point_once_per_quadratic(monkeypatch):
-    """The mean quadratic takes the T monitored points, each dispatch's component
-    its new point, and the initial dispatches share x_1 (one component here)."""
+    """The mean quadratic takes the T monitored points, and a component one point
+    per dispatch: T after the steps and the M initial ones, 2T+M in all."""
     calls = _count_mixture_gradients(monkeypatch)
-    T = 200
+    T, M = 200, 4
     run(
         momentum_config(
             objective=MIXTURE_SPEC,
             optimizer={"method": "ordered_momentum", "eta": 0.05, "beta": 0.1},
             total_iterations=T,
+            num_workers=M,
             seed=3,
         )
     )
-    assert 0 < len(calls) <= 2 * T + 1
+    assert len(calls) == 2 * T + M == 404
 
 
 def test_paired_mixture_run_reuses_x_prev_after_a_same_component_dispatch(monkeypatch):
-    """A paired dispatch takes x_prev first: the previous dispatch took it last,
-    so its component's memo still holds it when both dispatches share a
-    component.  Count: T monitored points on the mean quadratic, one new point
-    per dispatch after a step, x_1 once per component the initial dispatches
-    drew, and x_prev again after each change of component."""
+    """No quadratic keeps a memo, so a paired dispatch evaluates x_prev again:
+    T monitored points on the mean quadratic, and two component gradients per
+    dispatch, T after the steps and the M initial ones, 3T+2M in all."""
     calls = _count_mixture_gradients(monkeypatch)
-    tickets = []
-    draw = DelayModel.draw_ticket
-
-    def recording(self, *args):
-        tickets.append(draw(self, *args))
-        return tickets[-1]
-
-    monkeypatch.setattr(DelayModel, "draw_ticket", recording)
     T, M = 200, 4
     run(
         momentum_config(
@@ -426,11 +411,7 @@ def test_paired_mixture_run_reuses_x_prev_after_a_same_component_dispatch(monkey
             seed=3,
         )
     )
-    components = [component for _, component in tickets]
-    initial, later = set(components[:M]), components[M:]
-    assert len(later) == T
-    changes = (later[0] not in initial) + sum(a != b for a, b in zip(later, later[1:]))
-    assert len(calls) == T + T + len(initial) + changes == 449
+    assert len(calls) == 3 * T + 2 * M == 608
 
 
 @pytest.mark.parametrize(

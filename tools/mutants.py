@@ -1,4 +1,4 @@
-"""Run the tests against a fixed table of one-line mutants of the step rules and the run loop.
+"""Run the tests against a fixed table of one-line mutants of the step rules, the run loop and the logistic memo.
 
     python3 tools/mutants.py
 
@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 OPTIMIZERS, SIMULATION = "src/stalegrad/optimizers.py", "src/stalegrad/simulation.py"
+OBJECTIVES = "src/stalegrad/objectives.py"
 MUTANTS = (
     Mutant(
         "naive_momentum with β and 1−β swapped",
@@ -86,6 +87,12 @@ MUTANTS = (
         SIMULATION,
         "            g, g_prev = oracle_pair(x, x_prev, comp, rng)",
         "            g, g_prev = oracle_pair(x, x, comp, rng)",
+    ),
+    Mutant(
+        "the logistic memo keyed on the point's first entry only",
+        OBJECTIVES,
+        "        key = x.tobytes()",
+        "        key = x[:1].tobytes()",
     ),
 )
 
