@@ -1,9 +1,9 @@
 """Run the benchmark in alternating pairs on a parent checkout and this one, and compare them.
 
-    python3 tools/bench_pairs.py PARENT_DIR [--workload W] [--pairs N]
+    python3 tools/bench_pairs.py PARENT_DIR [--workload W]
 
 Run from any directory.  For each workload of this checkout's BENCHMARK.json
-(or only ``W``) it makes N pairs of runs (default 10) of
+(or only ``W``) it makes ``PAIRS`` (10) pairs of runs of
 
     bench/run.py --workload W --seed I --seconds run_seconds --trace 0
 
@@ -13,13 +13,23 @@ from a temporary copy of its ``src/`` and ``bench/``, so it writes nothing
 in either checkout.  Each run's end-to-end metrics are printed as it ends.
 Then, per workload and end-to-end metric, it prints both medians, the
 parent's quartile distance (third minus first quartile of its runs,
-``statistics.quantiles(values, n=4)``), the pairs this checkout wins (a tie
-counts for neither side), and ``WORSE`` where this checkout's median is
-worse than the parent's by more than the metric's bound, as a share of the
-parent's median.  The exit status is 1 when a metric is worse or a run
-reports ``"correct": false``, 2 when PARENT_DIR has no ``src/stalegrad``.
-Each run takes about ``run_seconds`` (30 s): 10 pairs of all three
-workloads take some 35 minutes.
+``statistics.quantiles(values, n=4)``) and that distance as a share of the
+parent's median, the pairs this checkout wins (a tie counts for neither
+side), and a verdict against the metric's bound:
+
+* ``WORSE`` when this checkout's median is worse than the parent's by more
+  than the bound, as a share of the parent's median;
+* ``UNRESOLVED`` otherwise, when the parent's quartile distance is more than
+  the bound as a share of its median, unless every run of this checkout
+  beats every run of the parent: the parent's own runs then spread wider
+  than the change the bound allows, so a median inside the bound shows
+  nothing;
+* ``within`` otherwise.
+
+The exit status is 1 when a verdict is not ``within`` or a run reports
+``"correct": false``, 2 when PARENT_DIR has no ``src/stalegrad``.  Each run
+takes about ``run_seconds`` (30 s): the pairs of all three workloads take
+some 35 minutes.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: what bench/run.py reads of its checkout
 COPIED = ("src", "bench")
 SIDES = ("parent", "change")
+#: pairs of runs per workload, as bench/prove.py runs ten seeds
+PAIRS = 10
 
 
 def copy_checkout(checkout: Path, into: Path) -> Path:
@@ -57,17 +69,26 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """Both medians, the parent's quartile distance, the change's wins and whether it is worse beyond the bound."""
+    """Both medians, the parent's quartile distance and its share of the median, the change's wins and the verdict."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     q1, _, q3 = statistics.quantiles(parent, n=4)
     medians = statistics.median(parent), statistics.median(change)
     worse_by = sign * (medians[1] - medians[0]) / medians[0]
+    spread = (q3 - q1) / medians[0]
+    clear = all(sign * (c - p) < 0 for p in parent for c in change)
+    if worse_by > metric["bound"]:
+        verdict = "WORSE"
+    elif spread > metric["bound"] and not clear:
+        verdict = "UNRESOLVED"
+    else:
+        verdict = "within"
     return {
         "parent": medians[0],
         "change": medians[1],
         "parent_iqr": q3 - q1,
+        "parent_spread": spread,
         "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
-        "worse": worse_by > metric["bound"],
+        "verdict": verdict,
     }
 
 
@@ -76,10 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path, help="the parent commit's checkout")
     parser.add_argument("--workload", choices=[w["name"] for w in contract["workloads"]])
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2: a quartile needs two runs")
     if not (args.parent / "src" / "stalegrad" / "__init__.py").is_file():
         print(f"error: no stalegrad package under {args.parent / 'src'}", file=sys.stderr)
         return 2
@@ -93,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         values = {w: {side: {m["name"]: [] for m in metrics} for side in SIDES} for w in workloads}
         for workload in workloads:
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     result = run_once(copies[side], workload, pair, contract["run_seconds"])
                     if not result["correct"]:
@@ -107,11 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads:
         for m in metrics:
             row = compare(m, values[workload]["parent"][m["name"]], values[workload]["change"][m["name"]])
-            status |= row["worse"]
+            status |= row["verdict"] != "within"
             print(f"{workload:<18} {m['name']:<12} parent={row['parent']:<12.6g} change={row['change']:<12.6g} "
                   f"({row['change'] / row['parent'] - 1.0:+.2%}) parent_q3-q1={row['parent_iqr']:.6g} "
-                  f"change_wins={row['wins']}/{args.pairs} "
-                  f"{'WORSE' if row['worse'] else 'within'} bound {m['bound']}")
+                  f"({row['parent_spread']:.1%}) change_wins={row['wins']}/{PAIRS} {row['verdict']} bound {m['bound']}")
     return status
 
 
